@@ -41,14 +41,20 @@ log = logging.getLogger("cardioclr")
 SEED_ENV = "CARDIOCLR_SEED"
 
 
+class JsonFormatter(logging.Formatter):
+    """One JSON object per record: `{"level": ..., "msg": ...}`."""
+
+    def format(self, record) -> str:
+        return json.dumps({"level": record.levelname, "msg": record.getMessage()})
+
+
 def _setup_logging(args) -> None:
-    level = logging.WARNING if args.quiet else logging.INFO
-    fmt = (
-        '{"level": "%(levelname)s", "msg": "%(message)s"}'
-        if args.json_logs
-        else "%(levelname)s %(message)s"
+    handler = logging.StreamHandler()
+    handler.setFormatter(
+        JsonFormatter() if args.json_logs else logging.Formatter("%(levelname)s %(message)s")
     )
-    logging.basicConfig(level=level, format=fmt, force=True)
+    level = logging.WARNING if args.quiet else logging.INFO
+    logging.basicConfig(level=level, handlers=[handler], force=True)
 
 
 def _load_config(args) -> RunConfig:

@@ -55,13 +55,41 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
     data = Path(path).read_bytes()
     if data[: len(MAGIC)] != MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic")
-    (meta_len,) = struct.unpack_from("<I", data, len(MAGIC))
     start = len(MAGIC) + 4
+    if len(data) < start:
+        raise FormatError(f"{path}: checkpoint truncated in the metadata length")
+    (meta_len,) = struct.unpack_from("<I", data, len(MAGIC))
+    if len(data) < start + meta_len:
+        raise FormatError(f"{path}: checkpoint truncated in the metadata")
     try:
         meta = json.loads(data[start : start + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        graph = _graph_from_meta(meta)
+        declared = [(spec["name"], list(spec["shape"])) for spec in meta["params"]]
+    except KeyError as exc:
+        raise FormatError(f"{path}: checkpoint metadata lacks key {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
         raise FormatError(f"{path}: bad checkpoint metadata") from exc
 
+    offset = start + meta_len
+    params = graph.named_params()
+    if len(declared) != len(params):
+        raise FormatError(f"{path}: parameter list mismatch")
+    for (name, arr), spec in zip(params, declared):
+        if spec != (name, list(arr.shape)):
+            raise FormatError(f"{path}: parameter {name} does not match metadata")
+        nbytes = arr.size * 4
+        if offset + nbytes > len(data):
+            raise FormatError(f"{path}: checkpoint truncated in parameter {name}")
+        flat = np.frombuffer(data, dtype="<f4", count=arr.size, offset=offset)
+        arr[...] = flat.reshape(arr.shape)
+        offset += nbytes
+    if offset != len(data):
+        raise FormatError(f"{path}: trailing bytes in checkpoint")
+    return graph, meta
+
+
+def _graph_from_meta(meta: dict) -> ModelGraph:
+    """The graph a checkpoint's metadata declares, with placeholder values."""
     arch = meta["arch"]
     cfg = EncoderConfig(
         channels=tuple(arch["channels"]),
@@ -72,7 +100,7 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
         projection_dim=arch["projection_dim"],
     )
     graph = ModelGraph(cfg)
-    rng = np.random.default_rng(0)  # placeholder values, overwritten below
+    rng = np.random.default_rng(0)
     graph.build_encoder(rng)
     if meta["head"] == PROJECTION:
         graph.set_projection_head(rng)
@@ -80,19 +108,4 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
         graph.set_classifier_head(meta["n_out"], rng, meta["dropout"])
     if meta["encoder_frozen"]:
         graph.freeze_encoder()
-
-    offset = start + meta_len
-    params = graph.named_params()
-    declared = meta["params"]
-    if len(declared) != len(params):
-        raise FormatError(f"{path}: parameter list mismatch")
-    for (name, arr), spec in zip(params, declared):
-        if name != spec["name"] or list(arr.shape) != spec["shape"]:
-            raise FormatError(f"{path}: parameter {name} does not match metadata")
-        nbytes = arr.size * 4
-        flat = np.frombuffer(data, dtype="<f4", count=arr.size, offset=offset)
-        arr[...] = flat.reshape(arr.shape)
-        offset += nbytes
-    if offset != len(data):
-        raise FormatError(f"{path}: trailing bytes in checkpoint")
-    return graph, meta
+    return graph

@@ -44,6 +44,11 @@ class Conv1d(Layer):
     """Stride-1, same-padded 1D convolution.
 
     out[b,o,t] = bias[o] + sum_{c,k} w[o,c,k] * in[b,c,t+k-K//2]
+
+    Each sample is one GEMM (Chellapilla et al. 2006): the (Cout, Cin*K)
+    weights times the (Cin*K, L) im2col of that sample, written straight
+    into the output. The input gradient is the transposed GEMM, folded back
+    onto the padded input by K shifted adds.
     """
 
     def __init__(self, in_channels, out_channels, kernel, rng, dtype=np.float32):
@@ -64,40 +69,53 @@ class Conv1d(Layer):
     def grads(self):
         return {"w": self.gw, "b": self.gb}
 
+    def _cols(self, xp, s):
+        """(Cin*K, L) im2col of sample s of the padded input."""
+        length = xp.shape[2] - self.kernel + 1
+        win = sliding_window_view(xp[s], length, axis=1)  # (Cin, K, L)
+        return np.ascontiguousarray(win.reshape(self.in_channels * self.kernel, length))
+
     def forward(self, x, training=False, rng=None):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"conv expects (B, {self.in_channels}, L), got {x.shape}"
             )
-        x = np.ascontiguousarray(x, dtype=self.w.dtype)
         k = self.kernel
-        pl, pr = k // 2, k - 1 - k // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (pl, pr)))
-        win = sliding_window_view(xp, k, axis=2)  # (B, Cin, L, K)
-        out = np.tensordot(win, self.w, axes=([1, 3], [1, 2]))  # (B, L, Cout)
-        out += self.b
-        self._cache = (x.shape, win)
-        return np.ascontiguousarray(out.transpose(0, 2, 1))
+        pl = k // 2
+        xp = np.pad(np.asarray(x, dtype=self.w.dtype), ((0, 0), (0, 0), (pl, k - 1 - pl)))
+        w2 = self.w.reshape(self.out_channels, -1)
+        out = np.empty((x.shape[0], self.out_channels, x.shape[2]), dtype=self.w.dtype)
+        for s in range(x.shape[0]):
+            np.matmul(w2, self._cols(xp, s), out=out[s])
+        out += self.b[:, None]
+        self._cache = xp
+        return out
 
     def backward(self, grad_out, compute_input_grad=True):
         self._require_cache(self._cache)
-        x_shape, win = self._cache
+        xp = self._cache
         g = np.ascontiguousarray(grad_out, dtype=self.w.dtype)
+        batch, _, length = g.shape
         if self.frozen:
             self.gw[...] = 0.0
             self.gb[...] = 0.0
         else:
-            self.gw[...] = np.tensordot(g, win, axes=([0, 2], [0, 2]))
+            gw2 = self.gw.reshape(self.out_channels, -1)
+            gw2[...] = 0.0
+            for s in range(batch):
+                gw2 += g[s] @ self._cols(xp, s).T
             self.gb[...] = g.sum(axis=(0, 2))
         if not compute_input_grad:
             return None
         k = self.kernel
+        w2t = self.w.reshape(self.out_channels, -1).T
+        dxp = np.zeros_like(xp)
+        for s in range(batch):
+            dcols = (w2t @ g[s]).reshape(self.in_channels, k, length)
+            for j in range(k):
+                dxp[s, :, j : j + length] += dcols[:, j]
         pl = k // 2
-        gp = np.pad(g, ((0, 0), (0, 0), (k - 1 - pl, pl)))
-        gwin = sliding_window_view(gp, k, axis=2)  # (B, Cout, L, K)
-        wflip = self.w[:, :, ::-1]
-        dx = np.tensordot(gwin, wflip, axes=([1, 3], [0, 2]))  # (B, L, Cin)
-        return np.ascontiguousarray(dx.transpose(0, 2, 1))
+        return dxp[:, :, pl : pl + length]
 
 
 class ReLU(Layer):
@@ -125,9 +143,15 @@ class MaxPool1d(Layer):
         b, c, length = x.shape
         usable = length - length % self.width
         blocks = x[:, :, :usable].reshape(b, c, usable // self.width, self.width)
-        arg = blocks.argmax(axis=3)
+        # Pool-offset-major copy: max and argmax become whole-row elementwise
+        # ops rather than reductions over a short trailing axis.
+        taps = np.ascontiguousarray(np.moveaxis(blocks, 3, 0))
+        out = taps.max(axis=0)
+        arg = np.zeros(out.shape, dtype=np.intp)
+        for j in range(self.width - 1, -1, -1):  # the first maximum wins
+            np.putmask(arg, taps[j] == out, j)
         self._cache = (x.shape, usable, arg)
-        return np.take_along_axis(blocks, arg[..., None], axis=3)[..., 0]
+        return out
 
     def backward(self, grad_out, compute_input_grad=True):
         self._require_cache(self._cache)

@@ -1,5 +1,6 @@
-"""The encoder/head graph: 5 conv blocks, then either a projection head for
-contrastive pretraining or a 3-layer classification head with dropout."""
+"""The encoder/head graph: 5 conv -> max-pool -> ReLU blocks, then either a
+projection head for contrastive pretraining or a 3-layer classification head
+with dropout."""
 
 from __future__ import annotations
 
@@ -62,10 +63,12 @@ class ModelGraph:
         cfg = self.encoder_cfg
         self.encoder_layers = []
         in_ch = cfg.in_channels
+        # Pooling before ReLU gives the same values and gradients as
+        # ReLU-then-pool (ReLU is monotone), with ReLU on 1/pool of the data.
         for out_ch, kernel, pool in zip(cfg.channels, cfg.kernels, cfg.pool_widths):
             self.encoder_layers.append(Conv1d(in_ch, out_ch, kernel, rng, self.dtype))
-            self.encoder_layers.append(ReLU())
             self.encoder_layers.append(MaxPool1d(pool))
+            self.encoder_layers.append(ReLU())
             in_ch = out_ch
 
     def set_projection_head(self, rng: np.random.Generator) -> None:

@@ -177,7 +177,8 @@ def decode_wav(
         raise UnsupportedFormatError(f"expected mono audio, got {channels} channels")
     if audio_format == _WAVE_FORMAT_PCM and bits == 16:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
+        samples = raw.astype(np.float64)
+        samples /= 32768.0
     elif audio_format == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
         samples = np.clip(raw.astype(np.float64), -1.0, 1.0)
@@ -247,12 +248,14 @@ def _polyphase_resample(x: np.ndarray, up: int, down: int) -> np.ndarray:
     # Edge padding by a whole number of `down` input samples keeps the
     # output grid aligned: P*up/down output samples are cropped per side.
     pad = down * math.ceil((half / up + 1) / down)
-    xp = np.pad(x, pad, mode="edge")
     shift = pad * up // down
 
-    # safety margin so q - i never leaves the padded signal
+    # safety margin of zeros so q - i never leaves the padded signal
     margin = num_taps // up + 2
-    xpz = np.concatenate([np.zeros(margin), xp, np.zeros(margin)])
+    xpz = np.zeros(n_in + 2 * (pad + margin))
+    xpz[margin : margin + pad] = x[0]
+    xpz[margin + pad : margin + pad + n_in] = x
+    xpz[margin + pad + n_in : margin + 2 * pad + n_in] = x[-1]
 
     out = np.empty(n_out, dtype=np.float64)
     # Per output sample n (group-delay compensated):
@@ -549,8 +552,8 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
 def read_manifest(path) -> DatasetManifest:
     entries = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        # Split the line unstripped: an unlabeled entry ends in a tab.
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 4:
@@ -574,10 +577,10 @@ def write_window_store(out_dir, windows: Sequence[LabeledWindow], extra_meta: di
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if windows:
-        matrix = np.stack([w.samples for w in windows]).astype("<f4")
+        matrix = np.stack([w.samples for w in windows]).astype("<f4", copy=False)
     else:
         matrix = np.zeros((0, WINDOW_SAMPLES), dtype="<f4")
-    (out_dir / "windows.f32").write_bytes(matrix.tobytes())
+    matrix.tofile(out_dir / "windows.f32")
     meta = {
         "format_version": 1,
         "dtype": "<f4",
@@ -608,8 +611,12 @@ def read_window_store(store_dir) -> tuple[np.ndarray, list[LabeledWindow]]:
         raise FormatError(f"unsupported window store at {store_dir}")
     count = meta["count"]
     width = meta["window_samples"]
-    raw = (store_dir / "windows.f32").read_bytes()
-    matrix = np.frombuffer(raw, dtype="<f4").reshape(count, width).copy()
+    matrix = np.fromfile(store_dir / "windows.f32", dtype="<f4")
+    if matrix.size != count * width:
+        raise FormatError(
+            f"{store_dir}: windows.f32 holds {matrix.size} samples, not {count} x {width}"
+        )
+    matrix = matrix.reshape(count, width)
     windows = [
         LabeledWindow(
             samples=matrix[i],

@@ -100,6 +100,17 @@ class TestCliPipeline:
         assert (tmp_path / "stores" / "synthetic" / "windows.f32").exists()
         assert (tmp_path / "stores" / "synthetic" / "windows.json").exists()
 
+    def test_json_logs_escape_quotes_and_backslashes(self, tmp_path, capsys):
+        out = tmp_path / 'raw"q\\b'
+        assert cli.main([
+            "--json-logs", "synth", "--out", str(out), "--n-recordings", "2",
+        ]) == 0
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines
+        records = [json.loads(line) for line in lines]
+        assert any(str(out) in r["msg"] for r in records)
+        assert all(r["level"] == "INFO" for r in records)
+
     def test_seed_env_override(self, tmp_path, capsys, monkeypatch):
         class Args:
             config = None

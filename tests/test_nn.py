@@ -1,11 +1,13 @@
 """Tests for layers, losses, optimizers, schedule, and the checkpoint format."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from cardioclr.errors import NumericError, ShapeError, StateError
+from cardioclr.errors import FormatError, NumericError, ShapeError, StateError
 from cardioclr.nn import (
     Adam,
     Conv1d,
@@ -28,6 +30,7 @@ from cardioclr.nn.losses import (
     decisions,
     softmax,
 )
+from test_acceptance import DESK_ENCODER
 
 
 def naive_conv1d(x, w, b):
@@ -46,6 +49,115 @@ def naive_conv1d(x, w, b):
                             acc += w[o, c, k] * x[bi, c, src]
                 out[bi, o, t] = acc
     return out
+
+
+def reference_conv1d(x, w, b, g):
+    """float64 forward, gw, gb and dx straight from the definition, one
+    shifted product per kernel tap."""
+    x, w, b, g = (np.asarray(a, dtype=np.float64) for a in (x, w, b, g))
+    B, Cin, L = x.shape
+    Cout, _, K = w.shape
+    pl = K // 2
+    xp = np.zeros((B, Cin, L + K - 1))
+    xp[:, :, pl : pl + L] = x
+    out = np.broadcast_to(b[:, None], (B, Cout, L)).copy()
+    gw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    for k in range(K):
+        seg = xp[:, :, k : k + L]  # in[b, c, t + k - K//2]
+        out += np.einsum("oc,bct->bot", w[:, :, k], seg)
+        gw[:, :, k] = np.einsum("bot,bct->oc", g, seg)
+        dxp[:, :, k : k + L] += np.einsum("oc,bot->bct", w[:, :, k], g)
+    return out, gw, g.sum(axis=(0, 2)), dxp[:, :, pl : pl + L]
+
+
+def conv_shapes(cfg):
+    """(Cin, Cout, K, L) of every conv layer of an encoder config."""
+    shapes, cin, length = [], cfg.in_channels, cfg.input_len
+    for cout, k, pool in zip(cfg.channels, cfg.kernels, cfg.pool_widths):
+        shapes.append((cin, cout, k, length))
+        cin, length = cout, length // pool
+    return shapes
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-30))
+
+
+KERNEL_SHAPES = (
+    conv_shapes(EncoderConfig())
+    + conv_shapes(DESK_ENCODER)
+    + [(2, 3, 4, 11), (3, 2, 5, 11), (2, 3, 1, 7), (2, 3, 9, 4), (1, 2, 8, 3)]
+)
+
+
+class TestConv1dKernels:
+    """The GEMM conv against the float64 definition at every layer shape of
+    the full-size and desk encoders, plus even/odd K, K=1 and K>L."""
+
+    @pytest.mark.parametrize("cin,cout,k,length", KERNEL_SHAPES)
+    def test_forward_and_gradients(self, cin, cout, k, length):
+        rng = np.random.default_rng(cin * 1000 + k * 10 + length)
+        layer = Conv1d(cin, cout, k, rng)
+        layer.b[...] = rng.uniform(-1, 1, cout)
+        x = rng.standard_normal((2, cin, length)).astype(np.float32)
+        g = rng.standard_normal((2, cout, length)).astype(np.float32)
+        out_ref, gw_ref, gb_ref, dx_ref = reference_conv1d(x, layer.w, layer.b, g)
+        out = layer.forward(x)
+        dx = layer.backward(g)
+        assert out.shape == out_ref.shape and dx.shape == x.shape
+        assert rel_err(out, out_ref) <= 1e-5
+        assert rel_err(layer.gw, gw_ref) <= 1e-5
+        assert rel_err(layer.gb, gb_ref) <= 1e-5
+        assert rel_err(dx, dx_ref) <= 1e-5
+
+    def test_no_input_grad_still_fills_param_grads(self):
+        rng = np.random.default_rng(5)
+        layer = Conv1d(3, 4, 6, rng)
+        x = rng.standard_normal((2, 3, 20)).astype(np.float32)
+        g = rng.standard_normal((2, 4, 20)).astype(np.float32)
+        _, gw_ref, gb_ref, _ = reference_conv1d(x, layer.w, layer.b, g)
+        layer.forward(x)
+        assert layer.backward(g, compute_input_grad=False) is None
+        assert rel_err(layer.gw, gw_ref) <= 1e-5
+        assert rel_err(layer.gb, gb_ref) <= 1e-5
+
+    def test_frozen_layer_reports_zero_grads_and_passes_dx(self):
+        rng = np.random.default_rng(6)
+        layer = Conv1d(2, 3, 5, rng)
+        layer.frozen = True
+        x = rng.standard_normal((2, 2, 15)).astype(np.float32)
+        g = rng.standard_normal((2, 3, 15)).astype(np.float32)
+        _, _, _, dx_ref = reference_conv1d(x, layer.w, layer.b, g)
+        layer.forward(x)
+        dx = layer.backward(g)
+        assert np.all(layer.gw == 0.0) and np.all(layer.gb == 0.0)
+        assert rel_err(dx, dx_ref) <= 1e-5
+
+
+class TestBlockOrder:
+    def test_pool_before_relu_is_bitwise_relu_before_pool(self):
+        """Conv -> MaxPool -> ReLU (as built) against Conv -> ReLU -> MaxPool
+        on one whole encoder with its projection head: same bytes out and
+        the same gradient bytes for every parameter."""
+        new = build_ssl_graph(DESK_ENCODER, seed=4)
+        old = build_ssl_graph(DESK_ENCODER, seed=4)
+        layers = old.encoder_layers
+        for i in range(0, len(layers), 3):
+            conv, pool, relu = layers[i : i + 3]
+            assert (type(conv), type(pool), type(relu)) == (Conv1d, MaxPool1d, ReLU)
+            layers[i : i + 3] = [conv, relu, pool]
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((3, DESK_ENCODER.input_len)).astype(np.float32)
+        out_new, out_old = new.forward(x, training=True), old.forward(x, training=True)
+        assert out_new.tobytes() == out_old.tobytes()
+        g = rng.standard_normal(out_new.shape).astype(np.float32)
+        new.backward(g)
+        old.backward(g)
+        for (n1, a), (n2, b) in zip(new.named_grads(), old.named_grads()):
+            assert n1 == n2
+            assert a.tobytes() == b.tobytes(), n1
+        assert new.embed(x).tobytes() == old.embed(x).tobytes()
 
 
 class TestConv1d:
@@ -93,6 +205,15 @@ class TestOtherLayers:
         layer = MaxPool1d(4)
         x = np.arange(10, dtype=np.float64).reshape(1, 1, 10)
         np.testing.assert_array_equal(layer.forward(x), [[[3.0, 7.0]]])
+
+    def test_maxpool_ties_send_the_gradient_to_the_first_maximum(self):
+        layer = MaxPool1d(4)
+        x = np.array([[[1.0, 2.0, 2.0, 0.0, 4.0, 4.0, 4.0, 4.0, -1.0, -3.0, -1.0, -2.0]]])
+        np.testing.assert_array_equal(layer.forward(x), [[[2.0, 4.0, -1.0]]])
+        dx = layer.backward(np.array([[[1.0, 2.0, 3.0]]]))
+        np.testing.assert_array_equal(
+            dx, [[[0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0]]]
+        )
 
     def test_relu(self):
         layer = ReLU()
@@ -348,3 +469,51 @@ class TestCheckpoint:
         )
         for (_, a), (_, b) in zip(g1.named_params(), g1b.named_params()):
             np.testing.assert_array_equal(a, b)
+
+    def test_parameter_names_keep_conv_layer_indices(self):
+        cfg = EncoderConfig(channels=(2, 3), kernels=(3, 3), pool_widths=(2, 2),
+                            input_len=16, projection_dim=4)
+        names = [name for name, _ in build_ssl_graph(cfg, seed=0).named_params()]
+        assert names == ["enc0.w", "enc0.b", "enc3.w", "enc3.b", "head0.w", "head0.b"]
+
+
+class TestCheckpointCorruption:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        cfg = EncoderConfig(channels=(2, 3), kernels=(5, 3), pool_widths=(2, 2),
+                            input_len=32, projection_dim=6)
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, build_ssl_graph(cfg, seed=9), extra={"epoch": 1})
+        data = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", data, 8)
+        return path, data, 12 + meta_len
+
+    @pytest.mark.parametrize("region", ["magic", "length", "metadata", "first_param", "last_param"])
+    def test_truncation_raises_format_error_naming_the_file(self, saved, region):
+        path, data, params_at = saved
+        cut = {
+            "magic": 5,
+            "length": 10,
+            "metadata": (12 + params_at) // 2,
+            "first_param": params_at + 6,
+            "last_param": len(data) - 2,
+        }[region]
+        path.write_bytes(data[:cut])
+        with pytest.raises(FormatError, match="enc.ckpt"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("drop", ["arch", "head", "params"])
+    def test_missing_metadata_key(self, saved, drop):
+        path, data, params_at = saved
+        meta = json.loads(data[12:params_at])
+        del meta[drop]
+        blob = json.dumps(meta).encode()
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[params_at:])
+        with pytest.raises(FormatError, match=drop):
+            load_checkpoint(path)
+
+    def test_non_utf8_metadata(self, saved):
+        path, data, params_at = saved
+        path.write_bytes(data[:12] + b"\xff" * (params_at - 12) + data[params_at:])
+        with pytest.raises(FormatError, match="enc.ckpt"):
+            load_checkpoint(path)

@@ -286,6 +286,15 @@ class TestSynthetic:
         loaded = sio.read_manifest(tmp_path / "manifest.tsv")
         assert loaded.entries == manifest.entries
 
+    def test_unlabeled_manifest_round_trip(self, tmp_path):
+        manifest = sio.DatasetManifest(entries=[
+            sio.ManifestEntry("a.wav", "e1", "ephnogram"),
+            sio.ManifestEntry("b.wav", "f1", "fpcgdb"),
+            sio.ManifestEntry("c.wav", "p1", "pascal", "normal"),
+        ])
+        sio.write_manifest(manifest, tmp_path / "m.tsv")
+        assert sio.read_manifest(tmp_path / "m.tsv").entries == manifest.entries
+
 
 class TestWindowStore:
     def test_round_trip(self, tmp_path):
@@ -300,6 +309,14 @@ class TestWindowStore:
             np.testing.assert_array_equal(orig.samples, back.samples)
             assert orig.record_id == back.record_id
             assert orig.binary_label == back.binary_label
+        assert matrix.flags.writeable
+
+    def test_truncated_samples_raise_format_error(self, tmp_path):
+        sio.write_window_store(tmp_path / "s", _dummy_windows({"a": 2}))
+        data = (tmp_path / "s" / "windows.f32").read_bytes()
+        (tmp_path / "s" / "windows.f32").write_bytes(data[:-4])
+        with pytest.raises(FormatError, match="windows.f32"):
+            sio.read_window_store(tmp_path / "s")
 
     def test_prepare_pipeline(self, tmp_path):
         src = tmp_path / "raw"
