@@ -51,12 +51,3 @@ def convolve_same_reflect(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     mode = "reflect" if x64.size > 1 else "edge"
     padded = np.pad(x64, half, mode=mode)
     return np.convolve(padded, taps, mode="valid")
-
-
-def magnitude_response(taps: np.ndarray, freqs_hz: np.ndarray, fs: float) -> np.ndarray:
-    """Magnitude of the filter's frequency response at the given frequencies."""
-    taps = np.asarray(taps, dtype=np.float64)
-    n = np.arange(taps.size)
-    w = 2.0 * np.pi * np.asarray(freqs_hz, dtype=np.float64)[:, None] / fs
-    response = np.sum(taps[None, :] * np.exp(-1j * w * n[None, :]), axis=1)
-    return np.abs(response)

@@ -280,10 +280,6 @@ def report_to_json(effects: Sequence[EffectSizeRow], occurrences: Sequence[Occur
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def parse_report_json(text: str):
-    return json.loads(text)
-
-
 def emit_report(
     out_dir,
     effects: Sequence[EffectSizeRow],

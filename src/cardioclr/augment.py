@@ -105,11 +105,16 @@ _VALIDATORS = {
 }
 
 
-def noise(lo: float, hi: float, distribution: str = "uniform") -> Atom:
+def _noise_code(distribution: str) -> str:
+    """The policy grammar's `u|g` code of a noise distribution name."""
     dist = {"uniform": "u", "gaussian": "g", "u": "u", "g": "g"}.get(distribution)
     if dist is None:
         raise ParameterError(f"unknown noise distribution {distribution!r}")
-    return Atom("noise", (dist, float(lo), float(hi)))
+    return dist
+
+
+def noise(lo: float, hi: float, distribution: str = "uniform") -> Atom:
+    return Atom("noise", (_noise_code(distribution), float(lo), float(hi)))
 
 
 def lp(edge_a: float, edge_b: float) -> Atom:
@@ -207,10 +212,7 @@ def add_noise(x: np.ndarray, lo: float, hi: float, distribution: str, rng) -> np
     sigma = hi. A collapsed range (lo == hi == 0) is an exact identity."""
     if lo > hi:
         raise ParameterError(f"noise range must have lo <= hi, got ({lo}, {hi})")
-    dist = {"uniform": "u", "gaussian": "g", "u": "u", "g": "g"}.get(distribution)
-    if dist is None:
-        raise ParameterError(f"unknown noise distribution {distribution!r}")
-    if dist == "u":
+    if _noise_code(distribution) == "u":
         if lo == hi == 0.0:
             return x.copy()
         n = rng.uniform(lo, hi, size=x.shape)
@@ -229,7 +231,7 @@ def design_fir(kind: str, edge_a: float, edge_b: float, fs: int = TARGET_RATE) -
     at its midpoint. Tap count follows the 3.3*fs/width heuristic, rounded up
     to odd so the group delay is an integer.
     """
-    if kind not in ("lp", "hp", "low_pass", "high_pass"):
+    if kind not in ("lp", "hp"):
         raise ParameterError(f"filter kind must be lp or hp, got {kind!r}")
     if edge_a == edge_b:
         raise ParameterError("transition band edges must be distinct")
@@ -241,7 +243,7 @@ def design_fir(kind: str, edge_a: float, edge_b: float, fs: int = TARGET_RATE) -
     if num_taps % 2 == 0:
         num_taps += 1
     cutoff = (edge_a + edge_b) / 2.0 / fs
-    if kind in ("lp", "low_pass"):
+    if kind == "lp":
         taps = lowpass_taps(num_taps, cutoff)
     else:
         taps = highpass_taps(num_taps, cutoff)
@@ -390,9 +392,3 @@ def enumerate_policies(
     return [
         AugmentationPolicy(left, right) for left, right in combinations(pairs, 2)
     ]
-
-
-def atoms_in_policy(policy_text: str) -> list[str]:
-    """Atom strings across both chains of a serialized policy (no `none`)."""
-    policy = parse_policy(policy_text)
-    return [str(a) for a in policy.atoms()]

@@ -100,12 +100,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    counts = sio.prepare_manifest(
-        args.manifest,
-        args.out,
-        granularity=args.granularity.replace("-", "_"),
-        seed=args.seed or 0,
-    )
+    counts = sio.prepare_manifest(args.manifest, args.out)
     print(json.dumps({"windows": counts, "out": str(args.out)}))
     return 0
 
@@ -293,9 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="homogenize a manifest into window stores")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--granularity", choices=["per-recording", "per-window"],
-                   default="per-recording")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("pretrain", help="contrastive pretraining of the encoder")

@@ -1,131 +1,84 @@
 """Run configuration: a small INI-style format with strict keys.
 
-Every knob has a documented default matching the training regimen the
-pipeline reproduces (temperature 0.1, LARS warmup to 0.1, Adam 1e-4, early
-stopping with patience 10/20...). Unknown keys are errors so typos cannot
-silently fall back to defaults. The resolved config serializes canonically,
-which makes its hash independent of key order in the source file.
+The `[pretrain]`, `[downstream]` and `[model]` sections are the fields of
+`PretrainConfig`, `DownstreamConfig` and `EncoderConfig`: their defaults
+(temperature 0.1, LARS warmup to 0.1, Adam 1e-4, early stopping with
+patience 10/20...) and validity checks live in those classes. Unknown keys
+are errors so typos cannot silently fall back to defaults. The resolved
+config serializes canonically, which makes its hash independent of key order
+in the source file.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import fields, make_dataclass
 from pathlib import Path
 
 from .contrastive import PretrainConfig
 from .downstream import DownstreamConfig
 from .errors import ConfigError
 from .nn.model import EncoderConfig
+from .signal_io import SPLIT_GRANULARITIES
 
-
-@dataclass
-class RunConfig:
-    # [run]
-    seed: int = 0
-    # [pretrain]
-    temperature: float = 0.1
-    pretrain_batch_size: int = 256
-    pretrain_max_epochs: int = 200
-    pretrain_patience: int = 10
-    val_fraction: float = 0.2
-    warmup_epochs: int = 20
-    peak_lr: float = 0.1
-    lr_floor_fraction: float = 0.01
-    lars_trust: float = 0.001
-    lars_momentum: float = 0.9
-    lars_weight_decay: float = 0.0
-    # [downstream]
-    adam_lr: float = 1e-4
-    head_batch_size: int = 32
-    head_max_epochs: int = 100
-    head_patience: int = 20
-    dropout: float = 0.5
-    # [model]
-    channels: tuple = (8, 16, 32, 64, 128)
-    kernels: tuple = (64, 32, 16, 8, 8)
-    pool_widths: tuple = (4, 4, 4, 4, 4)
-    projection_dim: int = 128
-    # [data]
-    split_granularity: str = "per_recording"
-    # [augment]
-    noise_distribution: str = "uniform"
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if self.pretrain_batch_size < 2:
-            raise ConfigError("pretrain batch_size must be at least 2")
-        if self.head_batch_size < 1:
-            raise ConfigError("downstream batch_size must be positive")
-        if not 0 <= self.val_fraction < 1:
-            raise ConfigError("val_fraction must lie in [0, 1)")
-        if self.pretrain_patience >= self.pretrain_max_epochs:
-            raise ConfigError("pretrain patience must be smaller than max_epochs")
-        if self.head_patience >= self.head_max_epochs:
-            raise ConfigError("downstream patience must be smaller than max_epochs")
-        if not 0 <= self.dropout < 1:
-            raise ConfigError("dropout must lie in [0, 1)")
-        for name in ("peak_lr", "adam_lr", "lars_trust", "lars_momentum",
-                     "lars_weight_decay", "lr_floor_fraction"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if self.split_granularity not in ("per_recording", "per_window"):
-            raise ConfigError(f"unknown split granularity {self.split_granularity!r}")
-        if self.noise_distribution not in ("uniform", "gaussian"):
-            raise ConfigError(f"unknown noise distribution {self.noise_distribution!r}")
-        if not len(self.channels) == len(self.kernels) == len(self.pool_widths):
-            raise ConfigError("channels, kernels and pool_widths must align")
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
+_STAGES = {"pretrain": PretrainConfig, "downstream": DownstreamConfig, "model": EncoderConfig}
+# Not settable per stage: each stage's seed derives from `[run] seed`, and
+# the encoder's input shape is fixed by the window format.
+_NOT_KEYS = {"seed", "input_len", "in_channels"}
+# A key that both training stages have (batch_size, max_epochs, patience)
+# carries the stage's prefix in RunConfig.
+_SHARED = {f.name for f in fields(PretrainConfig)} & {f.name for f in fields(DownstreamConfig)}
+_PREFIX = {"pretrain": "pretrain_", "downstream": "head_"}
 
 
 def _parse_int_tuple(text: str) -> tuple:
     return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
-# section -> key -> (attribute, parser)
-SCHEMA = {
-    "run": {"seed": ("seed", _parse_int)},
-    "pretrain": {
-        "temperature": ("temperature", _parse_float),
-        "batch_size": ("pretrain_batch_size", _parse_int),
-        "max_epochs": ("pretrain_max_epochs", _parse_int),
-        "patience": ("pretrain_patience", _parse_int),
-        "val_fraction": ("val_fraction", _parse_float),
-        "warmup_epochs": ("warmup_epochs", _parse_int),
-        "peak_lr": ("peak_lr", _parse_float),
-        "lr_floor_fraction": ("lr_floor_fraction", _parse_float),
-        "lars_trust": ("lars_trust", _parse_float),
-        "lars_momentum": ("lars_momentum", _parse_float),
-        "lars_weight_decay": ("lars_weight_decay", _parse_float),
+_PARSERS = {int: int, float: float, str: str, tuple: _parse_int_tuple}
+
+
+def _entries():
+    """(section, key, RunConfig attribute, default) of every key, in file order."""
+    yield "run", "seed", "seed", 0
+    for section, stage in _STAGES.items():
+        for f in fields(stage):
+            if f.name not in _NOT_KEYS:
+                attr = _PREFIX[section] + f.name if f.name in _SHARED else f.name
+                yield section, f.name, attr, f.default
+    yield "data", "split_granularity", "split_granularity", SPLIT_GRANULARITIES[0]
+
+
+# section -> key -> (RunConfig attribute, parser)
+SCHEMA: dict[str, dict[str, tuple]] = {}
+for _section, _key, _attr, _default in _entries():
+    SCHEMA.setdefault(_section, {})[_key] = (_attr, _PARSERS[type(_default)])
+
+
+def _stage(cfg, section: str, **overrides):
+    values = {key: getattr(cfg, attr) for key, (attr, _) in SCHEMA[section].items()}
+    return _STAGES[section](**values, **overrides)
+
+
+def _check(cfg) -> None:
+    for section in _STAGES:
+        try:
+            _stage(cfg, section)
+        except ConfigError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
+    if cfg.split_granularity not in SPLIT_GRANULARITIES:
+        raise ConfigError(f"unknown split granularity {cfg.split_granularity!r}")
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(attr, type(default), default) for _, _, attr, default in _entries()],
+    namespace={
+        "__doc__": "Every INI key as one flat field; the stage configs check the values.",
+        "__module__": __name__,
+        "__post_init__": _check,
     },
-    "downstream": {
-        "adam_lr": ("adam_lr", _parse_float),
-        "batch_size": ("head_batch_size", _parse_int),
-        "max_epochs": ("head_max_epochs", _parse_int),
-        "patience": ("head_patience", _parse_int),
-        "dropout": ("dropout", _parse_float),
-    },
-    "model": {
-        "channels": ("channels", _parse_int_tuple),
-        "kernels": ("kernels", _parse_int_tuple),
-        "pool_widths": ("pool_widths", _parse_int_tuple),
-        "projection_dim": ("projection_dim", _parse_int),
-    },
-    "data": {"split_granularity": ("split_granularity", _parse_str)},
-    "augment": {"noise_distribution": ("noise_distribution", _parse_str)},
-}
+)
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -173,14 +126,10 @@ def _format_value(value) -> str:
 def resolved_text(config: RunConfig) -> str:
     """Canonical serialization: fixed section and key order. Re-parsing the
     resolved text is a fixed point, and the hash ignores source formatting."""
-    attr_to_loc = {}
-    for section, entries in SCHEMA.items():
-        for key, (attr, _) in entries.items():
-            attr_to_loc[attr] = (section, key)
     lines = []
-    for section in SCHEMA:
+    for section, entries in SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, (attr, _) in SCHEMA[section].items():
+        for key, (attr, _) in entries.items():
             lines.append(f"{key} = {_format_value(getattr(config, attr))}")
         lines.append("")
     return "\n".join(lines)
@@ -194,37 +143,12 @@ def config_hash(config: RunConfig) -> str:
 
 
 def pretrain_config(cfg: RunConfig, seed: int | None = None) -> PretrainConfig:
-    return PretrainConfig(
-        temperature=cfg.temperature,
-        batch_size=cfg.pretrain_batch_size,
-        max_epochs=cfg.pretrain_max_epochs,
-        patience=cfg.pretrain_patience,
-        val_fraction=cfg.val_fraction,
-        seed=cfg.seed if seed is None else seed,
-        warmup_epochs=cfg.warmup_epochs,
-        peak_lr=cfg.peak_lr,
-        lr_floor_fraction=cfg.lr_floor_fraction,
-        lars_trust=cfg.lars_trust,
-        lars_momentum=cfg.lars_momentum,
-        lars_weight_decay=cfg.lars_weight_decay,
-    )
+    return _stage(cfg, "pretrain", seed=cfg.seed if seed is None else seed)
 
 
 def downstream_config(cfg: RunConfig, seed: int | None = None) -> DownstreamConfig:
-    return DownstreamConfig(
-        adam_lr=cfg.adam_lr,
-        batch_size=cfg.head_batch_size,
-        max_epochs=cfg.head_max_epochs,
-        patience=cfg.head_patience,
-        dropout=cfg.dropout,
-        seed=cfg.seed if seed is None else seed,
-    )
+    return _stage(cfg, "downstream", seed=cfg.seed if seed is None else seed)
 
 
 def encoder_config(cfg: RunConfig) -> EncoderConfig:
-    return EncoderConfig(
-        channels=tuple(cfg.channels),
-        kernels=tuple(cfg.kernels),
-        pool_widths=tuple(cfg.pool_widths),
-        projection_dim=cfg.projection_dim,
-    )
+    return _stage(cfg, "model")

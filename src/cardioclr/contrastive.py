@@ -20,35 +20,6 @@ from .nn.model import ModelGraph
 from .nn.optim import Lars, LrSchedule
 
 
-def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise NumericError("cosine similarity of a zero vector is undefined")
-    return float(np.dot(u, v) / (nu * nv))
-
-
-@dataclass
-class ContrastiveBatch:
-    """2N projection vectors ordered so rows i and i+N are positive pairs."""
-
-    views: np.ndarray
-
-    def __post_init__(self):
-        self.views = np.asarray(self.views)
-        if self.views.ndim != 2 or self.views.shape[0] % 2 or self.views.shape[0] < 2:
-            raise ParameterError(f"views must be (2N, D) with N >= 1, got {self.views.shape}")
-        if not np.all(np.isfinite(self.views)):
-            raise NumericError("non-finite projection vectors")
-        if np.any(np.linalg.norm(self.views, axis=1) == 0.0):
-            raise NumericError("zero-norm projection vector in batch")
-
-    @property
-    def n_pairs(self) -> int:
-        return self.views.shape[0] // 2
-
-
 def _pair_index(two_n: int) -> np.ndarray:
     n = two_n // 2
     return np.concatenate([np.arange(n) + n, np.arange(n)])
@@ -60,7 +31,7 @@ def nt_xent_grad(views: np.ndarray, temperature: float):
     Log-sum-exp stabilized; the denominator for anchor i runs over every
     other view (positives and negatives alike), per the loss definition.
     """
-    z = np.asarray(getattr(views, "views", views), dtype=np.float64)
+    z = np.asarray(views, dtype=np.float64)
     if temperature <= 0.0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
     if z.ndim != 2 or z.shape[0] % 2 or z.shape[0] < 2:
@@ -130,6 +101,10 @@ class PretrainConfig:
             raise ConfigError("val_fraction must lie in [0, 1)")
         if self.patience >= self.max_epochs:
             raise ConfigError("patience must be smaller than max_epochs")
+        for name in ("peak_lr", "lr_floor_fraction", "lars_trust", "lars_momentum",
+                     "lars_weight_decay"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
 
 
 @dataclass

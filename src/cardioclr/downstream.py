@@ -155,6 +155,10 @@ class DownstreamConfig:
             raise ConfigError("batch size must be positive")
         if self.patience >= self.max_epochs:
             raise ConfigError("patience must be smaller than max_epochs")
+        if self.adam_lr < 0:
+            raise ConfigError("adam_lr must be non-negative")
+        if not 0 <= self.dropout < 1:
+            raise ConfigError("dropout must lie in [0, 1)")
 
 
 @dataclass

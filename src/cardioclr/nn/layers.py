@@ -119,16 +119,19 @@ class Conv1d(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0) that lets NaN through (so it reaches the non-finite loss
+    check) and gives +0.0 for every x <= 0, -0.0 included."""
+
     def __init__(self):
-        self._mask = None
+        self._off = None
 
     def forward(self, x, training=False, rng=None):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0)
+        self._off = x <= 0
+        return np.where(self._off, 0, x)
 
     def backward(self, grad_out, compute_input_grad=True):
-        self._require_cache(self._mask)
-        return np.where(self._mask, grad_out, 0)
+        self._require_cache(self._off)
+        return np.where(self._off, 0, grad_out)
 
 
 class MaxPool1d(Layer):

@@ -117,7 +117,3 @@ class LrSchedule:
             return self.peak_lr
         phase = math.pi * (epoch - warmup) / span
         return floor + (self.peak_lr - floor) * (1.0 + math.cos(phase)) / 2.0
-
-
-def schedule_lr(schedule: LrSchedule, epoch: int) -> float:
-    return schedule.lr(epoch)

@@ -278,7 +278,7 @@ def _pretrain_encoder(ssl_set, policy_text, seed, stores, cfg, out_dir):
     enc_path = Path(out_dir) / "encoders" / f"{enc_id}.ckpt"
     if enc_path.exists():
         graph, _ = load_checkpoint(enc_path)
-        return graph, str(enc_path), enc_id
+        return graph, enc_id
     pools = [stores.load(tag)[0] for tag in ssl_set]
     windows = np.concatenate(pools, axis=0)
     graph = build_ssl_graph(encoder_config(cfg), seed=derived_seed("init", enc_id))
@@ -298,25 +298,58 @@ def _pretrain_encoder(ssl_set, policy_text, seed, stores, cfg, out_dir):
             "encoder_id": enc_id,
         },
     )
-    return graph, str(enc_path), enc_id
+    return graph, enc_id
 
 
-def _planned_evals(tasks: Sequence[TaskSpec]):
-    """(downstream task, eval dataset, eval kind) triples for one experiment.
+def _task_splits(stores: WindowStores, task: TaskSpec, seed: int, cfg: RunConfig):
+    """(train, val) arrays of one downstream task's dataset."""
+    x, metas = stores.load(task.dataset_tag)
+    tr, va, _ = downstream_splits(metas, seed, task.dataset_tag, cfg.split_granularity)
+    y = task.encode(metas)
+    return (x[tr], y[tr]), (x[va], y[va])
 
-    OOD evaluation reuses the trained head on other labeled datasets, which is
-    only label-compatible for 1-logit (binary) heads; wider `all` heads are
-    evaluated in-distribution only.
+
+def _model_rows(graph, task, tasks, stores, cfg, seed, ssl_set, policy_text, out_dir,
+                extra=None) -> list[LedgerRow]:
+    """Checkpoint one trained model and evaluate it in-distribution and OOD.
+
+    OOD evaluation reuses the trained head on the other labeled datasets,
+    which is only label-compatible for 1-logit (binary) heads; wider `all`
+    heads are evaluated in-distribution only. With `graph=None` (training
+    failed) the same rows come back with status=failed and no metrics, so
+    sweep statistics keep the full denominator.
     """
-    ordered = round_robin(tasks)
-    plan = []
-    for task in ordered:
-        plan.append((task, task.dataset_tag, IN_DISTRIBUTION))
-        if task.n_out == 1:
-            for other in ordered:
-                if other.dataset_tag != task.dataset_tag:
-                    plan.append((task, other.dataset_tag, OOD))
-    return plan
+    cfg_hash = config_hash(cfg)
+    exp_id = experiment_id(cfg_hash, ssl_set, policy_text, task.dataset_tag, task.task_type, seed)
+    evals = [(task.dataset_tag, IN_DISTRIBUTION)]
+    if task.n_out == 1:
+        evals += [(t.dataset_tag, OOD) for t in tasks if t.dataset_tag != task.dataset_tag]
+    checkpoint = ""
+    if graph is not None:
+        # ledger and metadata keep paths relative to the sweep root, so
+        # artifacts stay byte-identical wherever the sweep runs
+        checkpoint = f"models/{exp_id}.ckpt"
+        save_checkpoint(Path(out_dir) / checkpoint, graph, extra={
+            "config_hash": cfg_hash, "policy": policy_text, "task": str(task), "seed": seed,
+            **(extra or {}),
+        })
+    rows = []
+    for eval_tag, kind in evals:
+        accuracy = micro_f1 = macro_f1 = None
+        if graph is not None:
+            x, metas = stores.load(eval_tag)
+            _, _, te = downstream_splits(metas, seed, eval_tag, cfg.split_granularity)
+            eval_task = task if kind == IN_DISTRIBUTION else TaskSpec(eval_tag, "binary")
+            m = evaluate(graph, x[te], [metas[i] for i in te], eval_task)
+            accuracy, micro_f1, macro_f1 = m.accuracy, m.micro_f1, m.macro_f1
+        rows.append(LedgerRow(
+            experiment_id=exp_id, ssl_set="+".join(ssl_set), policy=policy_text,
+            downstream=task.dataset_tag, task=task.task_type,
+            eval_dataset=eval_tag, eval_kind=kind,
+            accuracy=accuracy, micro_f1=micro_f1, macro_f1=macro_f1, seed=seed,
+            checkpoint=checkpoint, status="ok" if graph is not None else "failed",
+        ))
+    return rows
 
 
 def run_experiment(
@@ -330,99 +363,24 @@ def run_experiment(
 ) -> list[LedgerRow]:
     """Execute one plan entry end to end and return its ledger rows.
 
-    A numeric failure in any sub-step marks every remaining evaluation of the
-    entry as failed rather than silently dropping it, so sweep statistics
-    keep the full denominator.
+    A numeric failure in any sub-step marks every remaining model of the
+    entry as failed rather than silently dropping it.
     """
-    out_dir = Path(out_dir)
-    cfg_hash = config_hash(cfg)
-    evals = _planned_evals(tasks)
+    ordered = round_robin(tasks)
     rows: list[LedgerRow] = []
-
-    def fail_remaining(done_count):
-        for task, eval_tag, kind in evals[done_count:]:
-            rows.append(
-                LedgerRow(
-                    experiment_id=experiment_id(cfg_hash, ssl_set, policy_text,
-                                                task.dataset_tag, task.task_type, seed),
-                    ssl_set="+".join(ssl_set),
-                    policy=policy_text,
-                    downstream=task.dataset_tag,
-                    task=task.task_type,
-                    eval_dataset=eval_tag,
-                    eval_kind=kind,
-                    accuracy=None, micro_f1=None, macro_f1=None,
-                    seed=seed, checkpoint="", status="failed",
-                )
-            )
-
-    try:
-        graph, _, enc_id = _pretrain_encoder(
-            ssl_set, policy_text, seed, stores, cfg, out_dir
-        )
-    except NumericError:
-        fail_remaining(0)
-        return rows
-
     done = 0
-    current_task = None
     try:
-        for task, eval_tag, kind in evals:
-            if kind == IN_DISTRIBUTION:
-                current_task = task
-                x, metas = stores.load(task.dataset_tag)
-                tr, va, te = downstream_splits(metas, seed, task.dataset_tag, cfg.split_granularity)
-                y = task.encode(metas)
-                head_seed = derived_seed("head", enc_id, str(task), seed)
-                ds_cfg = downstream_config(cfg, seed=head_seed)
-                graph, _ = train_head(
-                    graph, task, (x[tr], y[tr]), (x[va], y[va]), ds_cfg
-                )
-                exp_id = experiment_id(cfg_hash, ssl_set, policy_text,
-                                       task.dataset_tag, task.task_type, seed)
-                # ledger and metadata keep paths relative to the sweep root,
-                # so artifacts stay byte-identical wherever the sweep runs
-                model_rel = f"models/{exp_id}.ckpt"
-                save_checkpoint(
-                    out_dir / model_rel, graph,
-                    extra={
-                        "config_hash": cfg_hash,
-                        "encoder_checkpoint": f"encoders/{enc_id}.ckpt",
-                        "encoder_id": enc_id,
-                        "policy": policy_text,
-                        "task": str(task),
-                        "seed": seed,
-                    },
-                )
-                metrics = evaluate(graph, x[te], [metas[i] for i in te], task)
-            else:
-                ood_task = TaskSpec(eval_tag, "binary")
-                x, metas = stores.load(eval_tag)
-                _, _, te = downstream_splits(metas, seed, eval_tag, cfg.split_granularity)
-                metrics = evaluate(graph, x[te], [metas[i] for i in te], ood_task)
-                exp_id = experiment_id(cfg_hash, ssl_set, policy_text,
-                                       current_task.dataset_tag, current_task.task_type, seed)
-                model_rel = f"models/{exp_id}.ckpt"
-            rows.append(
-                LedgerRow(
-                    experiment_id=exp_id,
-                    ssl_set="+".join(ssl_set),
-                    policy=policy_text,
-                    downstream=current_task.dataset_tag,
-                    task=current_task.task_type,
-                    eval_dataset=eval_tag,
-                    eval_kind=kind,
-                    accuracy=metrics.accuracy,
-                    micro_f1=metrics.micro_f1,
-                    macro_f1=metrics.macro_f1,
-                    seed=seed,
-                    checkpoint=model_rel,
-                    status="ok",
-                )
-            )
+        graph, enc_id = _pretrain_encoder(ssl_set, policy_text, seed, stores, cfg, out_dir)
+        for task in ordered:
+            ds_cfg = downstream_config(cfg, seed=derived_seed("head", enc_id, str(task), seed))
+            graph, _ = train_head(graph, task, *_task_splits(stores, task, seed, cfg), ds_cfg)
+            rows += _model_rows(graph, task, tasks, stores, cfg, seed, ssl_set, policy_text,
+                                out_dir, {"encoder_checkpoint": f"encoders/{enc_id}.ckpt",
+                                          "encoder_id": enc_id})
             done += 1
     except NumericError:
-        fail_remaining(done)
+        for task in ordered[done:]:
+            rows += _model_rows(None, task, tasks, stores, cfg, seed, ssl_set, policy_text, out_dir)
     return rows
 
 
@@ -434,43 +392,18 @@ def run_baseline(
     cfg: RunConfig,
     out_dir,
 ) -> list[LedgerRow]:
-    """One fully-supervised baseline replicate, evaluated ID and OOD."""
-    out_dir = Path(out_dir)
+    """One fully-supervised baseline replicate, evaluated ID and OOD; a
+    numeric failure in training marks all of its rows failed."""
     cfg_hash = config_hash(cfg)
-    x, metas = stores.load(task.dataset_tag)
-    tr, va, te = downstream_splits(metas, seed, task.dataset_tag, cfg.split_granularity)
-    y = task.encode(metas)
-    graph = build_ssl_graph(encoder_config(cfg), seed=derived_seed("baseline-init", cfg_hash, str(task), seed))
+    graph = build_ssl_graph(encoder_config(cfg),
+                            seed=derived_seed("baseline-init", cfg_hash, str(task), seed))
     graph.drop_head()
     ds_cfg = downstream_config(cfg, seed=derived_seed("baseline-head", cfg_hash, str(task), seed))
-    graph, _ = train_baseline(graph, task, (x[tr], y[tr]), (x[va], y[va]), ds_cfg)
-
-    exp_id = experiment_id(cfg_hash, ("none",), BASELINE_POLICY, task.dataset_tag, task.task_type, seed)
-    model_rel = f"models/{exp_id}.ckpt"
-    save_checkpoint(out_dir / model_rel, graph, extra={
-        "config_hash": cfg_hash, "policy": BASELINE_POLICY, "task": str(task), "seed": seed,
-    })
-
-    rows = []
-    evals = [(task.dataset_tag, IN_DISTRIBUTION)]
-    if task.n_out == 1:
-        evals += [(t.dataset_tag, OOD) for t in tasks if t.dataset_tag != task.dataset_tag]
-    for eval_tag, kind in evals:
-        ex, emetas = stores.load(eval_tag)
-        _, _, ete = downstream_splits(emetas, seed, eval_tag, cfg.split_granularity)
-        eval_task = task if kind == IN_DISTRIBUTION else TaskSpec(eval_tag, "binary")
-        metrics = evaluate(graph, ex[ete], [emetas[i] for i in ete], eval_task)
-        rows.append(
-            LedgerRow(
-                experiment_id=exp_id, ssl_set="none", policy=BASELINE_POLICY,
-                downstream=task.dataset_tag, task=task.task_type,
-                eval_dataset=eval_tag, eval_kind=kind,
-                accuracy=metrics.accuracy, micro_f1=metrics.micro_f1,
-                macro_f1=metrics.macro_f1, seed=seed,
-                checkpoint=model_rel, status="ok",
-            )
-        )
-    return rows
+    try:
+        graph, _ = train_baseline(graph, task, *_task_splits(stores, task, seed, cfg), ds_cfg)
+    except NumericError:
+        graph = None
+    return _model_rows(graph, task, tasks, stores, cfg, seed, ("none",), BASELINE_POLICY, out_dir)
 
 
 def run_plan(

@@ -35,6 +35,8 @@ DATASET_TAGS = (
 )
 UNLABELED_TAGS = ("ephnogram", "fpcgdb")
 LABELED_TAGS = ("pascal", "physionet2016", "physionet2022")
+# per_recording keeps every window of a recording in one split
+SPLIT_GRANULARITIES = ("per_recording", "per_window")
 
 NORMAL = "normal"
 ABNORMAL = "abnormal"
@@ -77,10 +79,6 @@ class RawRecording:
             raise FormatError(f"recording {self.record_id!r} contains non-finite samples")
         if self.dataset_tag not in DATASET_TAGS:
             raise ParameterError(f"unknown dataset tag {self.dataset_tag!r}")
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
 
 
 @dataclass
@@ -386,7 +384,7 @@ def split_indices(
     audio between train and test)."""
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ParameterError(f"split ratios must sum to 1, got {ratios}")
-    if granularity not in ("per_recording", "per_window"):
+    if granularity not in SPLIT_GRANULARITIES:
         raise ParameterError(f"unknown granularity {granularity!r}")
     n = len(windows)
     if n == 0:
@@ -417,16 +415,6 @@ def split_indices(
         while split < len(ratios) - 1 and used >= round(targets[split]):
             split += 1
     return tuple(sorted(part) for part in out)
-
-
-def split_windows(
-    windows: Sequence[LabeledWindow],
-    ratios: Sequence[float] = (0.7, 0.2, 0.1),
-    seed: int = 0,
-    granularity: str = "per_recording",
-) -> tuple[list, ...]:
-    parts = split_indices(windows, ratios, seed, granularity)
-    return tuple([windows[i] for i in part] for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +560,7 @@ def read_manifest(path) -> DatasetManifest:
     return DatasetManifest(entries=entries)
 
 
-def write_window_store(out_dir, windows: Sequence[LabeledWindow], extra_meta: dict | None = None) -> None:
+def write_window_store(out_dir, windows: Sequence[LabeledWindow]) -> None:
     """Persist windows as raw little-endian float32 plus a JSON label sidecar."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -597,8 +585,6 @@ def write_window_store(out_dir, windows: Sequence[LabeledWindow], extra_meta: di
             for w in windows
         ],
     }
-    if extra_meta:
-        meta.update(extra_meta)
     (out_dir / "windows.json").write_text(
         json.dumps(meta, sort_keys=True, indent=1), encoding="utf-8"
     )
@@ -631,12 +617,7 @@ def read_window_store(store_dir) -> tuple[np.ndarray, list[LabeledWindow]]:
     return matrix, windows
 
 
-def prepare_manifest(
-    manifest_path,
-    out_dir,
-    granularity: str = "per_recording",
-    seed: int = 0,
-) -> dict[str, int]:
+def prepare_manifest(manifest_path, out_dir) -> dict[str, int]:
     """Run the homogenization pipeline over a manifest and emit one window
     store per dataset tag under `out_dir`. Returns window counts per tag."""
     manifest_path = Path(manifest_path)
@@ -659,10 +640,6 @@ def prepare_manifest(
             per_tag.setdefault(entry.dataset_tag, []).append(w)
     counts = {}
     for tag, windows in sorted(per_tag.items()):
-        write_window_store(
-            Path(out_dir) / tag,
-            windows,
-            extra_meta={"split_granularity": granularity, "split_seed": seed},
-        )
+        write_window_store(Path(out_dir) / tag, windows)
         counts[tag] = len(windows)
     return counts

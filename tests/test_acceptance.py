@@ -244,7 +244,7 @@ def test_c4_statistics_oracle():
 def smoke_windows(tmp_path_factory):
     root = tmp_path_factory.mktemp("smoke")
     sio.generate_synthetic_manifest(root / "raw", seed=11, n_recordings=128)
-    sio.prepare_manifest(root / "raw" / "manifest.tsv", root / "stores", seed=0)
+    sio.prepare_manifest(root / "raw" / "manifest.tsv", root / "stores")
     x, metas = sio.read_window_store(root / "stores" / "synthetic")
     assert x.shape[0] >= 600
     return x[:600], metas[:600]
@@ -283,8 +283,8 @@ def two_domains(tmp_path_factory):
     profile_b = sio.SynthProfile(murmur_band=(250.0, 500.0), noise_floor=0.05, murmur_amp=0.10)
     sio.generate_synthetic_manifest(root / "a", seed=21, n_recordings=40, profile=profile_a, prefix="doma")
     sio.generate_synthetic_manifest(root / "b", seed=22, n_recordings=40, profile=profile_b, prefix="domb")
-    sio.prepare_manifest(root / "a" / "manifest.tsv", root / "sa", seed=0)
-    sio.prepare_manifest(root / "b" / "manifest.tsv", root / "sb", seed=0)
+    sio.prepare_manifest(root / "a" / "manifest.tsv", root / "sa")
+    sio.prepare_manifest(root / "b" / "manifest.tsv", root / "sb")
     xa, ma = sio.read_window_store(root / "sa" / "synthetic")
     xb, mb = sio.read_window_store(root / "sb" / "synthetic")
     return (xa, ma), (xb, mb)

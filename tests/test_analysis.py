@@ -12,7 +12,6 @@ from cardioclr.analysis import (
     effect_size_report,
     emit_report,
     match_paired_experiments,
-    parse_report_json,
     report_to_json,
     top_k_occurrences,
 )
@@ -235,7 +234,7 @@ class TestEmitReport:
         rows = _topk_fixture()
         occ = [top_k_occurrences(rows, k=25, eval_kind="ood")]
         text = report_to_json([], occ)
-        parsed = parse_report_json(text)
+        parsed = json.loads(text)
         assert json.dumps(parsed, sort_keys=True, indent=1) == text
 
     def test_reference_table_covers_the_grid(self):

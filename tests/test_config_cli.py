@@ -1,16 +1,105 @@
 """Tests for config parsing/hashing and the command-line interface."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from cardioclr import cli
 from cardioclr.config import (
+    SCHEMA,
+    RunConfig,
     config_hash,
+    downstream_config,
+    encoder_config,
     parse_config_text,
+    pretrain_config,
     resolved_text,
 )
 from cardioclr.errors import ConfigError
+from cardioclr.protocol import downstream_splits
+
+# a non-default value for each string key; a new string key must be added
+STRING_ALTERNATIVES = {"split_granularity": "per_window"}
+
+_METAS = [SimpleNamespace(record_id=f"r{i // 3}") for i in range(30)]
+
+
+def _other_value(key, default) -> str:
+    if isinstance(default, tuple):
+        return ",".join(str(v + 1) for v in default)
+    if isinstance(default, float):
+        return repr(default / 2 if default else 0.25)
+    if isinstance(default, int):
+        return str(default + 1)
+    return STRING_ALTERNATIVES[key]
+
+
+def _effects(cfg):
+    """Everything a run takes from its config: the stage configs and the
+    downstream split."""
+    split = downstream_splits(_METAS, cfg.seed, "pascal", cfg.split_granularity)
+    return pretrain_config(cfg), downstream_config(cfg), encoder_config(cfg), split
+
+
+class TestSchema:
+    KEYS = [(section, key) for section, entries in SCHEMA.items() for key in entries]
+
+    @pytest.mark.parametrize("section,key", KEYS)
+    def test_every_key_reaches_a_stage_or_the_split(self, section, key):
+        attr, _ = SCHEMA[section][key]
+        value = _other_value(key, getattr(RunConfig(), attr))
+        cfg = parse_config_text(f"[{section}]\n{key} = {value}\n")
+        assert _effects(cfg) != _effects(RunConfig()), f"[{section}] {key} changes nothing"
+
+    def test_default_resolved_text(self):
+        # the hashed text behind every experiment id; a change here re-keys
+        # every sweep directory
+        assert resolved_text(RunConfig()) == (
+            "[run]\nseed = 0\n\n"
+            "[pretrain]\ntemperature = 0.1\nbatch_size = 256\nmax_epochs = 200\n"
+            "patience = 10\nval_fraction = 0.2\nwarmup_epochs = 20\npeak_lr = 0.1\n"
+            "lr_floor_fraction = 0.01\nlars_trust = 0.001\nlars_momentum = 0.9\n"
+            "lars_weight_decay = 0\n\n"
+            "[downstream]\nadam_lr = 0.0001\nbatch_size = 32\nmax_epochs = 100\n"
+            "patience = 20\ndropout = 0.5\n\n"
+            "[model]\nchannels = 8,16,32,64,128\nkernels = 64,32,16,8,8\n"
+            "pool_widths = 4,4,4,4,4\nprojection_dim = 128\n\n"
+            "[data]\nsplit_granularity = per_recording\n"
+        )
+
+    def test_dead_noise_distribution_key_is_gone(self):
+        with pytest.raises(ConfigError):
+            parse_config_text("[augment]\nnoise_distribution = uniform\n")
+
+    @pytest.mark.parametrize("text", [
+        "[run]\nseed = x",
+        "[pretrain]\ntemperature = 0",
+        "[pretrain]\ntemperature = -1",
+        "[pretrain]\nbatch_size = 1",
+        "[pretrain]\nbatch_size = 1.5",
+        "[pretrain]\nval_fraction = 1",
+        "[pretrain]\nval_fraction = -0.1",
+        "[pretrain]\npatience = 200",
+        "[pretrain]\npeak_lr = -0.1",
+        "[pretrain]\nlr_floor_fraction = -0.01",
+        "[pretrain]\nlars_trust = -1",
+        "[pretrain]\nlars_momentum = -0.9",
+        "[pretrain]\nlars_weight_decay = -1e-6",
+        "[downstream]\nadam_lr = -1e-4",
+        "[downstream]\nbatch_size = 0",
+        "[downstream]\npatience = 100",
+        "[downstream]\ndropout = 1",
+        "[downstream]\ndropout = -0.5",
+        "[model]\nchannels = 8,16",
+        "[model]\nkernels = 64,32,16,8",
+        "[model]\npool_widths = 4,4,4,4,4,4",
+        "[model]\nchannels = a,b",
+        "[data]\nsplit_granularity = x",
+    ])
+    def test_rejected_values(self, text):
+        with pytest.raises(ConfigError):
+            parse_config_text(text)
 
 
 class TestConfig:
@@ -76,6 +165,13 @@ class TestCliBasics:
         captured = capsys.readouterr()
         assert code == 1
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize("flag", [["--granularity", "per-window"], ["--seed", "1"]])
+    def test_prepare_has_no_split_flags(self, tmp_path, capsys, flag):
+        code = cli.main(["prepare", "--manifest", str(tmp_path / "m.tsv"),
+                         "--out", str(tmp_path / "out"), *flag])
+        capsys.readouterr()
+        assert code == 2
 
     def test_gradcheck_exits_0(self, capsys):
         assert cli.main(["gradcheck", "--trials", "1"]) == 0

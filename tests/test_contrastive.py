@@ -1,4 +1,4 @@
-"""Tests for cosine similarity, the NT-Xent objective, and pretraining."""
+"""Tests for the NT-Xent objective and pretraining."""
 
 import math
 
@@ -7,9 +7,7 @@ import pytest
 
 from cardioclr import augment as aug
 from cardioclr.contrastive import (
-    ContrastiveBatch,
     PretrainConfig,
-    cosine_sim,
     freeze_encoder,
     history_to_csv,
     nt_xent_grad,
@@ -39,23 +37,6 @@ def naive_nt_xent(z, tau):
                 denom += math.exp(sim(z[i], z[k]) / tau)
         losses.append(-math.log(math.exp(sim(z[i], z[j]) / tau) / denom))
     return float(np.mean(losses)), np.array(losses)
-
-
-class TestCosine:
-    def test_self_similarity(self):
-        v = np.array([1.0, 2.0, -3.0])
-        assert abs(cosine_sim(v, v) - 1.0) < 1e-12
-
-    def test_orthogonal(self):
-        assert abs(cosine_sim(np.array([1.0, 0.0]), np.array([0.0, 1.0]))) < 1e-12
-
-    def test_antiparallel(self):
-        v = np.array([0.3, -0.7])
-        assert abs(cosine_sim(v, -v) + 1.0) < 1e-12
-
-    def test_zero_norm_raises(self):
-        with pytest.raises(NumericError):
-            cosine_sim(np.zeros(3), np.ones(3))
 
 
 class TestNtXent:
@@ -118,7 +99,7 @@ class TestNtXent:
         with pytest.raises(ParameterError):
             nt_xent_loss(np.zeros((3, 4)), 0.1)
         with pytest.raises(NumericError):
-            ContrastiveBatch(np.zeros((4, 2)))
+            nt_xent_loss(np.zeros((4, 2)), 0.1)
         with pytest.raises(ParameterError):
             nt_xent_loss(np.ones((4, 2)), -0.5)
 
@@ -189,6 +170,17 @@ class TestPretrain:
         ]
         for (_, a), (_, b) in zip(g1.named_params(), g2.named_params()):
             np.testing.assert_array_equal(a, b)
+
+    def test_nan_window_raises_numeric_error(self):
+        # conv -> max-pool -> ReLU must carry the NaN through to the loss's
+        # non-finite check instead of zeroing it (a zeroed NaN would surface
+        # only later, as a non-finite conv weight gradient)
+        x, _ = _toy_windows(16, seed=6)
+        x[5, 1234] = np.nan
+        graph = build_ssl_graph(TINY_CFG, seed=0)
+        cfg = tiny_pretrain_config(val_fraction=0.0)
+        with pytest.raises(NumericError, match="non-finite projection"):
+            pretrain(graph, x, aug.parse_policy("none|rev"), cfg)
 
     def test_too_few_windows_rejected(self):
         x, _ = _toy_windows(8)

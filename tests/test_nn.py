@@ -221,6 +221,20 @@ class TestOtherLayers:
             layer.forward(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0]
         )
 
+    def test_relu_zero_is_positive_zero(self):
+        x = np.array([-2.5, -0.0, 0.0, -np.inf, 3.0], dtype=np.float32)
+        out = ReLU().forward(x)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 0.0, 3.0])
+        assert not np.signbit(out).any()
+
+    def test_relu_passes_nan(self):
+        layer = ReLU()
+        out = layer.forward(np.array([np.nan, -1.0, 2.0], dtype=np.float32))
+        assert np.isnan(out[0])
+        np.testing.assert_array_equal(out[1:], [0.0, 2.0])
+        np.testing.assert_array_equal(layer.backward(np.ones(3, dtype=np.float32))[1:], [0.0, 1.0])
+
     def test_dropout_eval_identity(self):
         layer = Dropout(0.5)
         x = np.random.default_rng(0).uniform(-1, 1, (4, 6))

@@ -203,6 +203,30 @@ class TestRunExperiment:
         assert all(r.status == "failed" for r in rows)
         assert all(r.accuracy is None for r in rows)
 
+    def test_numeric_failure_in_baseline_marks_its_rows(self, stores_root, tmp_path, monkeypatch):
+        def explode(*a, **k):
+            raise NumericError("forced failure")
+
+        monkeypatch.setattr(protocol, "train_baseline", explode)
+        plan = ExperimentPlan(
+            ssl_sets=[("ephnogram",)], policies=["none|rev"],
+            tasks=THREE_TASKS, seeds=[5], baseline_runs=2,
+        )
+        rows = run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path)
+        ledger = read_ledger(tmp_path / "ledger.csv")
+        assert [r.to_csv_fields() for r in ledger] == [r.to_csv_fields() for r in rows]
+        ssl = [r for r in rows if r.policy != protocol.BASELINE_POLICY]
+        baseline = [r for r in rows if r.policy == protocol.BASELINE_POLICY]
+        assert len(ssl) == 9 and all(r.status == "ok" for r in ssl)
+        # 3 tasks x 2 replicates, each over the full ID + 2 OOD eval list
+        assert len(baseline) == 18
+        assert all(r.status == "failed" and r.accuracy is None and r.checkpoint == ""
+                   for r in baseline)
+        assert {(r.downstream, r.eval_dataset) for r in baseline} == {
+            (r.downstream, r.eval_dataset) for r in ssl
+        }
+        assert len({r.experiment_id for r in baseline}) == 6
+
 
 class TestRunPlan:
     def test_two_policy_plan_yields_18_records(self, stores_root, tmp_path):

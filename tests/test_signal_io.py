@@ -221,8 +221,8 @@ def _dummy_windows(record_counts):
 class TestSplits:
     def test_equal_recordings_split_7_2_1(self):
         windows = _dummy_windows({f"r{i}": 4 for i in range(10)})
-        parts = sio.split_windows(windows, (0.7, 0.2, 0.1), seed=3)
-        rec_counts = [len({w.record_id for w in p}) for p in parts]
+        parts = sio.split_indices(windows, (0.7, 0.2, 0.1), seed=3)
+        rec_counts = [len({windows[i].record_id for i in p}) for p in parts]
         assert rec_counts == [7, 2, 1]
 
     def test_determinism(self):
@@ -234,8 +234,8 @@ class TestSplits:
     def test_per_recording_disjoint_many_seeds(self):
         windows = _dummy_windows({f"r{i}": (i * 7) % 5 + 1 for i in range(23)})
         for seed in range(25):
-            parts = sio.split_windows(windows, (0.7, 0.2, 0.1), seed=seed)
-            id_sets = [{w.record_id for w in p} for p in parts]
+            parts = sio.split_indices(windows, (0.7, 0.2, 0.1), seed=seed)
+            id_sets = [{windows[i].record_id for i in p} for p in parts]
             for i in range(len(id_sets)):
                 for j in range(i + 1, len(id_sets)):
                     assert not id_sets[i] & id_sets[j]
@@ -321,7 +321,7 @@ class TestWindowStore:
     def test_prepare_pipeline(self, tmp_path):
         src = tmp_path / "raw"
         sio.generate_synthetic_manifest(src, seed=6, n_recordings=4)
-        counts = sio.prepare_manifest(src / "manifest.tsv", tmp_path / "stores", seed=1)
+        counts = sio.prepare_manifest(src / "manifest.tsv", tmp_path / "stores")
         assert set(counts) == {"synthetic"}
         matrix, windows = sio.read_window_store(tmp_path / "stores" / "synthetic")
         assert counts["synthetic"] == len(windows) == matrix.shape[0]
