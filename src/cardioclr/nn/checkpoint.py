@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .._atomic import write_atomic
 from ..errors import FormatError
 from .model import CLASSIFIER, PROJECTION, EncoderConfig, ModelGraph
 
@@ -44,10 +45,7 @@ def save_checkpoint(path, graph: ModelGraph, extra: dict | None = None) -> str:
     chunks = [MAGIC, struct.pack("<I", len(blob)), blob]
     for _, arr in graph.named_params():
         chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    payload = b"".join(chunks)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(payload)
+    write_atomic(path, b"".join(chunks))
     return str(path)
 
 

@@ -40,15 +40,23 @@ class Layer:
             raise StateError(f"{type(self).__name__}.backward called before forward")
 
 
+# Bytes of im2col one GEMM call covers. Short-L layers take several
+# samples per call; a sample whose im2col alone exceeds this goes alone.
+IM2COL_BUDGET = 1 << 20
+
+
 class Conv1d(Layer):
     """Stride-1, same-padded 1D convolution.
 
     out[b,o,t] = bias[o] + sum_{c,k} w[o,c,k] * in[b,c,t+k-K//2]
 
-    Each sample is one GEMM (Chellapilla et al. 2006): the (Cout, Cin*K)
-    weights times the (Cin*K, L) im2col of that sample, written straight
-    into the output. The input gradient is the transposed GEMM, folded back
-    onto the padded input by K shifted adds.
+    im2col GEMMs (Chellapilla et al. 2006) over groups of consecutive
+    samples, as many as fit the im2col budget (one at long L, up to hundreds
+    at short L). Per group, each pass is one stacked `np.matmul`: forward
+    multiplies the (Cout, Cin*K) weights by the group's (n, Cin*K, L) im2col
+    straight into the output; the weight gradient is the same product with
+    the output gradient, summed over the group; the input gradient is the
+    transposed product, folded back onto the padded input by K shifted adds.
     """
 
     def __init__(self, in_channels, out_channels, kernel, rng, dtype=np.float32):
@@ -69,11 +77,20 @@ class Conv1d(Layer):
     def grads(self):
         return {"w": self.gw, "b": self.gb}
 
-    def _cols(self, xp, s):
-        """(Cin*K, L) im2col of sample s of the padded input."""
+    def group_size(self, length):
+        """Samples per GEMM call at input length `length`."""
+        sample_bytes = self.w.itemsize * self.in_channels * self.kernel * length
+        return max(1, IM2COL_BUDGET // sample_bytes)
+
+    def _groups(self, batch, length):
+        n = self.group_size(length)
+        return [slice(s, min(s + n, batch)) for s in range(0, batch, n)]
+
+    def _cols(self, xp, group):
+        """(n, Cin*K, L) im2col of a group of samples of the padded input."""
         length = xp.shape[2] - self.kernel + 1
-        win = sliding_window_view(xp[s], length, axis=1)  # (Cin, K, L)
-        return np.ascontiguousarray(win.reshape(self.in_channels * self.kernel, length))
+        win = sliding_window_view(xp[group], length, axis=2)  # (n, Cin, K, L)
+        return np.ascontiguousarray(win).reshape(len(win), -1, length)
 
     def forward(self, x, training=False, rng=None):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
@@ -85,8 +102,8 @@ class Conv1d(Layer):
         xp = np.pad(np.asarray(x, dtype=self.w.dtype), ((0, 0), (0, 0), (pl, k - 1 - pl)))
         w2 = self.w.reshape(self.out_channels, -1)
         out = np.empty((x.shape[0], self.out_channels, x.shape[2]), dtype=self.w.dtype)
-        for s in range(x.shape[0]):
-            np.matmul(w2, self._cols(xp, s), out=out[s])
+        for group in self._groups(x.shape[0], x.shape[2]):
+            np.matmul(w2, self._cols(xp, group), out=out[group])
         out += self.b[:, None]
         self._cache = xp
         return out
@@ -96,24 +113,27 @@ class Conv1d(Layer):
         xp = self._cache
         g = np.ascontiguousarray(grad_out, dtype=self.w.dtype)
         batch, _, length = g.shape
+        groups = self._groups(batch, length)
         if self.frozen:
             self.gw[...] = 0.0
             self.gb[...] = 0.0
         else:
             gw2 = self.gw.reshape(self.out_channels, -1)
             gw2[...] = 0.0
-            for s in range(batch):
-                gw2 += g[s] @ self._cols(xp, s).T
+            for group in groups:
+                cols_t = self._cols(xp, group).transpose(0, 2, 1)
+                gw2 += np.matmul(g[group], cols_t).sum(axis=0)
             self.gb[...] = g.sum(axis=(0, 2))
         if not compute_input_grad:
             return None
         k = self.kernel
         w2t = self.w.reshape(self.out_channels, -1).T
         dxp = np.zeros_like(xp)
-        for s in range(batch):
-            dcols = (w2t @ g[s]).reshape(self.in_channels, k, length)
+        for group in groups:
+            dcols = np.matmul(w2t, g[group]).reshape(-1, self.in_channels, k, length)
+            dst = dxp[group]
             for j in range(k):
-                dxp[s, :, j : j + length] += dcols[:, j]
+                dst[:, :, j : j + length] += dcols[:, :, j]
         pl = k // 2
         return dxp[:, :, pl : pl + length]
 
@@ -136,23 +156,29 @@ class ReLU(Layer):
 
 class MaxPool1d(Layer):
     """Non-overlapping max pooling; a trailing remainder shorter than the
-    pool width is dropped."""
+    pool width is dropped.
+
+    Forward is a running `np.maximum` over the W strided taps
+    x[:, :, j:usable:W] (NaN propagates); the index of the first maximum is
+    kept in the smallest unsigned dtype that holds W-1 and updated without
+    branches. Backward writes the gradient through the same taps.
+    """
 
     def __init__(self, width):
         self.width = width
         self._cache = None
 
     def forward(self, x, training=False, rng=None):
-        b, c, length = x.shape
-        usable = length - length % self.width
-        blocks = x[:, :, :usable].reshape(b, c, usable // self.width, self.width)
-        # Pool-offset-major copy: max and argmax become whole-row elementwise
-        # ops rather than reductions over a short trailing axis.
-        taps = np.ascontiguousarray(np.moveaxis(blocks, 3, 0))
-        out = taps.max(axis=0)
-        arg = np.zeros(out.shape, dtype=np.intp)
-        for j in range(self.width - 1, -1, -1):  # the first maximum wins
-            np.putmask(arg, taps[j] == out, j)
+        width = self.width
+        usable = x.shape[2] - x.shape[2] % width
+        out = x[:, :, 0:usable:width].copy()
+        arg = np.zeros(out.shape, dtype=np.min_scalar_type(width - 1))
+        for j in range(1, width):
+            tap = x[:, :, j:usable:width]
+            gt = tap > out  # strict, so a tie keeps the first maximum
+            arg *= ~gt
+            arg += gt * arg.dtype.type(j)
+            np.maximum(out, tap, out=out)
         self._cache = (x.shape, usable, arg)
         return out
 
@@ -160,10 +186,8 @@ class MaxPool1d(Layer):
         self._require_cache(self._cache)
         x_shape, usable, arg = self._cache
         dx = np.zeros(x_shape, dtype=grad_out.dtype)
-        blocks = dx[:, :, :usable].reshape(
-            x_shape[0], x_shape[1], usable // self.width, self.width
-        )
-        np.put_along_axis(blocks, arg[..., None], grad_out[..., None], axis=3)
+        for j in range(self.width):
+            np.multiply(grad_out, arg == j, out=dx[:, :, j:usable:self.width])
         return dx
 
 

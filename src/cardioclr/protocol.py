@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .augment import parse_policy
 from .config import (
     RunConfig,
@@ -97,9 +98,7 @@ def write_ledger(path, rows: Sequence[LedgerRow]) -> None:
     writer.writerow(LEDGER_COLUMNS)
     for row in rows:
         writer.writerow(row.to_csv_fields())
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def read_ledger(path) -> list[LedgerRow]:

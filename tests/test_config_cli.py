@@ -1,6 +1,10 @@
 """Tests for config parsing/hashing and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -178,6 +182,16 @@ class TestCliBasics:
         out = capsys.readouterr().out
         assert "max_rel_err" in out
         assert "overall" in out
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cardioclr", "--help"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "gradcheck" in proc.stdout
 
 
 class TestCliPipeline:

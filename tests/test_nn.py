@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -91,17 +92,46 @@ KERNEL_SHAPES = (
 )
 
 
-class TestConv1dKernels:
-    """The GEMM conv against the float64 definition at every layer shape of
-    the full-size and desk encoders, plus even/odd K, K=1 and K>L."""
+def group_size(cin, k, length):
+    return Conv1d(cin, 1, k, np.random.default_rng(0)).group_size(length)
 
-    @pytest.mark.parametrize("cin,cout,k,length", KERNEL_SHAPES)
-    def test_forward_and_gradients(self, cin, cout, k, length):
+
+def partial_batch(cin, k, length):
+    """A batch size whose last GEMM group is partial, or None where a group
+    is one sample."""
+    n = group_size(cin, k, length)
+    return n + max(1, n // 2) if n > 1 else None
+
+
+def kernel_cases():
+    """Each shape at B=2, B=1 and a B with a partial last group. The B=2
+    cases keep their plain shape ids."""
+    for cin, cout, k, length in KERNEL_SHAPES:
+        shape_id = f"{cin}-{cout}-{k}-{length}"
+        yield pytest.param(cin, cout, k, length, 2, id=shape_id)
+        yield pytest.param(cin, cout, k, length, 1, id=f"{shape_id}-B1")
+        batch = partial_batch(cin, k, length)
+        if batch:
+            yield pytest.param(cin, cout, k, length, batch, id=f"{shape_id}-B{batch}")
+
+
+class TestConv1dKernels:
+    """The grouped GEMM conv against the float64 definition at every layer
+    shape of the full-size and desk encoders, plus even/odd K, K=1 and K>L,
+    at batch sizes on both sides of the group boundaries."""
+
+    def test_group_size_follows_the_layer_shape(self):
+        for cin, _, k, length in conv_shapes(EncoderConfig())[:2] + conv_shapes(DESK_ENCODER)[:1]:
+            assert group_size(cin, k, length) == 1
+        assert group_size(16, 4, 39) > group_size(16, 4, 156) > 1
+
+    @pytest.mark.parametrize("cin,cout,k,length,batch", kernel_cases())
+    def test_forward_and_gradients(self, cin, cout, k, length, batch):
         rng = np.random.default_rng(cin * 1000 + k * 10 + length)
         layer = Conv1d(cin, cout, k, rng)
         layer.b[...] = rng.uniform(-1, 1, cout)
-        x = rng.standard_normal((2, cin, length)).astype(np.float32)
-        g = rng.standard_normal((2, cout, length)).astype(np.float32)
+        x = rng.standard_normal((batch, cin, length)).astype(np.float32)
+        g = rng.standard_normal((batch, cout, length)).astype(np.float32)
         out_ref, gw_ref, gb_ref, dx_ref = reference_conv1d(x, layer.w, layer.b, g)
         out = layer.forward(x)
         dx = layer.backward(g)
@@ -114,8 +144,9 @@ class TestConv1dKernels:
     def test_no_input_grad_still_fills_param_grads(self):
         rng = np.random.default_rng(5)
         layer = Conv1d(3, 4, 6, rng)
-        x = rng.standard_normal((2, 3, 20)).astype(np.float32)
-        g = rng.standard_normal((2, 4, 20)).astype(np.float32)
+        batch = partial_batch(3, 6, 20)
+        x = rng.standard_normal((batch, 3, 20)).astype(np.float32)
+        g = rng.standard_normal((batch, 4, 20)).astype(np.float32)
         _, gw_ref, gb_ref, _ = reference_conv1d(x, layer.w, layer.b, g)
         layer.forward(x)
         assert layer.backward(g, compute_input_grad=False) is None
@@ -126,13 +157,68 @@ class TestConv1dKernels:
         rng = np.random.default_rng(6)
         layer = Conv1d(2, 3, 5, rng)
         layer.frozen = True
-        x = rng.standard_normal((2, 2, 15)).astype(np.float32)
-        g = rng.standard_normal((2, 3, 15)).astype(np.float32)
+        batch = partial_batch(2, 5, 15)
+        x = rng.standard_normal((batch, 2, 15)).astype(np.float32)
+        g = rng.standard_normal((batch, 3, 15)).astype(np.float32)
         _, _, _, dx_ref = reference_conv1d(x, layer.w, layer.b, g)
         layer.forward(x)
         dx = layer.backward(g)
         assert np.all(layer.gw == 0.0) and np.all(layer.gb == 0.0)
         assert rel_err(dx, dx_ref) <= 1e-5
+
+
+def reference_maxpool(x, width, g):
+    """Pooled values and input gradient in the natural (B, C, L/W, W)
+    block layout: first-maximum argmax, gather, scatter."""
+    b, c, length = x.shape
+    usable = length - length % width
+    blocks = x[:, :, :usable].reshape(b, c, usable // width, width)
+    arg = blocks.argmax(axis=3)[..., None]
+    out = np.take_along_axis(blocks, arg, axis=3)[..., 0]
+    dx = np.zeros_like(x)
+    dblocks = dx[:, :, :usable].reshape(blocks.shape)
+    np.put_along_axis(dblocks, arg, g[..., None], axis=3)
+    return out, dx
+
+
+def pool_shapes(cfg):
+    """(C, L, W) of every pooling layer of an encoder config."""
+    return [(cout, length, w) for (_, cout, _, length), w in zip(conv_shapes(cfg), cfg.pool_widths)]
+
+
+class TestMaxPool1d:
+    @pytest.mark.parametrize(
+        "channels,length,width",
+        pool_shapes(EncoderConfig()) + pool_shapes(DESK_ENCODER)
+        + [(3, 11, 3), (2, 5, 7), (2, 601, 300)],
+    )
+    def test_against_natural_layout(self, channels, length, width):
+        rng = np.random.default_rng(channels * 100 + length)
+        # values on a coarse grid, so most blocks hold tied maxima
+        x = np.round(2 * rng.standard_normal((2, channels, length))).astype(np.float32)
+        layer = MaxPool1d(width)
+        out = layer.forward(x)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        out_ref, dx_ref = reference_maxpool(x, width, g)
+        np.testing.assert_array_equal(out, out_ref)
+        np.testing.assert_array_equal(layer.backward(g), dx_ref)
+
+    @pytest.mark.parametrize("tap", [1, 2, 3])
+    def test_nan_in_a_later_tap_comes_out_as_nan(self, tap):
+        x = np.array([[[1.0, 2.0, 3.0, 0.5, 1.0, 2.0, 3.0, 0.5]]], dtype=np.float32)
+        x[0, 0, tap] = np.nan
+        out = MaxPool1d(4).forward(x)
+        assert np.isnan(out[0, 0, 0])
+        assert out[0, 0, 1] == 3.0
+
+    @pytest.mark.parametrize("first,second", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_signed_zero_tie_sends_the_gradient_to_the_first_maximum(self, first, second):
+        layer = MaxPool1d(4)
+        x = np.array([[[-1.0, first, second, -2.0]]], dtype=np.float32)
+        assert layer.forward(x)[0, 0, 0] == 0.0
+        np.testing.assert_array_equal(
+            layer.backward(np.array([[[5.0]]], dtype=np.float32)), [[[0.0, 5.0, 0.0, 0.0]]]
+        )
 
 
 class TestBlockOrder:
@@ -455,6 +541,22 @@ class TestCheckpoint:
         data = p1.read_bytes()
         assert data[:8] == b"PCGSSL01"
         assert data == p2.read_bytes()
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        cfg = EncoderConfig(channels=(2,), kernels=(3,), pool_widths=(2,),
+                            input_len=8, projection_dim=3)
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, build_ssl_graph(cfg, seed=1))
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            save_checkpoint(path, build_ssl_graph(cfg, seed=2))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["enc.ckpt"]
 
     def test_classifier_round_trip(self, tmp_path):
         cfg = EncoderConfig(channels=(2, 2), kernels=(3, 3), pool_widths=(2, 2),

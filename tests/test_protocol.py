@@ -1,5 +1,7 @@
 """Tests for plans, cycles, the experiment runner and the results ledger."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -333,6 +335,20 @@ class TestLedgerAndSelect:
         assert header == protocol.LEDGER_HEADER
         loaded = read_ledger(path)
         assert [r.to_csv_fields() for r in loaded] == [r.to_csv_fields() for r in rows]
+
+    def test_failed_ledger_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ledger.csv"
+        write_ledger(path, [self._row("none|rev")])
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            write_ledger(path, [self._row("none|rev"), self._row("none|inv")])
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["ledger.csv"]
 
     def test_is_no_ds(self):
         row = self._row("none|rev", ssl_set="ephnogram+fpcgdb+pascal")
