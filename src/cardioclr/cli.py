@@ -57,6 +57,16 @@ def _setup_logging(args) -> None:
     logging.basicConfig(level=level, handlers=[handler], force=True)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_config(args) -> RunConfig:
     cfg = parse_config(args.config) if getattr(args, "config", None) else RunConfig()
     env_seed = os.environ.get(SEED_ENV)
@@ -325,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--windows", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_sweep)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -405,6 +405,47 @@ def run_baseline(
     return _model_rows(graph, task, tasks, stores, cfg, seed, ("none",), BASELINE_POLICY, out_dir)
 
 
+def _run_item(item, tasks, stores, cfg, out_dir) -> list[LedgerRow]:
+    """Ledger rows of one pending work item: an SSL entry `(ssl_set, policy,
+    seed)` or a baseline replicate `(task, rep_seed)`."""
+    if isinstance(item[0], TaskSpec):
+        task, rep_seed = item
+        return run_baseline(task, rep_seed, tasks, stores, cfg, out_dir)
+    ssl_set, policy, seed = item
+    return run_experiment(ssl_set, policy, seed, tasks, stores, cfg, out_dir)
+
+
+# `(tasks, stores, cfg, out_dir)` in a pool worker, set by `_init_worker`
+_worker_args: tuple = ()
+
+
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _run_in_worker(item) -> list[LedgerRow]:
+    return _run_item(item, *_worker_args)
+
+
+def _item_rows(pending, args, jobs):
+    """Yield each pending item's rows in plan order, computed by up to `jobs`
+    forked worker processes when there is more than one item."""
+    if jobs <= 1 or len(pending) <= 1:
+        for item in pending:
+            yield _run_item(item, *args)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: workers inherit the loaded window stores instead of
+    # unpickling a copy each; only work items and ledger rows are pickled
+    with ProcessPoolExecutor(min(jobs, len(pending)),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=args) as pool:
+        yield from pool.map(_run_in_worker, pending)
+
+
 def run_plan(
     plan: ExperimentPlan,
     stores: WindowStores,
@@ -412,10 +453,13 @@ def run_plan(
     out_dir,
     jobs: int = 1,
 ) -> list[LedgerRow]:
-    """Run every plan entry not already in the ledger; returns all rows.
+    """Run every plan entry and baseline replicate not already in the ledger;
+    returns all rows.
 
-    Entries are independent jobs; with jobs > 1 they run on a thread pool and
-    their rows are merged in plan order, keeping the ledger deterministic.
+    Every pending SSL entry and baseline replicate is one independent work
+    item; with jobs > 1 they run on a pool of forked processes. Rows are taken
+    in plan order and the ledger is rewritten after each item, so it stays
+    deterministic and an interrupted sweep keeps every finished item's rows.
     """
     out_dir = Path(out_dir)
     ledger_path = out_dir / "ledger.csv"
@@ -423,7 +467,8 @@ def run_plan(
     existing = {row.experiment_id for row in rows}
 
     cfg_hash = config_hash(cfg)
-    pending = []
+    pending: list[tuple] = []
+    tags: list[str] = []  # window stores the pending items read
     for ssl_set, policy, seed in plan.entries():
         ids = {
             experiment_id(cfg_hash, ssl_set, policy, t.dataset_tag, t.task_type, seed)
@@ -431,29 +476,26 @@ def run_plan(
         }
         if not ids <= existing:
             pending.append((ssl_set, policy, seed))
-
-    def job(entry):
-        ssl_set, policy, seed = entry
-        return run_experiment(ssl_set, policy, seed, plan.tasks, stores, cfg, out_dir)
-
-    if jobs > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(job, pending))
-    else:
-        results = [job(entry) for entry in pending]
-    for new_rows in results:
-        rows.extend(new_rows)
-
+            tags.extend(ssl_set)
     for task in plan.tasks:
         for rep in range(plan.baseline_runs):
             rep_seed = derived_seed("baseline-rep", plan.seeds[0], str(task), rep)
             exp_id = experiment_id(cfg_hash, ("none",), BASELINE_POLICY,
                                    task.dataset_tag, task.task_type, rep_seed)
-            if exp_id in existing:
-                continue
-            rows.extend(run_baseline(task, rep_seed, plan.tasks, stores, cfg, out_dir))
+            if exp_id not in existing:
+                pending.append((task, rep_seed))
+    if pending:
+        # every item evaluates on every task's dataset
+        tags.extend(t.dataset_tag for t in plan.tasks)
 
-    write_ledger(ledger_path, rows)
+    # loaded up front, so a missing store fails before any training starts
+    # and forked workers inherit every store
+    for tag in tags:
+        stores.load(tag)
+    with closing(_item_rows(pending, (plan.tasks, stores, cfg, out_dir), jobs)) as results:
+        for new_rows in results:
+            rows.extend(new_rows)
+            write_ledger(ledger_path, rows)
     return rows
 
 

@@ -170,6 +170,16 @@ class TestCliBasics:
         assert code == 1
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_sweep_rejects_bad_jobs(self, tmp_path, capsys, jobs):
+        code = cli.main([
+            "sweep", "--plan", str(tmp_path / "p.plan"), "--windows", str(tmp_path),
+            "--out", str(tmp_path / "out"), "--jobs", jobs,
+        ])
+        assert code != 0
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", [["--granularity", "per-window"], ["--seed", "1"]])
     def test_prepare_has_no_split_flags(self, tmp_path, capsys, flag):
         code = cli.main(["prepare", "--manifest", str(tmp_path / "m.tsv"),

@@ -230,6 +230,12 @@ class TestRunExperiment:
         assert len({r.experiment_id for r in baseline}) == 6
 
 
+def _tree_bytes(root):
+    """Bytes of the ledger and of every checkpoint under a sweep directory."""
+    files = [root / "ledger.csv", *sorted(root.glob("encoders/*")), *sorted(root.glob("models/*"))]
+    return {str(f.relative_to(root)): f.read_bytes() for f in files}
+
+
 class TestRunPlan:
     def test_two_policy_plan_yields_18_records(self, stores_root, tmp_path):
         plan = ExperimentPlan(
@@ -262,19 +268,67 @@ class TestRunPlan:
         assert [r.to_csv_fields() for r in first] == [r.to_csv_fields() for r in second]
 
     def test_parallel_jobs_match_serial(self, stores_root, tmp_path):
+        # 3 SSL entries + 2 baseline replicates on 2 workers
         plan = ExperimentPlan(
-            ssl_sets=[("ephnogram",), ("fpcgdb",)],
+            ssl_sets=[("ephnogram",), ("fpcgdb",), ("ephnogram", "fpcgdb")],
             policies=["none|rev"],
             tasks=THREE_TASKS[:2],
             seeds=[5],
-            baseline_runs=0,
+            baseline_runs=1,
         )
         serial = run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path / "serial", jobs=1)
-        threaded = run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path / "jobs2", jobs=2)
-        assert [r.to_csv_fields() for r in serial] == [r.to_csv_fields() for r in threaded]
-        ledger_a = (tmp_path / "serial" / "ledger.csv").read_bytes()
-        ledger_b = (tmp_path / "jobs2" / "ledger.csv").read_bytes()
-        assert ledger_a == ledger_b
+        forked = run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path / "jobs2", jobs=2)
+        assert [r.to_csv_fields() for r in serial] == [r.to_csv_fields() for r in forked]
+        assert {r.policy for r in serial} == {"none|rev", protocol.BASELINE_POLICY}
+        assert _tree_bytes(tmp_path / "serial") == _tree_bytes(tmp_path / "jobs2")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_entry_keeps_earlier_rows_and_rerun_completes(
+            self, stores_root, tmp_path, monkeypatch, jobs):
+        plan = ExperimentPlan(
+            ssl_sets=[("ephnogram",)],
+            policies=["none|rev", "none|inv", "rev|inv"],
+            tasks=THREE_TASKS[:2],
+            seeds=[3],
+            baseline_runs=1,
+        )
+        whole = run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path / "whole")
+
+        real = protocol.run_experiment
+
+        def second_entry_fails(ssl_set, policy_text, *args):
+            if policy_text == "none|inv":
+                raise DataError("forced failure")
+            return real(ssl_set, policy_text, *args)
+
+        out = tmp_path / "cut"
+        monkeypatch.setattr(protocol, "run_experiment", second_entry_fails)
+        with pytest.raises(DataError, match="forced failure"):
+            run_plan(plan, WindowStores(stores_root), TEST_CFG, out, jobs=jobs)
+        first = [r.to_csv_fields() for r in whole if r.policy == "none|rev"]
+        assert [r.to_csv_fields() for r in read_ledger(out / "ledger.csv")] == first
+
+        monkeypatch.setattr(protocol, "run_experiment", real)
+        run_plan(plan, WindowStores(stores_root), TEST_CFG, out, jobs=jobs)
+        assert (out / "ledger.csv").read_bytes() == (tmp_path / "whole" / "ledger.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_missing_store_fails_before_any_work(self, stores_root, tmp_path, monkeypatch, jobs):
+        def must_not_run(*a, **k):
+            raise AssertionError("work started before the stores were checked")
+
+        monkeypatch.setattr(protocol, "run_experiment", must_not_run)
+        monkeypatch.setattr(protocol, "run_baseline", must_not_run)
+        plan = ExperimentPlan(
+            ssl_sets=[("ephnogram",), ("circor",)],
+            policies=["none|rev"],
+            tasks=THREE_TASKS[:1],
+            seeds=[3],
+            baseline_runs=1,
+        )
+        with pytest.raises(DataError, match="'circor'"):
+            run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path, jobs=jobs)
+        assert list(tmp_path.iterdir()) == []
 
     def test_plan_parsing(self):
         plan = parse_plan_text(
