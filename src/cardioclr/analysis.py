@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .augment import chain_to_string, parse_policy
 from .errors import DataError
 from .protocol import BASELINE_POLICY, IN_DISTRIBUTION, OOD, LedgerRow
@@ -288,13 +289,12 @@ def emit_report(
     """Write effect_sizes.csv, occurrences.csv and report.json; deterministic
     bytes for a given input."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "effect_sizes": out_dir / "effect_sizes.csv",
         "occurrences": out_dir / "occurrences.csv",
         "report": out_dir / "report.json",
     }
-    paths["effect_sizes"].write_text(_effect_csv(effects), encoding="utf-8")
-    paths["occurrences"].write_text(_occurrence_csv(occurrences), encoding="utf-8")
-    paths["report"].write_text(report_to_json(effects, occurrences), encoding="utf-8")
+    write_atomic(paths["effect_sizes"], _effect_csv(effects).encode("utf-8"))
+    write_atomic(paths["occurrences"], _occurrence_csv(occurrences).encode("utf-8"))
+    write_atomic(paths["report"], report_to_json(effects, occurrences).encode("utf-8"))
     return {k: str(v) for k, v in paths.items()}

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import analysis, protocol
 from . import signal_io as sio
+from ._atomic import write_atomic
 from .augment import default_atom_grid, parse_policy
 from .config import (
     RunConfig,
@@ -135,8 +136,7 @@ def cmd_pretrain(args) -> int:
         },
     )
     if args.history:
-        Path(args.history).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.history).write_text(history_to_csv(history), encoding="utf-8")
+        write_atomic(args.history, history_to_csv(history).encode("utf-8"))
     print(json.dumps({
         "checkpoint": str(args.out),
         "epochs": len(history),
@@ -215,8 +215,7 @@ def cmd_evaluate(args) -> int:
     )
     print(csv_row)
     if args.json:
-        Path(args.json).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.json).write_text(json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8")
+        write_atomic(args.json, json.dumps(payload, sort_keys=True, indent=1).encode("utf-8"))
     return 0
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._dsp import highpass_taps, lowpass_taps
-from .errors import FormatError, LabelError, ParameterError, UnsupportedFormatError
+from .errors import CardioclrError, FormatError, LabelError, ParameterError, UnsupportedFormatError
 
 TARGET_RATE = 2000
 WINDOW_SECONDS = 5.0
@@ -112,6 +112,7 @@ class ManifestEntry:
     record_id: str
     dataset_tag: str
     original_label: Optional[str] = None
+    line: Optional[int] = field(default=None, compare=False)  # set by read_manifest
 
 
 @dataclass
@@ -232,6 +233,12 @@ def _polyphase_resample(x: np.ndarray, up: int, down: int) -> np.ndarray:
     Windowed-sinc anti-aliasing low-pass at the upsampled rate; each polyphase
     branch is normalized to unit DC gain so constants pass through exactly.
     Edges are replicated before filtering to avoid boundary droop.
+
+    The padded input is split once into its `down` polyphase components
+    (`xpz[c::down]`, each contiguous). Outputs `up` apart share a branch and
+    their inputs step by `down`, so each tap reads one contiguous slice of
+    one component, with no gather. Each output sums the same float64
+    products in the same tap order as the per-sample definition: same bytes.
     """
     n_in = x.size
     n_out = _resampled_length(n_in, up, down)
@@ -248,37 +255,33 @@ def _polyphase_resample(x: np.ndarray, up: int, down: int) -> np.ndarray:
     pad = down * math.ceil((half / up + 1) / down)
     shift = pad * up // down
 
-    # safety margin of zeros so q - i never leaves the padded signal
+    # zero margin keeps every q - i inside xpz; its length is a multiple of `down`
     margin = num_taps // up + 2
-    xpz = np.zeros(n_in + 2 * (pad + margin))
+    xpz = np.zeros(-(-(n_in + 2 * (pad + margin)) // down) * down)
     xpz[margin : margin + pad] = x[0]
     xpz[margin + pad : margin + pad + n_in] = x
     xpz[margin + pad + n_in : margin + 2 * pad + n_in] = x[-1]
+    # comps[c] is xpz[c::down], copied contiguous
+    comps = xpz.reshape(-1, down).T.copy()
 
     out = np.empty(n_out, dtype=np.float64)
     # Per output sample n (group-delay compensated):
-    #   out[n] = sum_i taps[r + i*up] * xp[q - i],  r, q = divmod(n*down + half, up)
-    # Grouped by phase r, each branch is a handful of taps applied by gather.
-    n_idx = np.arange(shift, shift + n_out)
-    t = n_idx * down + half
-    phases = t % up
-    offsets = t // up + margin
-    order = np.argsort(phases, kind="stable")
-    sorted_phases = phases[order]
-    bounds = np.searchsorted(sorted_phases, np.arange(up + 1))
-    for r in range(up):
-        lo, hi = bounds[r], bounds[r + 1]
-        if lo == hi:
-            continue
+    #   out[n] = sum_i taps[r + i*up] * xp[q - i],  q, r = divmod(n*down + half, up)
+    # Outputs n0, n0+up, ... share r and their q step by `down`, so at tap i
+    # they read one slice of the component holding xpz[q0 + margin - i].
+    for n0 in range(shift, shift + min(up, n_out)):
+        q0, r = divmod(n0 * down + half, up)
+        count = len(range(n0 - shift, n_out, up))
         branch = taps[r::up]
         # unit branch DC gain: constants pass through exactly at every phase
         branch = branch / branch.sum()
-        sel = order[lo:hi]
-        q = offsets[sel]
-        acc = np.zeros(q.size, dtype=np.float64)
+        acc = np.zeros(count, dtype=np.float64)
+        term = np.empty(count, dtype=np.float64)
         for i, coeff in enumerate(branch):
-            acc += coeff * xpz[q - i]
-        out[sel] = acc
+            s, c = divmod(q0 + margin - i, down)
+            np.multiply(comps[c, s : s + count], coeff, out=term)
+            acc += term
+        out[n0 - shift :: up] = acc
     return out
 
 
@@ -555,9 +558,14 @@ def read_manifest(path) -> DatasetManifest:
                 record_id=record_id,
                 dataset_tag=tag,
                 original_label=label if label else None,
+                line=lineno,
             )
         )
     return DatasetManifest(entries=entries)
+
+
+# per-window metadata a window store keeps in windows.json
+_STORE_ENTRY_FIELDS = ("record_id", "dataset_tag", "window_index", "original_label", "binary_label")
 
 
 def write_window_store(out_dir, windows: Sequence[LabeledWindow]) -> None:
@@ -574,16 +582,7 @@ def write_window_store(out_dir, windows: Sequence[LabeledWindow]) -> None:
         "dtype": "<f4",
         "window_samples": WINDOW_SAMPLES,
         "count": len(windows),
-        "entries": [
-            {
-                "record_id": w.record_id,
-                "dataset_tag": w.dataset_tag,
-                "window_index": w.window_index,
-                "original_label": w.original_label,
-                "binary_label": w.binary_label,
-            }
-            for w in windows
-        ],
+        "entries": [{k: getattr(w, k) for k in _STORE_ENTRY_FIELDS} for w in windows],
     }
     (out_dir / "windows.json").write_text(
         json.dumps(meta, sort_keys=True, indent=1), encoding="utf-8"
@@ -592,28 +591,23 @@ def write_window_store(out_dir, windows: Sequence[LabeledWindow]) -> None:
 
 def read_window_store(store_dir) -> tuple[np.ndarray, list[LabeledWindow]]:
     store_dir = Path(store_dir)
-    meta = json.loads((store_dir / "windows.json").read_text(encoding="utf-8"))
+    try:
+        meta = json.loads((store_dir / "windows.json").read_text(encoding="utf-8"))
+        count, width, entries = meta["count"], meta["window_samples"], meta["entries"]
+        labels = [{k: e[k] for k in _STORE_ENTRY_FIELDS} for e in entries]
+    except (ValueError, KeyError, TypeError) as err:
+        raise FormatError(f"{store_dir}: malformed windows.json ({err!r})") from err
     if meta.get("format_version") != 1 or meta.get("dtype") != "<f4":
         raise FormatError(f"unsupported window store at {store_dir}")
-    count = meta["count"]
-    width = meta["window_samples"]
+    if len(entries) != count:
+        raise FormatError(f"{store_dir}: windows.json lists {len(entries)} entries, not {count}")
     matrix = np.fromfile(store_dir / "windows.f32", dtype="<f4")
     if matrix.size != count * width:
         raise FormatError(
             f"{store_dir}: windows.f32 holds {matrix.size} samples, not {count} x {width}"
         )
     matrix = matrix.reshape(count, width)
-    windows = [
-        LabeledWindow(
-            samples=matrix[i],
-            record_id=e["record_id"],
-            dataset_tag=e["dataset_tag"],
-            window_index=e["window_index"],
-            original_label=e["original_label"],
-            binary_label=e["binary_label"],
-        )
-        for i, e in enumerate(meta["entries"])
-    ]
+    windows = [LabeledWindow(samples=matrix[i], **kw) for i, kw in enumerate(labels)]
     return matrix, windows
 
 
@@ -628,15 +622,15 @@ def prepare_manifest(manifest_path, out_dir) -> dict[str, int]:
         wav_path = Path(entry.path)
         if not wav_path.is_absolute():
             wav_path = base / wav_path
-        rec = decode_wav(
-            wav_path.read_bytes(),
-            record_id=entry.record_id,
-            dataset_tag=entry.dataset_tag,
-            original_label=entry.original_label,
-        )
-        rec = resample(rec, TARGET_RATE)
-        rec = trim_edges(rec, TRIM_SECONDS)
-        for w in extract_windows(rec):
+        try:
+            rec = decode_wav(wav_path.read_bytes(), entry.record_id, entry.dataset_tag,
+                             entry.original_label)
+            rec = resample(rec, TARGET_RATE)
+            rec = trim_edges(rec, TRIM_SECONDS)
+            windows = extract_windows(rec)
+        except CardioclrError as err:
+            raise type(err)(f"{wav_path} ({manifest_path} line {entry.line}): {err}") from err
+        for w in windows:
             per_tag.setdefault(entry.dataset_tag, []).append(w)
     counts = {}
     for tag, windows in sorted(per_tag.items()):

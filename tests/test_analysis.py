@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -229,6 +230,23 @@ class TestEmitReport:
         emit_report(tmp_path / "b", effects, occ)
         for name in ("effect_sizes.csv", "occurrences.csv", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_failed_write_keeps_the_old_report(self, tmp_path, monkeypatch):
+        rows = _topk_fixture()
+        effects = effect_size_report(rows, [str(a) for a in default_atom_grid()])
+        occ = [top_k_occurrences(rows, k=25, eval_kind="ood")]
+        emit_report(tmp_path, [], [])
+        names = sorted(p.name for p in tmp_path.iterdir())
+        old = {name: (tmp_path / name).read_bytes() for name in names}
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            emit_report(tmp_path, effects, occ)
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        assert {name: (tmp_path / name).read_bytes() for name in names} == old
 
     def test_json_round_trip(self, tmp_path):
         rows = _topk_fixture()

@@ -220,6 +220,46 @@ class TestCliPipeline:
         assert (tmp_path / "stores" / "synthetic" / "windows.f32").exists()
         assert (tmp_path / "stores" / "synthetic" / "windows.json").exists()
 
+    def test_history_and_evaluate_json_are_written_atomically(self, tmp_path, capsys, monkeypatch):
+        raw, stores, run = tmp_path / "raw", tmp_path / "stores", tmp_path / "run"
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            "[pretrain]\nbatch_size = 8\nmax_epochs = 2\npatience = 1\nwarmup_epochs = 1\n"
+            "[downstream]\nmax_epochs = 2\npatience = 1\n"
+            "[model]\nchannels = 2,2,2,2,2\nkernels = 4,4,4,4,4\nprojection_dim = 8\n"
+        )
+        common = ["--config", str(cfg), "--windows", str(stores)]
+        assert cli.main(["--quiet", "synth", "--out", str(raw), "--seed", "4", "--n-recordings", "6"]) == 0
+        assert cli.main(["--quiet", "prepare", "--manifest", str(raw / "manifest.tsv"),
+                         "--out", str(stores)]) == 0
+        assert cli.main(["--quiet", "pretrain", *common, "--datasets", "synthetic", "--policy",
+                         "none|inv", "--out", str(run / "enc.ckpt"),
+                         "--history", str(run / "history.csv")]) == 0
+        assert cli.main(["--quiet", "finetune", *common, "--ckpt", str(run / "enc.ckpt"),
+                         "--dataset", "synthetic", "--out", str(run / "model.ckpt")]) == 0
+        evaluate = ["--quiet", "evaluate", *common, "--model", str(run / "model.ckpt"),
+                    "--dataset", "synthetic", "--json", str(run / "eval.json")]
+        capsys.readouterr()
+        assert cli.main(evaluate) == 0
+        printed = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert json.loads((run / "eval.json").read_text()) == printed
+        history = (run / "history.csv").read_text().splitlines()
+        assert history[0] == "epoch,train_loss,val_loss,lr" and len(history) == 3
+        names = sorted(p.name for p in run.iterdir())
+        assert names == ["enc.ckpt", "eval.json", "history.csv", "model.ckpt"]
+
+        # a marker, so a replace that went through would show
+        (run / "eval.json").write_bytes(b"{}")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert cli.main(evaluate) == 1
+        assert "replace failed" in capsys.readouterr().err
+        assert (run / "eval.json").read_bytes() == b"{}"
+        assert sorted(p.name for p in run.iterdir()) == names
+
     def test_json_logs_escape_quotes_and_backslashes(self, tmp_path, capsys):
         out = tmp_path / 'raw"q\\b'
         assert cli.main([

@@ -1,5 +1,7 @@
 """Tests for decoding, resampling, trimming, windowing, labels and splits."""
 
+import json
+import math
 import struct
 import wave
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from cardioclr import signal_io as sio
+from cardioclr._dsp import lowpass_taps
 from cardioclr.errors import (
     FormatError,
     LabelError,
@@ -87,6 +90,96 @@ class TestDecodeWav:
             assert wf.getframerate() == 2000
             raw = np.frombuffer(wf.readframes(wf.getnframes()), dtype="<i2")
         np.testing.assert_allclose(raw / 32768.0, x)
+
+
+def reference_polyphase_resample(x, up, down):
+    """The resampler's arithmetic written per output sample: outputs are
+    sorted by phase, and each tap gathers its inputs with an index array.
+    Float64 throughout, taps applied in the same order as the library."""
+    n_in = x.size
+    n_out = sio._resampled_length(n_in, up, down)
+    if n_in == 0 or n_out == 0:
+        return np.zeros(n_out, dtype=np.float64)
+    half = 10 * max(up, down)
+    num_taps = 2 * half + 1
+    taps = lowpass_taps(num_taps, 0.5 / max(up, down)) * up
+    pad = down * math.ceil((half / up + 1) / down)
+    shift = pad * up // down
+    margin = num_taps // up + 2
+    xpz = np.zeros(n_in + 2 * (pad + margin))
+    xpz[margin : margin + pad] = x[0]
+    xpz[margin + pad : margin + pad + n_in] = x
+    xpz[margin + pad + n_in : margin + 2 * pad + n_in] = x[-1]
+
+    out = np.empty(n_out, dtype=np.float64)
+    # out[n] = sum_i taps[r + i*up] * xp[q - i],  q, r = divmod(n*down + half, up)
+    t = np.arange(shift, shift + n_out) * down + half
+    phases = t % up
+    offsets = t // up + margin
+    order = np.argsort(phases, kind="stable")
+    bounds = np.searchsorted(phases[order], np.arange(up + 1))
+    for r in range(up):
+        lo, hi = bounds[r], bounds[r + 1]
+        if lo == hi:
+            continue
+        branch = taps[r::up]
+        branch = branch / branch.sum()
+        sel = order[lo:hi]
+        q = offsets[sel]
+        acc = np.zeros(q.size, dtype=np.float64)
+        for i, coeff in enumerate(branch):
+            acc += coeff * xpz[q - i]
+        out[sel] = acc
+    return out
+
+
+def _up_down(orig, target):
+    g = math.gcd(orig, target)
+    return target // g, orig // g
+
+
+RESAMPLE_RATES = [(r, 2000) for r in (1000, 3000, 4000, 8000, 11025, 22050, 44100, 48000)]
+RESAMPLE_RATES.append((2000, 4000))
+
+
+class TestResampleMatchesReference:
+    """The polyphase-component resampler gives the reference's exact bytes."""
+
+    @pytest.mark.parametrize("orig,target", RESAMPLE_RATES)
+    def test_random_input(self, orig, target):
+        up, down = _up_down(orig, target)
+        x = np.random.default_rng(orig).uniform(-1, 1, 3 * orig + 7)
+        got = sio._polyphase_resample(x, up, down)
+        assert got.tobytes() == reference_polyphase_resample(x, up, down).tobytes()
+
+    @pytest.mark.parametrize("orig,target", RESAMPLE_RATES)
+    def test_short_inputs(self, orig, target):
+        up, down = _up_down(orig, target)
+        half = 10 * max(up, down)
+        rng = np.random.default_rng(orig + 1)
+        for n in (1, 2, half - 1):
+            x = rng.uniform(-1, 1, n)
+            got = sio._polyphase_resample(x, up, down)
+            want = reference_polyphase_resample(x, up, down)
+            assert got.tobytes() == want.tobytes(), n
+
+    def test_prepare_writes_the_same_store(self, tmp_path, monkeypatch):
+        raw = tmp_path / "raw"
+        entries = []
+        for rate in (4000, 8000, 44100):
+            profile = sio.SynthProfile(sample_rate=rate, min_seconds=9.5, max_seconds=11.0)
+            made = sio.generate_synthetic_manifest(raw, seed=rate, n_recordings=2,
+                                                   profile=profile, prefix=f"r{rate}")
+            entries += made.entries
+        sio.write_manifest(sio.DatasetManifest(entries=entries), raw / "manifest.tsv")
+
+        counts = sio.prepare_manifest(raw / "manifest.tsv", tmp_path / "new")
+        monkeypatch.setattr(sio, "_polyphase_resample", reference_polyphase_resample)
+        assert sio.prepare_manifest(raw / "manifest.tsv", tmp_path / "ref") == counts
+        assert counts["synthetic"] >= 6
+        for name in ("windows.f32", "windows.json"):
+            new = (tmp_path / "new" / "synthetic" / name).read_bytes()
+            assert new == (tmp_path / "ref" / "synthetic" / name).read_bytes()
 
 
 class TestResample:
@@ -317,6 +410,53 @@ class TestWindowStore:
         (tmp_path / "s" / "windows.f32").write_bytes(data[:-4])
         with pytest.raises(FormatError, match="windows.f32"):
             sio.read_window_store(tmp_path / "s")
+
+    def _store(self, tmp_path):
+        sio.write_window_store(tmp_path / "s", _dummy_windows({"a": 2}))
+        return tmp_path / "s"
+
+    def test_truncated_json_raises_format_error(self, tmp_path):
+        path = self._store(tmp_path) / "windows.json"
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(FormatError, match="windows.json"):
+            sio.read_window_store(tmp_path / "s")
+
+    @pytest.mark.parametrize("drop,key", [
+        (lambda meta: meta.pop("entries"), "entries"),
+        (lambda meta: meta["entries"][1].pop("record_id"), "record_id"),
+    ], ids=["entries", "entry_field"])
+    def test_missing_key_raises_format_error(self, tmp_path, drop, key):
+        path = self._store(tmp_path) / "windows.json"
+        meta = json.loads(path.read_text())
+        drop(meta)
+        path.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=rf"windows\.json.*{key}"):
+            sio.read_window_store(tmp_path / "s")
+
+    def test_entry_count_mismatch_raises_format_error(self, tmp_path):
+        sio.write_window_store(tmp_path / "s", _dummy_windows({"a": 1}))
+        path = tmp_path / "s" / "windows.json"
+        meta = json.loads(path.read_text())
+        meta["entries"] = []
+        path.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=str(tmp_path / "s")):
+            sio.read_window_store(tmp_path / "s")
+
+    @pytest.mark.parametrize("corrupt,error", [
+        (lambda data: data[:60], FormatError),
+        (lambda data: b"ID3" + data[3:], FormatError),
+        (lambda data: data[:22] + struct.pack("<H", 2) + data[24:], UnsupportedFormatError),
+    ], ids=["truncated", "not_riff", "stereo"])
+    def test_prepare_names_the_bad_wav(self, tmp_path, corrupt, error):
+        src = tmp_path / "raw"
+        manifest = sio.generate_synthetic_manifest(src, seed=6, n_recordings=3)
+        bad = src / manifest.entries[1].path
+        bad.write_bytes(corrupt(bad.read_bytes()))
+        # line 1 is the header comment, so the second entry sits on line 3
+        with pytest.raises(error, match=rf"{bad.name} .*manifest\.tsv line 3\): ") as info:
+            sio.prepare_manifest(src / "manifest.tsv", tmp_path / "stores")
+        assert type(info.value) is error
+        assert not (tmp_path / "stores").exists()
 
     def test_prepare_pipeline(self, tmp_path):
         src = tmp_path / "raw"
