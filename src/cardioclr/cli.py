@@ -31,9 +31,9 @@ from .config import (
     pretrain_config,
     resolved_text,
 )
-from .contrastive import freeze_encoder, history_to_csv, pretrain
+from .contrastive import best_val_loss, freeze_encoder, history_to_csv, pretrain
 from .downstream import TaskSpec, evaluate, train_head
-from .errors import CardioclrError
+from .errors import CardioclrError, ConfigError
 from .nn import build_ssl_graph, load_checkpoint, save_checkpoint
 from .nn.gradcheck import TOLERANCE, run_gradient_suite
 
@@ -72,7 +72,10 @@ def _load_config(args) -> RunConfig:
     cfg = parse_config(args.config) if getattr(args, "config", None) else RunConfig()
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
-        cfg.seed = int(env_seed)
+        try:
+            cfg.seed = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV}={env_seed!r} is not an integer") from None
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     return cfg
@@ -132,7 +135,7 @@ def cmd_pretrain(args) -> int:
             "datasets": args.datasets,
             "seed": cfg.seed,
             "epochs_trained": len(history),
-            "best_val_loss": min(h.val_loss for h in history),
+            "best_val_loss": best_val_loss(history),
         },
     )
     if args.history:
@@ -141,7 +144,7 @@ def cmd_pretrain(args) -> int:
         "checkpoint": str(args.out),
         "epochs": len(history),
         "final_train_loss": history[-1].train_loss,
-        "best_val_loss": min(h.val_loss for h in history),
+        "best_val_loss": best_val_loss(history),
     }))
     return 0
 

@@ -115,6 +115,13 @@ class EpochStats:
     lr: float
 
 
+def best_val_loss(history: list[EpochStats]) -> float | None:
+    """Lowest finite validation loss, or None when no epoch had one (a
+    validation split of fewer than 2 windows), so JSON gets null, not NaN."""
+    finite = [h.val_loss for h in history if np.isfinite(h.val_loss)]
+    return min(finite) if finite else None
+
+
 def history_to_csv(history: list[EpochStats]) -> str:
     buf = io.StringIO()
     buf.write("epoch,train_loss,val_loss,lr\n")

@@ -52,11 +52,14 @@ class Conv1d(Layer):
 
     im2col GEMMs (Chellapilla et al. 2006) over groups of consecutive
     samples, as many as fit the im2col budget (one at long L, up to hundreds
-    at short L). Per group, each pass is one stacked `np.matmul`: forward
-    multiplies the (Cout, Cin*K) weights by the group's (n, Cin*K, L) im2col
-    straight into the output; the weight gradient is the same product with
-    the output gradient, summed over the group; the input gradient is the
-    transposed product, folded back onto the padded input by K shifted adds.
+    at short L). Each pass builds one window view of the padded batch and
+    copies a group's (n, Cin*K, L) im2col out of it. Per group, each pass is
+    one stacked `np.matmul`: forward multiplies the (Cout, Cin*K) weights by
+    the im2col straight into the output; the weight gradient is the im2col
+    times the transposed output gradient, cols · gᵀ (BLAS runs this
+    orientation faster than g · colsᵀ), summed over the group and added
+    transposed; the input gradient is the transposed weights times the
+    output gradient, folded back onto the padded input by K shifted adds.
     """
 
     def __init__(self, in_channels, out_channels, kernel, rng, dtype=np.float32):
@@ -86,11 +89,11 @@ class Conv1d(Layer):
         n = self.group_size(length)
         return [slice(s, min(s + n, batch)) for s in range(0, batch, n)]
 
-    def _cols(self, xp, group):
-        """(n, Cin*K, L) im2col of a group of samples of the padded input."""
-        length = xp.shape[2] - self.kernel + 1
-        win = sliding_window_view(xp[group], length, axis=2)  # (n, Cin, K, L)
-        return np.ascontiguousarray(win).reshape(len(win), -1, length)
+    @staticmethod
+    def _cols(win, group):
+        """(n, Cin*K, L) contiguous im2col of a group of the window view."""
+        cols = np.ascontiguousarray(win[group])
+        return cols.reshape(len(cols), -1, cols.shape[3])
 
     def forward(self, x, training=False, rng=None):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
@@ -102,8 +105,9 @@ class Conv1d(Layer):
         xp = np.pad(np.asarray(x, dtype=self.w.dtype), ((0, 0), (0, 0), (pl, k - 1 - pl)))
         w2 = self.w.reshape(self.out_channels, -1)
         out = np.empty((x.shape[0], self.out_channels, x.shape[2]), dtype=self.w.dtype)
+        win = sliding_window_view(xp, x.shape[2], axis=2)
         for group in self._groups(x.shape[0], x.shape[2]):
-            np.matmul(w2, self._cols(xp, group), out=out[group])
+            np.matmul(w2, self._cols(win, group), out=out[group])
         out += self.b[:, None]
         self._cache = xp
         return out
@@ -120,9 +124,10 @@ class Conv1d(Layer):
         else:
             gw2 = self.gw.reshape(self.out_channels, -1)
             gw2[...] = 0.0
+            win = sliding_window_view(xp, length, axis=2)
             for group in groups:
-                cols_t = self._cols(xp, group).transpose(0, 2, 1)
-                gw2 += np.matmul(g[group], cols_t).sum(axis=0)
+                g_t = g[group].transpose(0, 2, 1)
+                gw2 += np.matmul(self._cols(win, group), g_t).sum(axis=0).T
             self.gb[...] = g.sum(axis=(0, 2))
         if not compute_input_grad:
             return None

@@ -26,9 +26,9 @@ from .config import (
     encoder_config,
     pretrain_config,
 )
-from .contrastive import freeze_encoder, pretrain
+from .contrastive import best_val_loss, freeze_encoder, pretrain
 from .downstream import TaskSpec, evaluate, train_baseline, train_head
-from .errors import ConfigError, DataError, FormatError, NumericError
+from .errors import CardioclrError, ConfigError, DataError, FormatError
 from .nn import build_ssl_graph, load_checkpoint, save_checkpoint
 from .signal_io import LABELED_TAGS, UNLABELED_TAGS, read_window_store, split_indices
 
@@ -133,6 +133,8 @@ class ExperimentPlan:
             raise ConfigError("plan needs at least one downstream task")
         if not self.seeds:
             raise ConfigError("plan needs at least one seed")
+        if self.baseline_runs < 0:
+            raise ConfigError(f"baseline_runs must be non-negative, got {self.baseline_runs}")
         for policy in self.policies:
             parse_policy(policy)
 
@@ -143,8 +145,15 @@ class ExperimentPlan:
                     yield ssl_set, policy, seed
 
 
+def _plan_int(lineno: int, what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"plan line {lineno}: {what} {text!r} is not an integer") from None
+
+
 def parse_plan_text(text: str) -> ExperimentPlan:
-    sections: dict[str, list[str]] = {}
+    sections: dict[str, list[tuple[int, str]]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -158,29 +167,29 @@ def parse_plan_text(text: str) -> ExperimentPlan:
             continue
         if current is None:
             raise ConfigError(f"plan line {lineno}: content outside any [section]")
-        sections[current].append(line)
+        sections[current].append((lineno, line))
 
     for required in ("ssl_sets", "policies", "tasks", "seeds"):
         if not sections.get(required):
             raise ConfigError(f"plan is missing a non-empty [{required}] section")
 
-    ssl_sets = [tuple(tok.strip() for tok in line.split("+")) for line in sections["ssl_sets"]]
+    ssl_sets = [tuple(tok.strip() for tok in line.split("+")) for _, line in sections["ssl_sets"]]
     tasks = []
-    for line in sections["tasks"]:
+    for _, line in sections["tasks"]:
         tag, _, task_type = line.partition(":")
         tasks.append(TaskSpec(tag.strip(), task_type.strip() or "binary"))
-    seeds = [int(line) for line in sections["seeds"]]
+    seeds = [_plan_int(lineno, "seed", line) for lineno, line in sections["seeds"]]
     baseline_runs = 5
-    for line in sections.get("options", []):
+    for lineno, line in sections.get("options", []):
         key, _, value = line.partition("=")
         key = key.strip()
         if key == "baseline_runs":
-            baseline_runs = int(value.strip())
+            baseline_runs = _plan_int(lineno, "baseline_runs", value.strip())
         else:
-            raise ConfigError(f"unknown plan option {key!r}")
+            raise ConfigError(f"plan line {lineno}: unknown plan option {key!r}")
     return ExperimentPlan(
         ssl_sets=ssl_sets,
-        policies=sections["policies"],
+        policies=[line for _, line in sections["policies"]],
         tasks=tasks,
         seeds=seeds,
         baseline_runs=baseline_runs,
@@ -293,7 +302,7 @@ def _pretrain_encoder(ssl_set, policy_text, seed, stores, cfg, out_dir):
             "policy": policy_text,
             "seed": seed,
             "epochs_trained": len(history),
-            "best_val_loss": min(h.val_loss for h in history),
+            "best_val_loss": best_val_loss(history),
             "encoder_id": enc_id,
         },
     )
@@ -351,6 +360,15 @@ def _model_rows(graph, task, tasks, stores, cfg, seed, ssl_set, policy_text, out
     return rows
 
 
+def _log_failure(item: str, exc: CardioclrError) -> None:
+    """Warn that a work item failed and its rows are marked failed."""
+    # imported here: `logging` costs several ms to import, and a sweep with
+    # no failure never needs it
+    import logging
+
+    logging.getLogger(__name__).warning("%s failed: %s: %s", item, type(exc).__name__, exc)
+
+
 def run_experiment(
     ssl_set: tuple[str, ...],
     policy_text: str,
@@ -362,8 +380,8 @@ def run_experiment(
 ) -> list[LedgerRow]:
     """Execute one plan entry end to end and return its ledger rows.
 
-    A numeric failure in any sub-step marks every remaining model of the
-    entry as failed rather than silently dropping it.
+    A `CardioclrError` in any sub-step marks every remaining model of the
+    entry as failed rather than silently dropping it or stopping the sweep.
     """
     ordered = round_robin(tasks)
     rows: list[LedgerRow] = []
@@ -377,7 +395,8 @@ def run_experiment(
                                 out_dir, {"encoder_checkpoint": f"encoders/{enc_id}.ckpt",
                                           "encoder_id": enc_id})
             done += 1
-    except NumericError:
+    except CardioclrError as exc:
+        _log_failure(f"SSL entry ({'+'.join(ssl_set)}, {policy_text!r}, seed {seed})", exc)
         for task in ordered[done:]:
             rows += _model_rows(None, task, tasks, stores, cfg, seed, ssl_set, policy_text, out_dir)
     return rows
@@ -392,7 +411,7 @@ def run_baseline(
     out_dir,
 ) -> list[LedgerRow]:
     """One fully-supervised baseline replicate, evaluated ID and OOD; a
-    numeric failure in training marks all of its rows failed."""
+    `CardioclrError` in training or evaluation marks all of its rows failed."""
     cfg_hash = config_hash(cfg)
     graph = build_ssl_graph(encoder_config(cfg),
                             seed=derived_seed("baseline-init", cfg_hash, str(task), seed))
@@ -400,9 +419,12 @@ def run_baseline(
     ds_cfg = downstream_config(cfg, seed=derived_seed("baseline-head", cfg_hash, str(task), seed))
     try:
         graph, _ = train_baseline(graph, task, *_task_splits(stores, task, seed, cfg), ds_cfg)
-    except NumericError:
-        graph = None
-    return _model_rows(graph, task, tasks, stores, cfg, seed, ("none",), BASELINE_POLICY, out_dir)
+        return _model_rows(graph, task, tasks, stores, cfg, seed, ("none",), BASELINE_POLICY,
+                           out_dir)
+    except CardioclrError as exc:
+        _log_failure(f"baseline replicate ({task}, seed {seed})", exc)
+        return _model_rows(None, task, tasks, stores, cfg, seed, ("none",), BASELINE_POLICY,
+                           out_dir)
 
 
 def _run_item(item, tasks, stores, cfg, out_dir) -> list[LedgerRow]:

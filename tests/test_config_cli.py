@@ -21,6 +21,7 @@ from cardioclr.config import (
     resolved_text,
 )
 from cardioclr.errors import ConfigError
+from cardioclr.nn import load_checkpoint
 from cardioclr.protocol import downstream_splits
 
 # a non-default value for each string key; a new string key must be added
@@ -180,6 +181,32 @@ class TestCliBasics:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["pretrain", "--datasets", "synthetic", "--policy", "none|rev", "--out", "enc.ckpt"],
+        ["finetune", "--ckpt", "enc.ckpt", "--dataset", "synthetic", "--out", "model.ckpt"],
+        ["evaluate", "--model", "model.ckpt", "--dataset", "synthetic"],
+        ["sweep", "--plan", "p.plan", "--out", "out"],
+    ], ids=lambda c: c[0])
+    def test_bad_seed_env_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv(cli.SEED_ENV, "abc")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*command, "--windows", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and cli.SEED_ENV in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad,lineno", [("[seeds]\nx1\n", 8),
+                                            ("[seeds]\n1\n[options]\nbaseline_runs = two\n", 10)])
+    def test_bad_plan_number_names_the_line(self, tmp_path, capsys, bad, lineno):
+        plan = tmp_path / "p.plan"
+        plan.write_text("[ssl_sets]\nephnogram\n[policies]\nnone|rev\n[tasks]\npascal:binary\n"
+                        + bad)
+        code = cli.main(["sweep", "--plan", str(plan), "--windows", str(tmp_path),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: ConfigError: plan line {lineno}: ")
+
     @pytest.mark.parametrize("flag", [["--granularity", "per-window"], ["--seed", "1"]])
     def test_prepare_has_no_split_flags(self, tmp_path, capsys, flag):
         code = cli.main(["prepare", "--manifest", str(tmp_path / "m.tsv"),
@@ -259,6 +286,30 @@ class TestCliPipeline:
         assert "replace failed" in capsys.readouterr().err
         assert (run / "eval.json").read_bytes() == b"{}"
         assert sorted(p.name for p in run.iterdir()) == names
+
+    def test_pretrain_without_validation_prints_strict_json(self, tmp_path, capsys):
+        raw, stores = tmp_path / "raw", tmp_path / "stores"
+        cfg = tmp_path / "noval.cfg"
+        cfg.write_text(
+            "[pretrain]\nbatch_size = 4\nmax_epochs = 2\npatience = 1\nwarmup_epochs = 1\n"
+            "val_fraction = 0\n"
+            "[model]\nchannels = 2,2,2,2,2\nkernels = 4,4,4,4,4\nprojection_dim = 8\n"
+        )
+        assert cli.main(["--quiet", "synth", "--out", str(raw), "--seed", "4", "--n-recordings", "2"]) == 0
+        assert cli.main(["--quiet", "prepare", "--manifest", str(raw / "manifest.tsv"),
+                         "--out", str(stores)]) == 0
+        capsys.readouterr()
+        assert cli.main(["--quiet", "pretrain", "--config", str(cfg), "--windows", str(stores),
+                         "--datasets", "synthetic", "--policy", "none|inv",
+                         "--out", str(tmp_path / "enc.ckpt")]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        printed = json.loads(capsys.readouterr().out.splitlines()[-1], parse_constant=reject)
+        assert printed["best_val_loss"] is None
+        _, meta = load_checkpoint(tmp_path / "enc.ckpt")
+        assert meta["extra"]["best_val_loss"] is None
 
     def test_json_logs_escape_quotes_and_backslashes(self, tmp_path, capsys):
         out = tmp_path / 'raw"q\\b'

@@ -7,7 +7,10 @@ import struct
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from cardioclr.augment import parse_policy
+from cardioclr.contrastive import PretrainConfig, pretrain
 from cardioclr.errors import FormatError, NumericError, ShapeError, StateError
 from cardioclr.nn import (
     Adam,
@@ -70,6 +73,46 @@ def reference_conv1d(x, w, b, g):
         gw[:, :, k] = np.einsum("bot,bct->oc", g, seg)
         dxp[:, :, k : k + L] += np.einsum("oc,bot->bct", w[:, :, k], g)
     return out, gw, g.sum(axis=(0, 2)), dxp[:, :, pl : pl + L]
+
+
+class PreviousConv1d(Conv1d):
+    """The kernel before the weight gradient became cols · gᵀ, kept as a
+    bitwise reference: a window view per group, and gw += g · colsᵀ."""
+
+    def _group_cols(self, xp, group):
+        length = xp.shape[2] - self.kernel + 1
+        win = sliding_window_view(xp[group], length, axis=2)
+        return np.ascontiguousarray(win).reshape(len(win), -1, length)
+
+    def forward(self, x, training=False, rng=None):
+        k = self.kernel
+        xp = np.pad(np.asarray(x, dtype=self.w.dtype), ((0, 0), (0, 0), (k // 2, k - 1 - k // 2)))
+        w2 = self.w.reshape(self.out_channels, -1)
+        out = np.empty((x.shape[0], self.out_channels, x.shape[2]), dtype=self.w.dtype)
+        for group in self._groups(x.shape[0], x.shape[2]):
+            np.matmul(w2, self._group_cols(xp, group), out=out[group])
+        out += self.b[:, None]
+        self._cache = xp
+        return out
+
+    def backward(self, grad_out, compute_input_grad=True):
+        xp, k = self._cache, self.kernel
+        g = np.ascontiguousarray(grad_out, dtype=self.w.dtype)
+        batch, _, length = g.shape
+        groups = self._groups(batch, length)
+        gw2 = self.gw.reshape(self.out_channels, -1)
+        gw2[...] = 0.0
+        for group in groups:
+            gw2 += np.matmul(g[group], self._group_cols(xp, group).transpose(0, 2, 1)).sum(axis=0)
+        self.gb[...] = g.sum(axis=(0, 2))
+        w2t = self.w.reshape(self.out_channels, -1).T
+        dxp = np.zeros_like(xp)
+        for group in groups:
+            dcols = np.matmul(w2t, g[group]).reshape(-1, self.in_channels, k, length)
+            dst = dxp[group]
+            for j in range(k):
+                dst[:, :, j : j + length] += dcols[:, :, j]
+        return dxp[:, :, k // 2 : k // 2 + length]
 
 
 def conv_shapes(cfg):
@@ -140,6 +183,38 @@ class TestConv1dKernels:
         assert rel_err(layer.gw, gw_ref) <= 1e-5
         assert rel_err(layer.gb, gb_ref) <= 1e-5
         assert rel_err(dx, dx_ref) <= 1e-5
+
+    @pytest.mark.parametrize("cin,cout,k,length,batch", kernel_cases())
+    def test_same_bytes_as_previous_kernel(self, cin, cout, k, length, batch):
+        layers = [cls(cin, cout, k, np.random.default_rng(k * length))
+                  for cls in (Conv1d, PreviousConv1d)]
+        rng = np.random.default_rng(cin * 1000 + k * 10 + length)
+        x = rng.standard_normal((batch, cin, length)).astype(np.float32)
+        g = rng.standard_normal((batch, cout, length)).astype(np.float32)
+        (out, dx, gw, gb), (out_ref, dx_ref, gw_ref, gb_ref) = (
+            (layer.forward(x), layer.backward(g), layer.gw, layer.gb) for layer in layers
+        )
+        assert out.tobytes() == out_ref.tobytes()
+        assert gw.tobytes() == gw_ref.tobytes()
+        assert gb.tobytes() == gb_ref.tobytes()
+        assert dx.tobytes() == dx_ref.tobytes()
+
+    @pytest.mark.parametrize("cfg", [EncoderConfig(), DESK_ENCODER], ids=["full", "desk"])
+    def test_pretrain_step_same_encoder_bytes_as_previous_kernel(self, cfg):
+        windows = np.random.default_rng(3).standard_normal((16, cfg.input_len)).astype(np.float32)
+        config = PretrainConfig(batch_size=8, max_epochs=1, patience=0, warmup_epochs=0)
+        encoders = []
+        for previous in (False, True):
+            graph = build_ssl_graph(cfg, seed=5)
+            initial = graph.encoder_bytes()
+            if previous:
+                for layer in graph.encoder_layers:
+                    if type(layer) is Conv1d:
+                        layer.__class__ = PreviousConv1d
+            graph, history = pretrain(graph, windows, parse_policy("none|rev"), config)
+            assert len(history) == 1 and graph.encoder_bytes() != initial
+            encoders.append(graph.encoder_bytes())
+        assert encoders[0] == encoders[1]
 
     def test_no_input_grad_still_fills_param_grads(self):
         rng = np.random.default_rng(5)

@@ -1,6 +1,8 @@
 """Tests for plans, cycles, the experiment runner and the results ledger."""
 
+import logging
 import os
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +232,20 @@ class TestRunExperiment:
         assert len({r.experiment_id for r in baseline}) == 6
 
 
+    def test_evaluation_error_in_baseline_marks_its_rows(self, stores_root, tmp_path, monkeypatch,
+                                                          caplog):
+        def no_data(*a, **k):
+            raise DataError("forced evaluation failure")
+
+        monkeypatch.setattr(protocol, "evaluate", no_data)
+        with caplog.at_level(logging.WARNING, logger="cardioclr.protocol"):
+            rows = protocol.run_baseline(THREE_TASKS[0], 9, THREE_TASKS[:2],
+                                         WindowStores(stores_root), TEST_CFG, tmp_path)
+        assert len(rows) == 2
+        assert all(r.status == "failed" and r.accuracy is None and r.checkpoint == "" for r in rows)
+        assert "baseline replicate (pascal:binary, seed 9) failed: DataError" in caplog.text
+
+
 def _tree_bytes(root):
     """Bytes of the ledger and of every checkpoint under a sweep directory."""
     files = [root / "ledger.csv", *sorted(root.glob("encoders/*")), *sorted(root.glob("models/*"))]
@@ -312,6 +328,33 @@ class TestRunPlan:
         run_plan(plan, WindowStores(stores_root), TEST_CFG, out, jobs=jobs)
         assert (out / "ledger.csv").read_bytes() == (tmp_path / "whole" / "ledger.csv").read_bytes()
 
+    def test_too_small_ssl_set_fails_only_its_own_rows(self, stores_root, tmp_path, caplog):
+        # fpcgdb here holds 2 recordings x 4 = 8 windows, fewer than the
+        # 2N = 16 pretraining needs at batch size 8
+        root = tmp_path / "stores"
+        root.mkdir()
+        for tag in ["ephnogram", *_TAG_LABELS]:
+            (root / tag).symlink_to(stores_root / tag)
+        write_window_store(root / "fpcgdb", _store_windows("fpcgdb", 2, 4, seed=1))
+        plan = ExperimentPlan(
+            ssl_sets=[("ephnogram",), ("fpcgdb",), ("ephnogram", "fpcgdb")],
+            policies=["none|rev"],
+            tasks=THREE_TASKS[:2],
+            seeds=[5],
+            baseline_runs=1,
+        )
+        with caplog.at_level(logging.WARNING, logger="cardioclr.protocol"):
+            serial = run_plan(plan, WindowStores(root), TEST_CFG, tmp_path / "serial", jobs=1)
+        assert "SSL entry (fpcgdb, 'none|rev', seed 5) failed: ConfigError: need at least" \
+            in caplog.text
+        failed = [r for r in serial if r.status == "failed"]
+        assert len(failed) == 4  # 2 tasks x (1 ID + 1 OOD)
+        assert all(r.ssl_set == "fpcgdb" and r.accuracy is None for r in failed)
+        assert len([r for r in serial if r.status == "ok"]) == 12  # 2 SSL entries + 2 baselines
+        forked = run_plan(plan, WindowStores(root), TEST_CFG, tmp_path / "jobs2", jobs=2)
+        assert _tree_bytes(tmp_path / "serial") == _tree_bytes(tmp_path / "jobs2")
+        assert [r.to_csv_fields() for r in forked] == [r.to_csv_fields() for r in serial]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_missing_store_fails_before_any_work(self, stores_root, tmp_path, monkeypatch, jobs):
         def must_not_run(*a, **k):
@@ -355,6 +398,22 @@ class TestRunPlan:
         assert plan.seeds == [7, 8]
         assert plan.baseline_runs == 2
         assert len(list(plan.entries())) == 4  # 1 ssl_set x 2 policies x 2 seeds
+
+    @pytest.mark.parametrize("tail,message", [
+        ("[seeds]\n7\nx1\n", "plan line 10: seed 'x1' is not an integer"),
+        ("[seeds]\n7\n[options]\nbaseline_runs = two\n",
+         "plan line 11: baseline_runs 'two' is not an integer"),
+        ("[seeds]\n7\n[options]\nretries = 2\n", "plan line 11: unknown plan option 'retries'"),
+    ], ids=["seed", "baseline_runs", "unknown_option"])
+    def test_bad_plan_numbers_are_config_errors(self, tail, message):
+        head = "[ssl_sets]\nephnogram\n[policies]\nnone|rev\n[tasks]\npascal:binary\n\n"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_plan_text(head + tail)
+
+    def test_negative_baseline_runs_rejected(self):
+        with pytest.raises(ConfigError, match="baseline_runs"):
+            ExperimentPlan(ssl_sets=[("ephnogram",)], policies=["none|rev"],
+                           tasks=THREE_TASKS[:1], seeds=[1], baseline_runs=-1)
 
     def test_bad_plan_policy_rejected(self):
         with pytest.raises(Exception):
