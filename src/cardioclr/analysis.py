@@ -48,19 +48,21 @@ REFERENCE_EFFECT_SIZES = {
 }
 
 
-def cohens_d(group1: Sequence[float], group2: Sequence[float]) -> float:
-    """Difference of means over the pooled standard deviation.
-
-    Pooled s uses (n-1)-weighted sample variances:
+def _pooled_std(x1: np.ndarray, x2: np.ndarray) -> float:
+    """Pooled s from (n-1)-weighted sample variances:
         s = sqrt(((n1-1)*s1^2 + (n2-1)*s2^2) / (n1 + n2 - 2))
     """
+    return math.sqrt(((x1.size - 1) * x1.var(ddof=1) + (x2.size - 1) * x2.var(ddof=1))
+                     / (x1.size + x2.size - 2))
+
+
+def cohens_d(group1: Sequence[float], group2: Sequence[float]) -> float:
+    """Difference of means over the pooled standard deviation (`_pooled_std`)."""
     x1 = np.asarray(group1, dtype=np.float64)
     x2 = np.asarray(group2, dtype=np.float64)
     if x1.size < 2 or x2.size < 2:
         raise DataError(f"each group needs at least 2 values, got {x1.size} and {x2.size}")
-    s1 = x1.var(ddof=1)
-    s2 = x2.var(ddof=1)
-    pooled = math.sqrt(((x1.size - 1) * s1 + (x2.size - 1) * s2) / (x1.size + x2.size - 2))
+    pooled = _pooled_std(x1, x2)
     if pooled == 0.0:
         raise DataError("pooled standard deviation is zero; effect size undefined")
     return float((x1.mean() - x2.mean()) / pooled)
@@ -162,15 +164,11 @@ def effect_size_report(
         except DataError:
             continue
         x1, x2 = np.asarray(g1), np.asarray(g2)
-        pooled = math.sqrt(
-            ((x1.size - 1) * x1.var(ddof=1) + (x2.size - 1) * x2.var(ddof=1))
-            / (x1.size + x2.size - 2)
-        )
         report.append(
             EffectSizeRow(
                 atom=atom, d=d, n1=len(g1), n2=len(g2),
                 mean1=float(x1.mean()), mean2=float(x2.mean()),
-                pooled_s=pooled, reference_d=REFERENCE_EFFECT_SIZES.get(atom),
+                pooled_s=_pooled_std(x1, x2), reference_d=REFERENCE_EFFECT_SIZES.get(atom),
             )
         )
     report.sort(key=lambda r: (-r.d, r.atom))

@@ -16,30 +16,23 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, protocol
 from . import signal_io as sio
 from ._atomic import write_atomic
 from .augment import default_atom_grid, parse_policy
-from .config import (
-    RunConfig,
-    config_hash,
-    downstream_config,
-    encoder_config,
-    parse_config,
-    pretrain_config,
-    resolved_text,
-)
-from .contrastive import best_val_loss, freeze_encoder, history_to_csv, pretrain
-from .downstream import TaskSpec, evaluate, train_head
+from .config import RunConfig, config_hash, parse_config
+from .contrastive import freeze_encoder, history_to_csv
+from .downstream import TaskSpec, evaluate
 from .errors import CardioclrError, ConfigError
-from .nn import build_ssl_graph, load_checkpoint, save_checkpoint
+from .nn import load_checkpoint, save_checkpoint
 from .nn.gradcheck import TOLERANCE, run_gradient_suite
 
 log = logging.getLogger("cardioclr")
 
 SEED_ENV = "CARDIOCLR_SEED"
+# `analyze --metric`: the eval kind, then a ledger metric column
+ANALYZE_METRICS = [f"{kind}_{metric}" for kind in ("id", "ood")
+                   for metric in ("micro_f1", "macro_f1", "accuracy")]
 
 
 class JsonFormatter(logging.Formatter):
@@ -81,14 +74,6 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _load_tagged_windows(store_root, datasets: str):
-    stores = protocol.WindowStores(store_root)
-    pools = []
-    for tag in datasets.split("+"):
-        pools.append(stores.load(tag.strip())[0])
-    return np.concatenate(pools, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -121,30 +106,17 @@ def cmd_prepare(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
-    windows = _load_tagged_windows(args.windows, args.datasets)
-    policy = parse_policy(args.policy)
-    graph = build_ssl_graph(encoder_config(cfg), seed=cfg.seed)
-    graph, history = pretrain(graph, windows, policy, pretrain_config(cfg))
-    graph = freeze_encoder(graph)
-    save_checkpoint(
-        args.out,
-        graph,
-        extra={
-            "config_hash": config_hash(cfg),
-            "policy": args.policy,
-            "datasets": args.datasets,
-            "seed": cfg.seed,
-            "epochs_trained": len(history),
-            "best_val_loss": best_val_loss(history),
-        },
-    )
+    ssl_set = tuple(tag.strip() for tag in args.datasets.split("+"))
+    graph, history, extra = protocol.train_encoder(
+        ssl_set, args.policy, cfg.seed, protocol.WindowStores(args.windows), cfg)
+    save_checkpoint(args.out, graph, extra=extra)
     if args.history:
         write_atomic(args.history, history_to_csv(history).encode("utf-8"))
     print(json.dumps({
         "checkpoint": str(args.out),
         "epochs": len(history),
         "final_train_loss": history[-1].train_loss,
-        "best_val_loss": best_val_loss(history),
+        "best_val_loss": extra["best_val_loss"],
     }))
     return 0
 
@@ -152,29 +124,15 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = _load_config(args)
     graph, meta = load_checkpoint(args.ckpt)
-    if not graph.encoder_frozen:
-        graph.freeze_encoder()
-    graph.drop_head()
+    encoder = meta.get("extra", {})
+    enc_id = encoder.get("encoder_id", "")
     task = TaskSpec(args.dataset, args.task)
     stores = protocol.WindowStores(args.windows)
-    x, metas = stores.load(args.dataset)
-    tr, va, te = protocol.downstream_splits(metas, cfg.seed, args.dataset, cfg.split_granularity)
-    y = task.encode(metas)
-    graph, history = train_head(
-        graph, task, (x[tr], y[tr]), (x[va], y[va]), downstream_config(cfg)
-    )
-    metrics = evaluate(graph, x[te], [metas[i] for i in te], task)
-    save_checkpoint(
-        args.out,
-        graph,
-        extra={
-            "config_hash": config_hash(cfg),
-            "encoder_checkpoint": str(args.ckpt),
-            "encoder_id": meta.get("extra", {}).get("encoder_id", ""),
-            "task": str(task),
-            "seed": cfg.seed,
-        },
-    )
+    graph, history = protocol.fit_head(freeze_encoder(graph), enc_id, task, cfg.seed, stores, cfg)
+    metrics = evaluate(graph, *protocol.eval_split(stores, args.dataset, cfg.seed, cfg), task)
+    save_checkpoint(args.out, graph, extra=protocol.model_metadata(
+        config_hash(cfg), encoder.get("policy", ""), task, cfg.seed,
+        encoder_checkpoint=str(args.ckpt), encoder_id=enc_id))
     print(json.dumps({
         "checkpoint": str(args.out),
         "epochs": len(history),
@@ -195,10 +153,10 @@ def cmd_evaluate(args) -> int:
         task_type = own_type if own_tag == args.dataset and own_type else "binary"
     task = TaskSpec(args.dataset, task_type)
     stores = protocol.WindowStores(args.windows)
-    x, metas = stores.load(args.dataset)
     if args.split == "test":
-        _, _, te = protocol.downstream_splits(metas, cfg.seed, args.dataset, cfg.split_granularity)
-        x, metas = x[te], [metas[i] for i in te]
+        x, metas = protocol.eval_split(stores, args.dataset, cfg.seed, cfg)
+    else:
+        x, metas = stores.load(args.dataset)
     metrics = evaluate(graph, x, metas, task)
     payload = {
         "model": str(args.model),
@@ -243,9 +201,6 @@ def cmd_analyze(args) -> int:
         raise CardioclrError(f"ledger {args.ledger} is empty")
     eval_kind, _, metric = args.metric.partition("_")
     kind = protocol.OOD if eval_kind == "ood" else protocol.IN_DISTRIBUTION
-    metric = metric or "micro_f1"
-    if metric not in ("micro_f1", "macro_f1", "accuracy"):
-        raise CardioclrError(f"unknown metric {args.metric!r}")
     subset = [r for r in rows if r.eval_kind == kind]
     atoms = sorted({str(a) for r in subset
                     if r.status == "ok" and r.policy != protocol.BASELINE_POLICY
@@ -344,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="effect sizes and occurrence counts from a ledger")
     p.add_argument("--ledger", required=True)
-    p.add_argument("--metric", default="ood_micro_f1")
+    p.add_argument("--metric", default="ood_micro_f1", choices=ANALYZE_METRICS)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=25)
     p.set_defaults(func=cmd_analyze)

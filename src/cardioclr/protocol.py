@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,6 +138,11 @@ class ExperimentPlan:
             raise ConfigError(f"baseline_runs must be non-negative, got {self.baseline_runs}")
         for policy in self.policies:
             parse_policy(policy)
+        seen = set()
+        for task in self.tasks:
+            if task.dataset_tag in seen:
+                raise ConfigError(f"duplicate downstream dataset {task.dataset_tag!r}")
+            seen.add(task.dataset_tag)
 
     def entries(self):
         for ssl_set in self.ssl_sets:
@@ -201,7 +207,7 @@ def parse_plan(path) -> ExperimentPlan:
 
 
 # ---------------------------------------------------------------------------
-# Ids, cycles, round-robin
+# Ids and cycles
 # ---------------------------------------------------------------------------
 
 
@@ -232,18 +238,6 @@ def leave_dataset_out_cycles(
     for omit in labeled:
         cycles.append(tuple(tag for tag in everything if tag != omit))
     return cycles
-
-
-def round_robin(tasks: Sequence[TaskSpec]) -> list[TaskSpec]:
-    """One downstream pass per labeled dataset, reusing the same encoder."""
-    seen = set()
-    ordered = []
-    for task in tasks:
-        if task.dataset_tag in seen:
-            raise ConfigError(f"duplicate downstream dataset {task.dataset_tag!r}")
-        seen.add(task.dataset_tag)
-        ordered.append(task)
-    return ordered
 
 
 # ---------------------------------------------------------------------------
@@ -279,33 +273,52 @@ def downstream_splits(metas, plan_seed: int, tag: str, granularity: str):
 # ---------------------------------------------------------------------------
 
 
-def _pretrain_encoder(ssl_set, policy_text, seed, stores, cfg, out_dir):
-    """Pretrain (or reload) the encoder for one (ssl_set, policy, seed)."""
+def train_encoder(ssl_set, policy_text, seed, stores, cfg):
+    """Pretrain and freeze the encoder of one (SSL set, policy, seed).
+
+    Returns the frozen graph, its pretraining history and the metadata its
+    checkpoint carries. The init seed derives from the encoder id, so the
+    sweep and `cardioclr pretrain` make the same encoder.
+    """
     cfg_hash = config_hash(cfg)
-    enc_id = stable_hash("encoder", cfg_hash, "+".join(ssl_set), policy_text, seed)
+    enc_id = _encoder_id(cfg_hash, ssl_set, policy_text, seed)
+    windows = np.concatenate([stores.load(tag)[0] for tag in ssl_set], axis=0)
+    graph = build_ssl_graph(encoder_config(cfg), seed=derived_seed("init", enc_id))
+    graph, history = pretrain(graph, windows, parse_policy(policy_text),
+                              pretrain_config(cfg, seed=seed))
+    extra = {
+        "config_hash": cfg_hash,
+        "ssl_set": "+".join(ssl_set),
+        "policy": policy_text,
+        "seed": seed,
+        "epochs_trained": len(history),
+        "best_val_loss": best_val_loss(history),
+        "encoder_id": enc_id,
+    }
+    return freeze_encoder(graph), history, extra
+
+
+def _encoder_id(cfg_hash: str, ssl_set, policy_text: str, seed: int) -> str:
+    return stable_hash("encoder", cfg_hash, "+".join(ssl_set), policy_text, seed)
+
+
+def _pretrain_encoder(ssl_set, policy_text, seed, stores, cfg, out_dir):
+    """Load the encoder of one (ssl_set, policy, seed), or train and save it.
+
+    A checkpoint that fails to load is moved aside to `<id>.ckpt.corrupt` and
+    the encoder is trained again, which gives the same bytes.
+    """
+    enc_id = _encoder_id(config_hash(cfg), ssl_set, policy_text, seed)
     enc_path = Path(out_dir) / "encoders" / f"{enc_id}.ckpt"
     if enc_path.exists():
-        graph, _ = load_checkpoint(enc_path)
-        return graph, enc_id
-    pools = [stores.load(tag)[0] for tag in ssl_set]
-    windows = np.concatenate(pools, axis=0)
-    graph = build_ssl_graph(encoder_config(cfg), seed=derived_seed("init", enc_id))
-    policy = parse_policy(policy_text)
-    graph, history = pretrain(graph, windows, policy, pretrain_config(cfg, seed=seed))
-    graph = freeze_encoder(graph)
-    save_checkpoint(
-        enc_path,
-        graph,
-        extra={
-            "config_hash": cfg_hash,
-            "ssl_set": "+".join(ssl_set),
-            "policy": policy_text,
-            "seed": seed,
-            "epochs_trained": len(history),
-            "best_val_loss": best_val_loss(history),
-            "encoder_id": enc_id,
-        },
-    )
+        try:
+            return load_checkpoint(enc_path)[0], enc_id
+        except FormatError as exc:
+            aside = enc_path.with_name(enc_path.name + ".corrupt")
+            os.replace(enc_path, aside)
+            _warn("%s is corrupt (%s); moved to %s, retraining", enc_path, exc, aside.name)
+    graph, _, extra = train_encoder(ssl_set, policy_text, seed, stores, cfg)
+    save_checkpoint(enc_path, graph, extra=extra)
     return graph, enc_id
 
 
@@ -317,8 +330,31 @@ def _task_splits(stores: WindowStores, task: TaskSpec, seed: int, cfg: RunConfig
     return (x[tr], y[tr]), (x[va], y[va])
 
 
+def eval_split(stores: WindowStores, tag: str, seed: int, cfg: RunConfig):
+    """(windows, metas) of one dataset's test split."""
+    x, metas = stores.load(tag)
+    _, _, te = downstream_splits(metas, seed, tag, cfg.split_granularity)
+    return x[te], [metas[i] for i in te]
+
+
+def fit_head(graph, enc_id: str, task: TaskSpec, seed: int, stores: WindowStores,
+             cfg: RunConfig):
+    """Train a head for `task` on a frozen encoder; returns `train_head`'s
+    (graph, history). The head seed derives from (enc_id, task, seed)."""
+    ds_cfg = downstream_config(cfg, seed=derived_seed("head", enc_id, str(task), seed))
+    return train_head(graph, task, *_task_splits(stores, task, seed, cfg), ds_cfg)
+
+
+def model_metadata(cfg_hash: str, policy_text: str, task: TaskSpec, seed: int,
+                   **encoder) -> dict:
+    """Metadata of a trained model's checkpoint; an SSL model adds its
+    `encoder_checkpoint` and `encoder_id`."""
+    return {"config_hash": cfg_hash, "policy": policy_text, "task": str(task), "seed": seed,
+            **encoder}
+
+
 def _model_rows(graph, task, tasks, stores, cfg, seed, ssl_set, policy_text, out_dir,
-                extra=None) -> list[LedgerRow]:
+                encoder=None) -> list[LedgerRow]:
     """Checkpoint one trained model and evaluate it in-distribution and OOD.
 
     OOD evaluation reuses the trained head on the other labeled datasets,
@@ -337,18 +373,14 @@ def _model_rows(graph, task, tasks, stores, cfg, seed, ssl_set, policy_text, out
         # ledger and metadata keep paths relative to the sweep root, so
         # artifacts stay byte-identical wherever the sweep runs
         checkpoint = f"models/{exp_id}.ckpt"
-        save_checkpoint(Path(out_dir) / checkpoint, graph, extra={
-            "config_hash": cfg_hash, "policy": policy_text, "task": str(task), "seed": seed,
-            **(extra or {}),
-        })
+        save_checkpoint(Path(out_dir) / checkpoint, graph,
+                        extra=model_metadata(cfg_hash, policy_text, task, seed, **(encoder or {})))
     rows = []
     for eval_tag, kind in evals:
         accuracy = micro_f1 = macro_f1 = None
         if graph is not None:
-            x, metas = stores.load(eval_tag)
-            _, _, te = downstream_splits(metas, seed, eval_tag, cfg.split_granularity)
             eval_task = task if kind == IN_DISTRIBUTION else TaskSpec(eval_tag, "binary")
-            m = evaluate(graph, x[te], [metas[i] for i in te], eval_task)
+            m = evaluate(graph, *eval_split(stores, eval_tag, seed, cfg), eval_task)
             accuracy, micro_f1, macro_f1 = m.accuracy, m.micro_f1, m.macro_f1
         rows.append(LedgerRow(
             experiment_id=exp_id, ssl_set="+".join(ssl_set), policy=policy_text,
@@ -360,13 +392,17 @@ def _model_rows(graph, task, tasks, stores, cfg, seed, ssl_set, policy_text, out
     return rows
 
 
-def _log_failure(item: str, exc: CardioclrError) -> None:
-    """Warn that a work item failed and its rows are marked failed."""
+def _warn(fmt: str, *args) -> None:
     # imported here: `logging` costs several ms to import, and a sweep with
-    # no failure never needs it
+    # nothing to warn about never needs it
     import logging
 
-    logging.getLogger(__name__).warning("%s failed: %s: %s", item, type(exc).__name__, exc)
+    logging.getLogger(__name__).warning(fmt, *args)
+
+
+def _log_failure(item: str, exc: CardioclrError) -> None:
+    """Warn that a work item failed and its rows are marked failed."""
+    _warn("%s failed: %s: %s", item, type(exc).__name__, exc)
 
 
 def run_experiment(
@@ -383,21 +419,19 @@ def run_experiment(
     A `CardioclrError` in any sub-step marks every remaining model of the
     entry as failed rather than silently dropping it or stopping the sweep.
     """
-    ordered = round_robin(tasks)
     rows: list[LedgerRow] = []
     done = 0
     try:
         graph, enc_id = _pretrain_encoder(ssl_set, policy_text, seed, stores, cfg, out_dir)
-        for task in ordered:
-            ds_cfg = downstream_config(cfg, seed=derived_seed("head", enc_id, str(task), seed))
-            graph, _ = train_head(graph, task, *_task_splits(stores, task, seed, cfg), ds_cfg)
+        encoder = {"encoder_checkpoint": f"encoders/{enc_id}.ckpt", "encoder_id": enc_id}
+        for task in tasks:
+            graph, _ = fit_head(graph, enc_id, task, seed, stores, cfg)
             rows += _model_rows(graph, task, tasks, stores, cfg, seed, ssl_set, policy_text,
-                                out_dir, {"encoder_checkpoint": f"encoders/{enc_id}.ckpt",
-                                          "encoder_id": enc_id})
+                                out_dir, encoder)
             done += 1
     except CardioclrError as exc:
         _log_failure(f"SSL entry ({'+'.join(ssl_set)}, {policy_text!r}, seed {seed})", exc)
-        for task in ordered[done:]:
+        for task in tasks[done:]:
             rows += _model_rows(None, task, tasks, stores, cfg, seed, ssl_set, policy_text, out_dir)
     return rows
 

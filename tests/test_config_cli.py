@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from cardioclr import cli
+from cardioclr.analysis import cohens_d
 from cardioclr.config import (
     SCHEMA,
     RunConfig,
@@ -22,7 +24,7 @@ from cardioclr.config import (
 )
 from cardioclr.errors import ConfigError
 from cardioclr.nn import load_checkpoint
-from cardioclr.protocol import downstream_splits
+from cardioclr.protocol import LedgerRow, downstream_splits, read_ledger, write_ledger
 
 # a non-default value for each string key; a new string key must be added
 STRING_ALTERNATIVES = {"split_granularity": "per_window"}
@@ -207,6 +209,14 @@ class TestCliBasics:
         assert code == 1
         assert err.startswith(f"error: ConfigError: plan line {lineno}: ")
 
+    @pytest.mark.parametrize("metric", ["accuracy", "odd_micro_f1", "ood", "micro_f1"])
+    def test_analyze_rejects_unknown_metric(self, tmp_path, capsys, metric):
+        code = cli.main(["analyze", "--ledger", str(tmp_path / "ledger.csv"),
+                         "--metric", metric, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", [["--granularity", "per-window"], ["--seed", "1"]])
     def test_prepare_has_no_split_flags(self, tmp_path, capsys, flag):
         code = cli.main(["prepare", "--manifest", str(tmp_path / "m.tsv"),
@@ -286,6 +296,78 @@ class TestCliPipeline:
         assert "replace failed" in capsys.readouterr().err
         assert (run / "eval.json").read_bytes() == b"{}"
         assert sorted(p.name for p in run.iterdir()) == names
+
+    def test_cli_path_reproduces_a_sweep_entry(self, tmp_path, capsys):
+        raw, stores, sweep, run = (tmp_path / d for d in ("raw", "stores", "sweep", "run"))
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            "[run]\nseed = 4\n"
+            "[pretrain]\nbatch_size = 8\nmax_epochs = 2\npatience = 1\nwarmup_epochs = 1\n"
+            "[downstream]\nmax_epochs = 2\npatience = 1\nadam_lr = 0.001\n"
+            "[model]\nchannels = 2,2,2,2,2\nkernels = 4,4,4,4,4\nprojection_dim = 8\n"
+        )
+        plan = tmp_path / "one.plan"
+        plan.write_text("[ssl_sets]\nsynthetic\n[policies]\nnone|inv\n[tasks]\nsynthetic:binary\n"
+                        "[seeds]\n4\n[options]\nbaseline_runs = 0\n")
+        common = ["--config", str(cfg), "--windows", str(stores)]
+        assert cli.main(["--quiet", "synth", "--out", str(raw), "--seed", "4",
+                         "--n-recordings", "20"]) == 0
+        assert cli.main(["--quiet", "prepare", "--manifest", str(raw / "manifest.tsv"),
+                         "--out", str(stores)]) == 0
+        assert cli.main(["--quiet", "sweep", *common, "--plan", str(plan), "--out", str(sweep)]) == 0
+        [row] = read_ledger(sweep / "ledger.csv")
+        assert row.status == "ok"
+
+        assert cli.main(["--quiet", "pretrain", *common, "--datasets", "synthetic",
+                         "--policy", "none|inv", "--out", str(run / "enc.ckpt")]) == 0
+        [sweep_encoder] = (sweep / "encoders").glob("*.ckpt")
+        assert (run / "enc.ckpt").read_bytes() == sweep_encoder.read_bytes()
+
+        assert cli.main(["--quiet", "finetune", *common, "--ckpt", str(run / "enc.ckpt"),
+                         "--dataset", "synthetic", "--task", "binary",
+                         "--out", str(run / "model.ckpt")]) == 0
+        models = [load_checkpoint(path) for path in (run / "model.ckpt", sweep / row.checkpoint)]
+        (cli_graph, cli_meta), (sweep_graph, sweep_meta) = models
+        assert [a.tobytes() for _, a in cli_graph.named_params()] == \
+            [a.tobytes() for _, a in sweep_graph.named_params()]
+        assert cli_meta["extra"].pop("encoder_checkpoint") == str(run / "enc.ckpt")
+        assert sweep_meta["extra"].pop("encoder_checkpoint") == f"encoders/{sweep_encoder.name}"
+        assert cli_meta == sweep_meta
+
+        capsys.readouterr()
+        assert cli.main(["--quiet", "evaluate", *common, "--model", str(run / "model.ckpt"),
+                         "--dataset", "synthetic", "--split", "test"]) == 0
+        printed = capsys.readouterr().out.splitlines()[-1].rsplit(",", 3)[1:]
+        assert printed == [f"{v:.6f}" for v in (row.accuracy, row.micro_f1, row.macro_f1)]
+
+    def test_analyze_reads_the_metric_it_names(self, tmp_path):
+        # rev|inv pairs with none|inv; every (kind, metric) column holds
+        # other values, so each choice gives its own effect size
+        rng = np.random.default_rng(0)
+        rows = [
+            LedgerRow(experiment_id=f"{policy}-{kind}-{seed}", ssl_set="ephnogram",
+                      policy=policy, downstream="pascal", task="binary",
+                      eval_dataset="pascal" if kind == "in_distribution" else "physionet2016",
+                      eval_kind=kind, seed=seed, checkpoint="x.ckpt",
+                      **dict(zip(("accuracy", "micro_f1", "macro_f1"), rng.uniform(size=3))))
+            for policy in ("rev|inv", "none|inv") for kind in ("in_distribution", "ood")
+            for seed in (1, 2, 3)
+        ]
+        write_ledger(tmp_path / "ledger.csv", rows)
+        rows = read_ledger(tmp_path / "ledger.csv")
+        for metric in cli.ANALYZE_METRICS:
+            kind_name, _, column = metric.partition("_")
+            kind = "ood" if kind_name == "ood" else "in_distribution"
+            groups = [[getattr(r, column) for r in rows if r.policy == policy and r.eval_kind == kind]
+                      for policy in ("rev|inv", "none|inv")]
+            out = tmp_path / metric
+            assert cli.main(["--quiet", "analyze", "--ledger", str(tmp_path / "ledger.csv"),
+                             "--metric", metric, "--out", str(out), "--k", "1"]) == 0
+            report = json.loads((out / "report.json").read_text())
+            [effect] = report["effect_sizes"]
+            assert effect["augmentation"] == "rev"
+            assert effect["d"] == cohens_d(*groups)
+            assert [o["eval_kind"] for o in report["occurrences"]] == ["in_distribution", "ood"]
 
     def test_pretrain_without_validation_prints_strict_json(self, tmp_path, capsys):
         raw, stores = tmp_path / "raw", tmp_path / "stores"

@@ -3,6 +3,7 @@
 import logging
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from cardioclr.protocol import (
     leave_dataset_out_cycles,
     parse_plan_text,
     read_ledger,
-    round_robin,
     run_experiment,
     run_plan,
     select_best,
@@ -109,16 +109,28 @@ class TestCycles:
         assert all(len(o) == 1 for o in omitted)
 
 
+def _plan_with_tasks(*tasks):
+    return parse_plan_text("[ssl_sets]\nephnogram\n[policies]\nnone|rev\n[tasks]\n"
+                           + "\n".join(tasks) + "\n[seeds]\n1\n")
+
+
 class TestRoundRobin:
+    """A plan's encoder makes one downstream pass per labeled dataset."""
+
     def test_three_datasets_three_passes(self):
-        assert len(round_robin(THREE_TASKS)) == 3
+        plan = _plan_with_tasks("pascal:binary", "physionet2016", "physionet2022:all")
+        assert plan.tasks == [THREE_TASKS[0], THREE_TASKS[1], TaskSpec("physionet2022", "all")]
 
     def test_single_dataset_single_pass(self):
-        assert len(round_robin(THREE_TASKS[:1])) == 1
+        assert _plan_with_tasks("pascal:all").tasks == [TaskSpec("pascal", "all")]
 
     def test_duplicate_dataset_rejected(self):
-        with pytest.raises(ConfigError):
-            round_robin([THREE_TASKS[0], THREE_TASKS[0]])
+        # two task types on one dataset are still one dataset
+        with pytest.raises(ConfigError, match="duplicate downstream dataset 'pascal'"):
+            _plan_with_tasks("pascal:binary", "physionet2016", "pascal:all")
+        with pytest.raises(ConfigError, match="duplicate downstream dataset 'pascal'"):
+            ExperimentPlan(ssl_sets=[("ephnogram",)], policies=["none|rev"],
+                           tasks=[THREE_TASKS[0], THREE_TASKS[0]], seeds=[1])
 
 
 class TestSplitsAndIds:
@@ -297,6 +309,32 @@ class TestRunPlan:
         assert [r.to_csv_fields() for r in serial] == [r.to_csv_fields() for r in forked]
         assert {r.policy for r in serial} == {"none|rev", protocol.BASELINE_POLICY}
         assert _tree_bytes(tmp_path / "serial") == _tree_bytes(tmp_path / "jobs2")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_corrupt_encoder_is_moved_aside_and_retrained(self, stores_root, tmp_path, caplog,
+                                                           jobs):
+        plan = ExperimentPlan(
+            ssl_sets=[("ephnogram",), ("fpcgdb",)],
+            policies=["none|rev"],
+            tasks=THREE_TASKS[:2],
+            seeds=[5],
+            baseline_runs=1,
+        )
+        run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path / "whole")
+        out = tmp_path / "cut"
+        shutil.copytree(tmp_path / "whole", out)
+        # a crash before the data reached the disk leaves a truncated file
+        enc = sorted((out / "encoders").glob("*.ckpt"))[1]
+        enc.write_bytes(enc.read_bytes()[:-7])
+        (out / "ledger.csv").unlink()
+        with caplog.at_level(logging.WARNING, logger="cardioclr.protocol"):
+            run_plan(plan, WindowStores(stores_root), TEST_CFG, out, jobs=jobs)
+        aside = enc.with_name(enc.name + ".corrupt")
+        assert aside.exists()
+        assert {k: v for k, v in _tree_bytes(out).items() if not k.endswith(".corrupt")} \
+            == _tree_bytes(tmp_path / "whole")
+        if jobs == 1:  # a forked worker's warning does not reach caplog
+            assert f"{enc} is corrupt" in caplog.text and aside.name in caplog.text
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_entry_keeps_earlier_rows_and_rerun_completes(
