@@ -20,7 +20,7 @@ import numpy as np
 
 from ._atomic import write_atomic
 from .augment import chain_to_string, parse_policy
-from .errors import DataError
+from .errors import DataError, ParameterError
 from .protocol import BASELINE_POLICY, IN_DISTRIBUTION, OOD, LedgerRow
 
 # Effect sizes measured by the original cluster-scale study of this pipeline
@@ -193,6 +193,8 @@ def top_k_occurrences(
 ) -> OccurrenceReport:
     """Atom occurrence counts across both chains of the top-k experiments of
     each downstream task (each experiment contributes its pair of chains)."""
+    if k < 1:
+        raise ParameterError(f"k must be at least 1, got {k}")
     if eval_kind not in (IN_DISTRIBUTION, OOD):
         raise DataError(f"unknown eval kind {eval_kind!r}")
     tasks: dict[str, list[LedgerRow]] = {}

@@ -127,9 +127,12 @@ def cmd_finetune(args) -> int:
     encoder = meta.get("extra", {})
     enc_id = encoder.get("encoder_id", "")
     task = TaskSpec(args.dataset, args.task)
-    stores = protocol.WindowStores(args.windows)
-    graph, history = protocol.fit_head(freeze_encoder(graph), enc_id, task, cfg.seed, stores, cfg)
-    metrics = evaluate(graph, *protocol.eval_split(stores, args.dataset, cfg.seed, cfg), task)
+    x, metas = protocol.WindowStores(args.windows).load(args.dataset)
+    graph = freeze_encoder(graph)
+    features = graph.embed(x)
+    graph, history = protocol.fit_head(graph, enc_id, task, cfg.seed, features, metas, cfg)
+    metrics = evaluate(graph, *protocol.split_rows(features, metas, args.dataset, cfg.seed, cfg,
+                                                   protocol.TEST), task)
     save_checkpoint(args.out, graph, extra=protocol.model_metadata(
         config_hash(cfg), encoder.get("policy", ""), task, cfg.seed,
         encoder_checkpoint=str(args.ckpt), encoder_id=enc_id))
@@ -152,12 +155,10 @@ def cmd_evaluate(args) -> int:
         own_tag, _, own_type = own.partition(":")
         task_type = own_type if own_tag == args.dataset and own_type else "binary"
     task = TaskSpec(args.dataset, task_type)
-    stores = protocol.WindowStores(args.windows)
+    x, metas = protocol.WindowStores(args.windows).load(args.dataset)
     if args.split == "test":
-        x, metas = protocol.eval_split(stores, args.dataset, cfg.seed, cfg)
-    else:
-        x, metas = stores.load(args.dataset)
-    metrics = evaluate(graph, x, metas, task)
+        x, metas = protocol.split_rows(x, metas, args.dataset, cfg.seed, cfg, protocol.TEST)
+    metrics = evaluate(graph, graph.embed(x), metas, task)
     payload = {
         "model": str(args.model),
         "dataset": args.dataset,
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ledger", required=True)
     p.add_argument("--metric", default="ood_micro_f1", choices=ANALYZE_METRICS)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=25)
+    p.add_argument("--k", type=_positive_int, default=25)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")

@@ -1,5 +1,10 @@
 """Classification heads on top of the (frozen) encoder, plus evaluation.
 
+Heads train and are scored on frozen-encoder features (`ModelGraph.embed`),
+never on windows: the caller embeds each window store once per encoder and
+indexes its splits out of those features, as in SimCLR's linear evaluation.
+Only the fully supervised baseline trains on windows.
+
 Two task types exist: `binary` (normal vs abnormal, shared across datasets)
 and `all` (the dataset's own label set). A 1-logit head thresholds the
 sigmoid at 0.5; wider heads take the argmax.
@@ -12,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import window_rng
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .nn.losses import decisions, task_loss
-from .nn.model import CLASSIFIER, ModelGraph, attach_classifier
+from .nn.model import CLASSIFIER, EVAL_CHUNK, ModelGraph, attach_classifier
 from .nn.optim import Adam
 from .signal_io import LABEL_SETS, ABNORMAL, NORMAL
 
@@ -115,24 +120,23 @@ def metrics_from_confusion(conf: np.ndarray) -> MetricsRecord:
     return MetricsRecord(accuracy, micro, macro, conf, n)
 
 
-def predict_classes(graph: ModelGraph, x: np.ndarray, chunk: int = 256) -> np.ndarray:
-    preds = []
-    for start in range(0, x.shape[0], chunk):
-        logits = graph.forward(x[start : start + chunk], training=False)
-        preds.append(decisions(logits))
-    return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
-
-
-def evaluate(graph: ModelGraph, x: np.ndarray, metas, task: TaskSpec) -> MetricsRecord:
-    """Metrics of the model on labeled windows (pure, order-independent)."""
+def evaluate(graph: ModelGraph, features: np.ndarray, metas, task: TaskSpec) -> MetricsRecord:
+    """Metrics of the graph's head on the frozen-encoder features of labeled
+    windows (`graph.embed`), one row per entry of `metas`; scored
+    `EVAL_CHUNK` rows per head pass. Pure and order-independent."""
     if len(metas) == 0:
         raise DataError("cannot evaluate on an empty window set")
+    if len(features) != len(metas):
+        raise ShapeError(f"{len(features)} feature rows for {len(metas)} windows")
     if graph.head_kind != CLASSIFIER:
         raise ConfigError("evaluate needs a graph with a classification head")
     if graph.n_out != task.n_out:
         raise ConfigError(f"head width {graph.n_out} does not match task {task}")
     y_true = task.encode(metas)
-    y_pred = predict_classes(graph, np.asarray(x, dtype=np.float32))
+    y_pred = np.concatenate([
+        decisions(graph.head_forward(features[start : start + EVAL_CHUNK]))
+        for start in range(0, len(features), EVAL_CHUNK)
+    ])
     return metrics_from_confusion(confusion_matrix(y_true, y_pred, task.n_classes))
 
 
@@ -169,12 +173,16 @@ class HeadEpochStats:
 
 
 def _training_loop(graph, predict, backprop, x_tr, y_tr, x_val, y_val, cfg):
+    """Adam with early stopping on the val loss; `predict(x, training, rng)`
+    gives logits and `backprop(dlogits)` fills the trainable gradients."""
+    if len(y_tr) == 0:
+        raise DataError("empty training split")
     optimizer = Adam(graph.named_params(trainable_only=True), lr=cfg.adam_lr)
 
     def eval_loss(x, y) -> float:
         losses, weights = [], []
-        for start in range(0, x.shape[0], 256):
-            xb, yb = x[start : start + 256], y[start : start + 256]
+        for start in range(0, x.shape[0], EVAL_CHUNK):
+            xb, yb = x[start : start + EVAL_CHUNK], y[start : start + EVAL_CHUNK]
             losses.append(task_loss(predict(xb, False, None), yb)[0])
             weights.append(len(yb))
         return float(np.average(losses, weights=weights))
@@ -219,32 +227,16 @@ def train_head(
 ) -> tuple[ModelGraph, list[HeadEpochStats]]:
     """Attach a fresh classification head to a frozen encoder and train it.
 
-    Because the encoder is frozen, its representations are computed once and
-    the head trains on the cached features; this is equivalent to full
-    forward/backward passes and far cheaper.
+    `train` and `val` are `(features, labels)`, the features taken from
+    `graph.embed`. The encoder is frozen, so training the head on them is
+    the same as full forward/backward passes, and far cheaper.
     """
     if not graph.encoder_frozen:
         raise ConfigError("train_head expects a frozen encoder (freeze_encoder first)")
-    x_tr, y_tr = train
-    x_val, y_val = val
-    if len(y_tr) == 0:
-        raise DataError("empty training split")
     attach_classifier(graph, task.n_out, config.seed, config.dropout)
-
-    emb_tr = graph.embed(np.asarray(x_tr, dtype=np.float32))
-    emb_val = (
-        graph.embed(np.asarray(x_val, dtype=np.float32))
-        if len(y_val)
-        else np.zeros((0, emb_tr.shape[1]), dtype=np.float32)
-    )
-
-    def predict(features, training, rng):
-        return graph.head_forward(features, training=training, rng=rng)
-
-    def backprop(dlogits):
-        graph.head_backward(dlogits, compute_input_grad=False)
-
-    history = _training_loop(graph, predict, backprop, emb_tr, y_tr, emb_val, y_val, config)
+    history = _training_loop(graph, graph.head_forward,
+                             lambda dlogits: graph.head_backward(dlogits, compute_input_grad=False),
+                             *train, *val, config)
     return graph, history
 
 
@@ -258,20 +250,7 @@ def train_baseline(
     """Fully supervised baseline: same architecture and regimen, nothing frozen."""
     if graph.encoder_frozen:
         raise ConfigError("baseline training expects an unfrozen graph")
-    x_tr, y_tr = train
-    x_val, y_val = val
-    if len(y_tr) == 0:
-        raise DataError("empty training split")
     if graph.head_kind != CLASSIFIER or graph.n_out != task.n_out:
         attach_classifier(graph, task.n_out, config.seed, config.dropout)
-    x_tr = np.asarray(x_tr, dtype=np.float32)
-    x_val = np.asarray(x_val, dtype=np.float32)
-
-    def predict(xb, training, rng):
-        return graph.forward(xb, training=training, rng=rng)
-
-    def backprop(dlogits):
-        graph.backward(dlogits)
-
-    history = _training_loop(graph, predict, backprop, x_tr, y_tr, x_val, y_val, config)
+    history = _training_loop(graph, graph.forward, graph.backward, *train, *val, config)
     return graph, history

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import Conv1d, Dense, Dropout, Flatten, MaxPool1d, ReLU
+from .layers import Conv1d, Dense, Dropout, MaxPool1d, ReLU
 from .losses import binary_cross_entropy_loss, cross_entropy_loss
 from .model import EncoderConfig, ModelGraph
 
@@ -115,12 +115,6 @@ def check_maxpool(rng) -> float:
     return _check_layer(layer, x, rng)
 
 
-def check_flatten(rng) -> float:
-    layer = Flatten()
-    x = rng.uniform(-1, 1, (int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(2, 6))))
-    return _check_layer(layer, x, rng)
-
-
 def check_dropout(rng) -> float:
     layer = Dropout(rate=0.5)
     x = rng.uniform(0.5, 1.5, (int(rng.integers(1, 4)), int(rng.integers(2, 8))))
@@ -202,7 +196,6 @@ LAYER_CHECKS = {
     "conv1d": check_conv1d,
     "relu": check_relu,
     "maxpool": check_maxpool,
-    "flatten": check_flatten,
     "dropout": check_dropout,
     "softmax_ce": check_softmax_ce,
     "binary_ce": check_binary_ce,

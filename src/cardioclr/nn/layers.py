@@ -22,6 +22,9 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.
 
 class Layer:
     frozen = False
+    # what an encoder layer's forward keeps for backward (None before any
+    # forward); `ModelGraph.embed` resets it to None after each chunk
+    _cache = None
 
     def params(self) -> dict[str, np.ndarray]:
         return {}
@@ -72,7 +75,6 @@ class Conv1d(Layer):
         self.b = np.zeros(out_channels, dtype=dtype)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
-        self._cache = None
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -147,16 +149,13 @@ class ReLU(Layer):
     """max(x, 0) that lets NaN through (so it reaches the non-finite loss
     check) and gives +0.0 for every x <= 0, -0.0 included."""
 
-    def __init__(self):
-        self._off = None
-
     def forward(self, x, training=False, rng=None):
-        self._off = x <= 0
-        return np.where(self._off, 0, x)
+        self._cache = x <= 0
+        return np.where(self._cache, 0, x)
 
     def backward(self, grad_out, compute_input_grad=True):
-        self._require_cache(self._off)
-        return np.where(self._off, 0, grad_out)
+        self._require_cache(self._cache)
+        return np.where(self._cache, 0, grad_out)
 
 
 class MaxPool1d(Layer):
@@ -171,7 +170,6 @@ class MaxPool1d(Layer):
 
     def __init__(self, width):
         self.width = width
-        self._cache = None
 
     def forward(self, x, training=False, rng=None):
         width = self.width
@@ -194,19 +192,6 @@ class MaxPool1d(Layer):
         for j in range(self.width):
             np.multiply(grad_out, arg == j, out=dx[:, :, j:usable:self.width])
         return dx
-
-
-class Flatten(Layer):
-    def __init__(self):
-        self._shape = None
-
-    def forward(self, x, training=False, rng=None):
-        self._shape = x.shape
-        return np.ascontiguousarray(x).reshape(x.shape[0], -1)
-
-    def backward(self, grad_out, compute_input_grad=True):
-        self._require_cache(self._shape)
-        return grad_out.reshape(self._shape)
 
 
 class Dense(Layer):

@@ -9,10 +9,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, ShapeError, StateError
-from .layers import Conv1d, Dense, Dropout, Flatten, MaxPool1d, ReLU
+from .layers import Conv1d, Dense, Dropout, MaxPool1d, ReLU
 
 PROJECTION = "projection"
 CLASSIFIER = "classifier"
+
+# Windows per encoder pass in `embed`, and feature rows per head pass when
+# heads are scored: every layer keeps its backward cache, so one pass over a
+# whole store would hold a cache the size of the store's activations.
+EVAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -49,13 +54,11 @@ class ModelGraph:
         self.encoder_cfg = encoder_cfg
         self.dtype = dtype
         self.encoder_layers: list = []
-        self.flatten = Flatten()
         self.head_layers: list = []
         self.head_kind: str | None = None
         self.n_out: int | None = None
         self.dropout_rate: float = 0.5
         self.encoder_frozen = False
-        self._head_input: np.ndarray | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -116,34 +119,31 @@ class ModelGraph:
             )
         return x
 
-    def forward(self, x, training=False, rng=None) -> np.ndarray:
-        out = self._check_input(x)
+    def _encode(self, x, training=False, rng=None) -> np.ndarray:
+        """Flattened encoder output of a checked (B, C, L) batch."""
+        out = x
         for layer in self.encoder_layers:
             out = layer.forward(out, training=training, rng=rng)
-        out = self.flatten.forward(out, training=training, rng=rng)
-        return self.head_forward(out, training=training, rng=rng)
+        return np.ascontiguousarray(out).reshape(out.shape[0], -1)
+
+    def forward(self, x, training=False, rng=None) -> np.ndarray:
+        features = self._encode(self._check_input(x), training=training, rng=rng)
+        return self.head_forward(features, training=training, rng=rng)
 
     def head_forward(self, features, training=False, rng=None) -> np.ndarray:
-        self._head_input = features
         out = features
         for layer in self.head_layers:
             out = layer.forward(out, training=training, rng=rng)
         return out
 
     def backward(self, grad_out) -> None:
-        grad = self.head_backward(grad_out, compute_input_grad=not self.encoder_frozen)
-        if self.encoder_frozen:
-            for layer in self.encoder_layers:
-                for g in layer.grads().values():
-                    g[...] = 0.0
-            return
-        grad = self.flatten.backward(grad)
+        """Gradients of every layer; frozen layers report zeros."""
+        grad = self.head_backward(grad_out)
+        grad = grad.reshape(grad.shape[0], *self.encoder_cfg.feature_shape())
         for i in range(len(self.encoder_layers) - 1, -1, -1):
             grad = self.encoder_layers[i].backward(grad, compute_input_grad=i > 0)
 
     def head_backward(self, grad_out, compute_input_grad=True):
-        if self._head_input is None:
-            raise StateError("backward called before forward")
         grad = grad_out
         for i in range(len(self.head_layers) - 1, -1, -1):
             need = compute_input_grad or i > 0
@@ -151,11 +151,17 @@ class ModelGraph:
         return grad
 
     def embed(self, x) -> np.ndarray:
-        """Eval-mode flattened encoder representation."""
-        out = self._check_input(x)
-        for layer in self.encoder_layers:
-            out = layer.forward(out, training=False)
-        return np.ascontiguousarray(out).reshape(out.shape[0], -1)
+        """Eval-mode flattened encoder features of windows, `EVAL_CHUNK`
+        windows per encoder pass. Each window's features depend on that
+        window alone, so any row subset of `embed(x)` equals the embedding
+        of that subset."""
+        x = self._check_input(x)
+        out = np.empty((x.shape[0], self.encoder_cfg.feature_dim()), dtype=self.dtype)
+        for start in range(0, x.shape[0], EVAL_CHUNK):
+            out[start : start + EVAL_CHUNK] = self._encode(x[start : start + EVAL_CHUNK])
+            for layer in self.encoder_layers:
+                layer._cache = None  # nothing backpropagates through `embed`
+        return out
 
     # -- parameter access ---------------------------------------------------
 

@@ -322,27 +322,29 @@ def _pretrain_encoder(ssl_set, policy_text, seed, stores, cfg, out_dir):
     return graph, enc_id
 
 
-def _task_splits(stores: WindowStores, task: TaskSpec, seed: int, cfg: RunConfig):
-    """(train, val) arrays of one downstream task's dataset."""
-    x, metas = stores.load(task.dataset_tag)
-    tr, va, _ = downstream_splits(metas, seed, task.dataset_tag, cfg.split_granularity)
-    y = task.encode(metas)
-    return (x[tr], y[tr]), (x[va], y[va])
+# parts of a downstream split
+TRAIN, VAL, TEST = range(3)
 
 
-def eval_split(stores: WindowStores, tag: str, seed: int, cfg: RunConfig):
-    """(windows, metas) of one dataset's test split."""
-    x, metas = stores.load(tag)
-    _, _, te = downstream_splits(metas, seed, tag, cfg.split_granularity)
-    return x[te], [metas[i] for i in te]
+def split_rows(rows, metas, tag: str, seed: int, cfg: RunConfig, part: int):
+    """`(rows, metas)` of one part (TRAIN, VAL or TEST) of a dataset's store.
+    `rows` are the store's windows or their features, which index alike."""
+    idx = downstream_splits(metas, seed, tag, cfg.split_granularity)[part]
+    return rows[idx], [metas[i] for i in idx]
 
 
-def fit_head(graph, enc_id: str, task: TaskSpec, seed: int, stores: WindowStores,
-             cfg: RunConfig):
-    """Train a head for `task` on a frozen encoder; returns `train_head`'s
+def _train_val(rows, metas, task: TaskSpec, seed: int, cfg: RunConfig):
+    """`(rows, labels)` of the train and of the val part of a task's store."""
+    parts = (split_rows(rows, metas, task.dataset_tag, seed, cfg, part) for part in (TRAIN, VAL))
+    return [(part_rows, task.encode(part_metas)) for part_rows, part_metas in parts]
+
+
+def fit_head(graph, enc_id: str, task: TaskSpec, seed: int, features, metas, cfg: RunConfig):
+    """Train a head for `task` on a frozen encoder from its dataset's
+    features (`graph.embed` of the whole store); returns `train_head`'s
     (graph, history). The head seed derives from (enc_id, task, seed)."""
     ds_cfg = downstream_config(cfg, seed=derived_seed("head", enc_id, str(task), seed))
-    return train_head(graph, task, *_task_splits(stores, task, seed, cfg), ds_cfg)
+    return train_head(graph, task, *_train_val(features, metas, task, seed, cfg), ds_cfg)
 
 
 def model_metadata(cfg_hash: str, policy_text: str, task: TaskSpec, seed: int,
@@ -353,15 +355,17 @@ def model_metadata(cfg_hash: str, policy_text: str, task: TaskSpec, seed: int,
             **encoder}
 
 
-def _model_rows(graph, task, tasks, stores, cfg, seed, ssl_set, policy_text, out_dir,
+def _model_rows(graph, task, tasks, test_features, cfg, seed, ssl_set, policy_text, out_dir,
                 encoder=None) -> list[LedgerRow]:
     """Checkpoint one trained model and evaluate it in-distribution and OOD.
 
-    OOD evaluation reuses the trained head on the other labeled datasets,
-    which is only label-compatible for 1-logit (binary) heads; wider `all`
-    heads are evaluated in-distribution only. With `graph=None` (training
-    failed) the same rows come back with status=failed and no metrics, so
-    sweep statistics keep the full denominator.
+    `test_features(tag)` gives the `(features, metas)` of a dataset's test
+    split under the model's encoder. OOD evaluation reuses the trained head
+    on the other labeled datasets, which is only label-compatible for
+    1-logit (binary) heads; wider `all` heads are evaluated in-distribution
+    only. With `graph=None` (training failed) the same rows come back with
+    status=failed and no metrics, so sweep statistics keep the full
+    denominator.
     """
     cfg_hash = config_hash(cfg)
     exp_id = experiment_id(cfg_hash, ssl_set, policy_text, task.dataset_tag, task.task_type, seed)
@@ -380,7 +384,7 @@ def _model_rows(graph, task, tasks, stores, cfg, seed, ssl_set, policy_text, out
         accuracy = micro_f1 = macro_f1 = None
         if graph is not None:
             eval_task = task if kind == IN_DISTRIBUTION else TaskSpec(eval_tag, "binary")
-            m = evaluate(graph, *eval_split(stores, eval_tag, seed, cfg), eval_task)
+            m = evaluate(graph, *test_features(eval_tag), eval_task)
             accuracy, micro_f1, macro_f1 = m.accuracy, m.micro_f1, m.macro_f1
         rows.append(LedgerRow(
             experiment_id=exp_id, ssl_set="+".join(ssl_set), policy=policy_text,
@@ -400,9 +404,18 @@ def _warn(fmt: str, *args) -> None:
     logging.getLogger(__name__).warning(fmt, *args)
 
 
-def _log_failure(item: str, exc: CardioclrError) -> None:
+def _item_label(item) -> str:
+    """How logs and errors name a work item: an SSL entry `(ssl_set, policy,
+    seed)` or a baseline replicate `(task, rep_seed)`."""
+    if isinstance(item[0], TaskSpec):
+        return f"baseline replicate ({item[0]}, seed {item[1]})"
+    ssl_set, policy_text, seed = item
+    return f"SSL entry ({'+'.join(ssl_set)}, {policy_text!r}, seed {seed})"
+
+
+def _log_failure(item, exc: CardioclrError) -> None:
     """Warn that a work item failed and its rows are marked failed."""
-    _warn("%s failed: %s: %s", item, type(exc).__name__, exc)
+    _warn("%s failed: %s: %s", _item_label(item), type(exc).__name__, exc)
 
 
 def run_experiment(
@@ -424,15 +437,25 @@ def run_experiment(
     try:
         graph, enc_id = _pretrain_encoder(ssl_set, policy_text, seed, stores, cfg, out_dir)
         encoder = {"encoder_checkpoint": f"encoders/{enc_id}.ckpt", "encoder_id": enc_id}
+        # the encoder is frozen: each task's store goes through it once, and
+        # every head trains and is scored on those features
+        features = {}
         for task in tasks:
-            graph, _ = fit_head(graph, enc_id, task, seed, stores, cfg)
-            rows += _model_rows(graph, task, tasks, stores, cfg, seed, ssl_set, policy_text,
-                                out_dir, encoder)
+            x, metas = stores.load(task.dataset_tag)
+            features[task.dataset_tag] = graph.embed(x), metas
+
+        def test_features(tag):
+            return split_rows(*features[tag], tag, seed, cfg, TEST)
+
+        for task in tasks:
+            graph, _ = fit_head(graph, enc_id, task, seed, *features[task.dataset_tag], cfg)
+            rows += _model_rows(graph, task, tasks, test_features, cfg, seed, ssl_set,
+                                policy_text, out_dir, encoder)
             done += 1
     except CardioclrError as exc:
-        _log_failure(f"SSL entry ({'+'.join(ssl_set)}, {policy_text!r}, seed {seed})", exc)
+        _log_failure((ssl_set, policy_text, seed), exc)
         for task in tasks[done:]:
-            rows += _model_rows(None, task, tasks, stores, cfg, seed, ssl_set, policy_text, out_dir)
+            rows += _model_rows(None, task, tasks, None, cfg, seed, ssl_set, policy_text, out_dir)
     return rows
 
 
@@ -444,20 +467,28 @@ def run_baseline(
     cfg: RunConfig,
     out_dir,
 ) -> list[LedgerRow]:
-    """One fully-supervised baseline replicate, evaluated ID and OOD; a
-    `CardioclrError` in training or evaluation marks all of its rows failed."""
+    """One fully-supervised baseline replicate, trained on windows and
+    evaluated ID and OOD on each test split embedded once by its trained
+    encoder; a `CardioclrError` in training or evaluation marks all of its
+    rows failed."""
     cfg_hash = config_hash(cfg)
     graph = build_ssl_graph(encoder_config(cfg),
                             seed=derived_seed("baseline-init", cfg_hash, str(task), seed))
     graph.drop_head()
     ds_cfg = downstream_config(cfg, seed=derived_seed("baseline-head", cfg_hash, str(task), seed))
+
+    def test_features(tag):
+        x, metas = split_rows(*stores.load(tag), tag, seed, cfg, TEST)
+        return graph.embed(x), metas
+
     try:
-        graph, _ = train_baseline(graph, task, *_task_splits(stores, task, seed, cfg), ds_cfg)
-        return _model_rows(graph, task, tasks, stores, cfg, seed, ("none",), BASELINE_POLICY,
-                           out_dir)
+        train_val = _train_val(*stores.load(task.dataset_tag), task, seed, cfg)
+        graph, _ = train_baseline(graph, task, *train_val, ds_cfg)
+        return _model_rows(graph, task, tasks, test_features, cfg, seed, ("none",),
+                           BASELINE_POLICY, out_dir)
     except CardioclrError as exc:
-        _log_failure(f"baseline replicate ({task}, seed {seed})", exc)
-        return _model_rows(None, task, tasks, stores, cfg, seed, ("none",), BASELINE_POLICY,
+        _log_failure((task, seed), exc)
+        return _model_rows(None, task, tasks, None, cfg, seed, ("none",), BASELINE_POLICY,
                            out_dir)
 
 
@@ -493,13 +524,39 @@ def _item_rows(pending, args, jobs):
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # fork, not spawn: workers inherit the loaded window stores instead of
     # unpickling a copy each; only work items and ledger rows are pickled
+    done = 0
     with ProcessPoolExecutor(min(jobs, len(pending)),
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker, initargs=args) as pool:
-        yield from pool.map(_run_in_worker, pending)
+        try:
+            for rows in pool.map(_run_in_worker, pending):
+                yield rows
+                done += 1
+        except BrokenProcessPool:  # a worker was killed: out of memory, a signal
+            unfinished = "; ".join(_item_label(item) for item in pending[done:])
+            raise CardioclrError("a sweep worker process died; these plan items did not "
+                                 f"finish: {unfinished}") from None
+
+
+def _check_splits(pending, tasks, stores, cfg) -> None:
+    """Raise `DataError` if a pending item would train a head on an empty
+    train split or score one on an empty test split."""
+    needs: dict[tuple[str, int], set] = {}  # (tag, seed) -> parts that must not be empty
+    for item in pending:
+        for task in [item[0]] if isinstance(item[0], TaskSpec) else tasks:
+            needs.setdefault((task.dataset_tag, item[-1]), set()).update((TRAIN, TEST))
+            for other in tasks if task.n_out == 1 else ():  # OOD evaluations
+                needs.setdefault((other.dataset_tag, item[-1]), set()).add(TEST)
+    for (tag, seed), parts in needs.items():
+        metas = stores.load(tag)[1]
+        sizes = [len(idx) for idx in downstream_splits(metas, seed, tag, cfg.split_granularity)]
+        if any(sizes[part] == 0 for part in parts):
+            raise DataError(f"dataset {tag!r} at seed {seed} splits into train/val/test sizes "
+                            f"{sizes}; heads need a non-empty train and test split")
 
 
 def run_plan(
@@ -524,7 +581,7 @@ def run_plan(
 
     cfg_hash = config_hash(cfg)
     pending: list[tuple] = []
-    tags: list[str] = []  # window stores the pending items read
+    tags: list[str] = []  # SSL stores the pending items pretrain on
     for ssl_set, policy, seed in plan.entries():
         ids = {
             experiment_id(cfg_hash, ssl_set, policy, t.dataset_tag, t.task_type, seed)
@@ -540,14 +597,13 @@ def run_plan(
                                    task.dataset_tag, task.task_type, rep_seed)
             if exp_id not in existing:
                 pending.append((task, rep_seed))
-    if pending:
-        # every item evaluates on every task's dataset
-        tags.extend(t.dataset_tag for t in plan.tasks)
 
-    # loaded up front, so a missing store fails before any training starts
-    # and forked workers inherit every store
+    # loaded up front, so a missing store or an empty split fails before any
+    # training starts, and forked workers inherit every store; the split
+    # check loads every store an item trains a head on or evaluates on
     for tag in tags:
         stores.load(tag)
+    _check_splits(pending, plan.tasks, stores, cfg)
     with closing(_item_rows(pending, (plan.tasks, stores, cfg, out_dir), jobs)) as results:
         for new_rows in results:
             rows.extend(new_rows)

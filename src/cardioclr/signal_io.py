@@ -445,6 +445,19 @@ class SynthProfile:
     min_seconds: float = 10.0
     max_seconds: float = 30.0
 
+    def __post_init__(self):
+        if self.sample_rate <= 0:
+            raise ParameterError(f"sample rate must be positive, got {self.sample_rate}")
+        if not 0 < self.min_seconds <= self.max_seconds:
+            raise ParameterError(f"need 0 < min_seconds <= max_seconds, got "
+                                 f"{self.min_seconds} and {self.max_seconds}")
+        if not 0 <= self.murmur_band[0] < self.murmur_band[1] < self.sample_rate / 2:
+            raise ParameterError(f"murmur band {self.murmur_band} Hz must satisfy 0 <= low < high "
+                                 f"< rate/2 = {self.sample_rate / 2}")
+        for name in ("burst_amp", "murmur_amp", "noise_floor"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
+
 
 def _bandpass(x: np.ndarray, lo_hz: float, hi_hz: float, fs: int) -> np.ndarray:
     lp = lowpass_taps(201, hi_hz / fs)

@@ -265,8 +265,9 @@ def test_c5_end_to_end_smoke(smoke_windows):
     graph, history = pretrain(graph, x, parse_policy("lp(500,450)|flip(0.5)"), pc)
     graph = freeze_encoder(graph)
     dc = DownstreamConfig(adam_lr=1e-3, max_epochs=60, patience=20, seed=0)
-    graph, _ = train_head(graph, task, (x[tr], y[tr]), (x[va], y[va]), dc)
-    metrics = evaluate(graph, x[te], [metas[i] for i in te], task)
+    f = graph.embed(x)
+    graph, _ = train_head(graph, task, (f[tr], y[tr]), (f[va], y[va]), dc)
+    metrics = evaluate(graph, f[te], [metas[i] for i in te], task)
     elapsed = time.time() - start
     report(
         5, "end-to-end-smoke",
@@ -308,17 +309,18 @@ def test_c6_ood_robustness_direction(two_domains):
         graph, _ = pretrain(graph, pool, policy, pc)
         graph = freeze_encoder(graph)
         dc = DownstreamConfig(adam_lr=1e-3, max_epochs=60, patience=20, seed=seed)
-        graph, _ = train_head(graph, task, (xa[tr], ya[tr]), (xa[va], ya[va]), dc)
-        ssl_id = evaluate(graph, xa[te], [ma[i] for i in te], task).accuracy
-        ssl_ood = evaluate(graph, xb, mb, task).accuracy
+        fa, fb = graph.embed(xa), graph.embed(xb)
+        graph, _ = train_head(graph, task, (fa[tr], ya[tr]), (fa[va], ya[va]), dc)
+        ssl_id = evaluate(graph, fa[te], [ma[i] for i in te], task).accuracy
+        ssl_ood = evaluate(graph, fb, mb, task).accuracy
         ssl_drops.append(ssl_id - ssl_ood)
 
         base = build_ssl_graph(DESK_ENCODER, seed=seed + 100)
         base.drop_head()
         bc = DownstreamConfig(adam_lr=1e-3, max_epochs=25, patience=20, seed=seed)
         base, _ = train_baseline(base, task, (xa[tr], ya[tr]), (xa[va], ya[va]), bc)
-        base_id = evaluate(base, xa[te], [ma[i] for i in te], task).accuracy
-        base_ood = evaluate(base, xb, mb, task).accuracy
+        base_id = evaluate(base, base.embed(xa[te]), [ma[i] for i in te], task).accuracy
+        base_ood = evaluate(base, base.embed(xb), mb, task).accuracy
         baseline_drops.append(base_id - base_ood)
 
     ssl_mean = float(np.mean(ssl_drops))

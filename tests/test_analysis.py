@@ -17,7 +17,7 @@ from cardioclr.analysis import (
     top_k_occurrences,
 )
 from cardioclr.augment import default_atom_grid
-from cardioclr.errors import DataError
+from cardioclr.errors import DataError, ParameterError
 from cardioclr.protocol import LedgerRow
 
 
@@ -211,6 +211,11 @@ class TestTopK:
     def test_unknown_eval_kind(self):
         with pytest.raises(DataError):
             top_k_occurrences(_topk_fixture(), k=25, eval_kind="validation")
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ParameterError, match=f"k must be at least 1, got {k}"):
+            top_k_occurrences(_topk_fixture(), k=k, eval_kind="ood")
 
 
 class TestEmitReport:

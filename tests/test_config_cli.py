@@ -217,6 +217,32 @@ class TestCliBasics:
         assert "invalid choice" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("k", ["0", "-1", "two"])
+    def test_analyze_rejects_bad_k(self, tmp_path, capsys, k):
+        code = cli.main(["analyze", "--ledger", str(tmp_path / "ledger.csv"),
+                         "--out", str(tmp_path / "out"), "--k", k])
+        assert code == 2
+        assert "--k" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--rate", "-5"], "sample rate must be positive, got -5"),
+        (["--rate", "0"], "sample rate must be positive, got 0"),
+        (["--murmur-low", "500", "--murmur-high", "100"], "murmur band (500.0, 100.0) Hz"),
+        (["--murmur-low", "-10"], "murmur band (-10.0, 400.0) Hz"),
+        (["--murmur-high", "1000"], "< rate/2 = 1000.0"),
+        (["--murmur-amp", "-0.1"], "murmur_amp must be non-negative, got -0.1"),
+        (["--noise-floor", "-0.002"], "noise_floor must be non-negative, got -0.002"),
+    ], ids=["negative_rate", "zero_rate", "inverted_band", "negative_band", "band_at_nyquist",
+            "negative_amp", "negative_noise"])
+    def test_synth_rejects_a_bad_profile(self, tmp_path, capsys, flags, message):
+        code = cli.main(["synth", "--out", str(tmp_path / "raw"), "--n-recordings", "2", *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ParameterError: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "raw").exists()
+
     @pytest.mark.parametrize("flag", [["--granularity", "per-window"], ["--seed", "1"]])
     def test_prepare_has_no_split_flags(self, tmp_path, capsys, flag):
         code = cli.main(["prepare", "--manifest", str(tmp_path / "m.tsv"),

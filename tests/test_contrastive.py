@@ -211,7 +211,8 @@ class TestFreeze:
 
         task = TaskSpec("synthetic", "binary")
         cfg = DownstreamConfig(max_epochs=3, patience=2, seed=0)
-        train_head(graph, task, (x[:32], labels[:32]), (x[32:], labels[32:]), cfg)
+        f = graph.embed(x)
+        train_head(graph, task, (f[:32], labels[:32]), (f[32:], labels[32:]), cfg)
         assert graph.encoder_bytes() == before
 
     def test_classifier_inits_differ_across_seeds(self):

@@ -13,9 +13,11 @@ from cardioclr.downstream import (
     train_baseline,
     train_head,
 )
-from cardioclr.errors import ConfigError, DataError
+from cardioclr.errors import ConfigError, DataError, ShapeError
 from cardioclr.nn import EncoderConfig, attach_classifier, build_ssl_graph
 from cardioclr.nn.layers import Dense
+from cardioclr.nn.losses import decisions
+from cardioclr.nn.model import EVAL_CHUNK
 from cardioclr.signal_io import LabeledWindow
 
 CFG = EncoderConfig(
@@ -106,21 +108,28 @@ class TestEvaluate:
     def test_empty_windows_rejected(self):
         graph = self._trained_graph()
         with pytest.raises(DataError):
-            evaluate(graph, np.zeros((0, 10000), dtype=np.float32), [], TaskSpec("synthetic", "binary"))
+            evaluate(graph, np.zeros((0, CFG.feature_dim()), dtype=np.float32), [],
+                     TaskSpec("synthetic", "binary"))
+
+    def test_feature_rows_must_match_metas(self):
+        graph = self._trained_graph()
+        with pytest.raises(ShapeError):
+            evaluate(graph, np.zeros((3, CFG.feature_dim()), dtype=np.float32),
+                     _metas(["normal"] * 2), TaskSpec("synthetic", "binary"))
 
     def test_argmax_invariance_under_monotone_transform(self):
         # doubling and shifting all logits cannot change decisions or metrics
         graph = self._trained_graph(n_out=1)
         rng = np.random.default_rng(2)
-        x = rng.uniform(-1, 1, (12, 10000)).astype(np.float32)
+        features = graph.embed(rng.uniform(-1, 1, (12, 10000)).astype(np.float32))
         metas = _metas(["normal"] * 6 + ["abnormal"] * 6)
         task = TaskSpec("synthetic", "binary")
-        base = evaluate(graph, x, metas, task)
+        base = evaluate(graph, features, metas, task)
 
         final: Dense = graph.head_layers[-1]
         final.w[...] *= 2.0
         final.b[...] *= 2.0
-        transformed = evaluate(graph, x, metas, task)
+        transformed = evaluate(graph, features, metas, task)
         assert base.accuracy == transformed.accuracy
         assert base.micro_f1 == transformed.micro_f1
         np.testing.assert_array_equal(base.confusion, transformed.confusion)
@@ -128,14 +137,27 @@ class TestEvaluate:
     def test_order_independence(self):
         graph = self._trained_graph(n_out=1)
         rng = np.random.default_rng(3)
-        x = rng.uniform(-1, 1, (10, 10000)).astype(np.float32)
+        features = graph.embed(rng.uniform(-1, 1, (10, 10000)).astype(np.float32))
         metas = _metas(["normal"] * 5 + ["abnormal"] * 5)
         task = TaskSpec("synthetic", "binary")
-        m1 = evaluate(graph, x, metas, task)
+        m1 = evaluate(graph, features, metas, task)
         perm = rng.permutation(10)
-        m2 = evaluate(graph, x[perm], [metas[i] for i in perm], task)
+        m2 = evaluate(graph, features[perm], [metas[i] for i in perm], task)
         assert m1.accuracy == m2.accuracy
         np.testing.assert_array_equal(m1.confusion, m2.confusion)
+
+    def test_scores_what_the_full_forward_pass_decides(self):
+        # evaluate on embedded features gives the decisions of `forward` on
+        # the windows, across an EVAL_CHUNK boundary of the head passes
+        graph = self._trained_graph(n_out=1)
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1, 1, (EVAL_CHUNK + 5, 10000)).astype(np.float32)
+        metas = _metas(["normal", "abnormal"] * ((EVAL_CHUNK + 5) // 2) + ["normal"])
+        task = TaskSpec("synthetic", "binary")
+        y_pred = np.concatenate([decisions(graph.forward(x[s : s + 64])) for s in range(0, len(x), 64)])
+        expected = metrics_from_confusion(confusion_matrix(task.encode(metas), y_pred, 2))
+        np.testing.assert_array_equal(evaluate(graph, graph.embed(x), metas, task).confusion,
+                                      expected.confusion)
 
 
 def _separable_windows(n, seed=0):
@@ -156,7 +178,8 @@ class TestTrainHead:
         graph.freeze_encoder()
         graph.drop_head()
         cfg = DownstreamConfig(adam_lr=3e-3, max_epochs=100, patience=99, seed=0, dropout=0.0)
-        graph, _ = train_head(graph, TaskSpec("synthetic", "binary"), (x, y), (x[:16], y[:16]), cfg)
+        f = graph.embed(x)
+        graph, _ = train_head(graph, TaskSpec("synthetic", "binary"), (f, y), (f[:16], y[:16]), cfg)
         preds = []
         for start in range(0, 64, 32):
             logits = graph.forward(x[start : start + 32])
@@ -171,7 +194,8 @@ class TestTrainHead:
         graph.drop_head()
         before = graph.encoder_bytes()
         cfg = DownstreamConfig(max_epochs=4, patience=3, seed=0)
-        train_head(graph, TaskSpec("synthetic", "binary"), (x, y), (x[:8], y[:8]), cfg)
+        f = graph.embed(x)
+        train_head(graph, TaskSpec("synthetic", "binary"), (f, y), (f[:8], y[:8]), cfg)
         assert graph.encoder_bytes() == before
 
     def test_zero_lr_constant_val_loss_stops_at_21(self):
@@ -180,17 +204,19 @@ class TestTrainHead:
         graph.freeze_encoder()
         graph.drop_head()
         cfg = DownstreamConfig(adam_lr=0.0, max_epochs=100, patience=20, seed=0)
-        _, history = train_head(graph, TaskSpec("synthetic", "binary"), (x, y), (x[:8], y[:8]), cfg)
+        f = graph.embed(x)
+        _, history = train_head(graph, TaskSpec("synthetic", "binary"), (f, y), (f[:8], y[:8]), cfg)
         assert len(history) == 21
         vals = {round(h.val_loss, 12) for h in history}
         assert len(vals) == 1
 
     def test_unfrozen_encoder_rejected(self):
         graph = build_ssl_graph(CFG, seed=0)
+        dim = CFG.feature_dim()
         with pytest.raises(ConfigError):
             train_head(graph, TaskSpec("synthetic", "binary"),
-                       (np.zeros((4, 10000), np.float32), np.zeros(4, np.int64)),
-                       (np.zeros((0, 10000), np.float32), np.zeros(0, np.int64)),
+                       (np.zeros((4, dim), np.float32), np.zeros(4, np.int64)),
+                       (np.zeros((0, dim), np.float32), np.zeros(0, np.int64)),
                        DownstreamConfig(max_epochs=2, patience=1))
 
 

@@ -17,7 +17,6 @@ from cardioclr.nn import (
     Conv1d,
     Dropout,
     EncoderConfig,
-    Flatten,
     Lars,
     LrSchedule,
     MaxPool1d,
@@ -28,6 +27,7 @@ from cardioclr.nn import (
     save_checkpoint,
 )
 from cardioclr.nn.gradcheck import run_gradient_suite
+from cardioclr.nn.model import EVAL_CHUNK
 from cardioclr.nn.losses import (
     binary_cross_entropy_loss,
     cross_entropy_loss,
@@ -321,6 +321,39 @@ class TestBlockOrder:
         assert new.embed(x).tobytes() == old.embed(x).tobytes()
 
 
+class TestEmbed:
+    def test_chunks_across_a_boundary_give_per_window_bytes(self, monkeypatch):
+        """EVAL_CHUNK + 44 windows: the encoder runs on EVAL_CHUNK windows,
+        then on 44, and every feature row has the bytes of its window
+        embedded alone."""
+        graph = build_ssl_graph(DESK_ENCODER, seed=5)
+        n = EVAL_CHUNK + 44
+        x = np.random.default_rng(8).standard_normal((n, DESK_ENCODER.input_len)).astype(np.float32)
+        first = graph.encoder_layers[0]
+        real, batches = first.forward, []
+
+        def counted(inp, **kwargs):
+            batches.append(len(inp))
+            return real(inp, **kwargs)
+
+        monkeypatch.setattr(first, "forward", counted)
+        features = graph.embed(x)
+        assert batches == [EVAL_CHUNK, 44]
+        assert features.shape == (n, DESK_ENCODER.feature_dim())
+        for i in range(n):
+            assert features[i].tobytes() == graph.embed(x[i : i + 1])[0].tobytes(), i
+
+    def test_forward_is_the_head_on_embedded_features(self):
+        graph = build_ssl_graph(DESK_ENCODER, seed=6)
+        x = np.random.default_rng(9).standard_normal((5, DESK_ENCODER.input_len)).astype(np.float32)
+        assert graph.forward(x).tobytes() == graph.head_forward(graph.embed(x)).tobytes()
+
+    def test_no_windows_give_no_rows(self):
+        graph = build_ssl_graph(DESK_ENCODER, seed=6)
+        features = graph.embed(np.zeros((0, DESK_ENCODER.input_len), dtype=np.float32))
+        assert features.shape == (0, DESK_ENCODER.feature_dim())
+
+
 class TestConv1d:
     def test_single_tap_identity(self):
         layer = Conv1d(1, 1, 1, np.random.default_rng(0))
@@ -408,13 +441,6 @@ class TestOtherLayers:
         values = np.unique(out)
         assert set(values.tolist()) <= {0.0, 2.0}
         assert abs((out == 0).mean() - 0.5) < 0.05
-
-    def test_flatten_round_trip(self):
-        layer = Flatten()
-        x = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
-        flat = layer.forward(x)
-        assert flat.shape == (2, 12)
-        np.testing.assert_array_equal(layer.backward(flat), x)
 
 
 class TestLosses:

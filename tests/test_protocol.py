@@ -4,15 +4,18 @@ import logging
 import os
 import re
 import shutil
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from cardioclr import protocol
+from cardioclr import signal_io as sio
 from cardioclr.config import RunConfig
 from cardioclr.downstream import TaskSpec
-from cardioclr.errors import ConfigError, DataError, NumericError
-from cardioclr.nn import load_checkpoint
+from cardioclr.errors import CardioclrError, ConfigError, DataError, NumericError
+from cardioclr.nn import ModelGraph, load_checkpoint
 from cardioclr.protocol import (
     ExperimentPlan,
     LedgerRow,
@@ -205,6 +208,40 @@ class TestRunExperiment:
                 _, meta = load_checkpoint(tmp_path / row.checkpoint)
                 encoder_ids.add(meta["extra"]["encoder_id"])
         assert len(encoder_ids) == 1
+
+    def test_each_task_store_goes_through_the_encoder_once(self, stores_root, tmp_path,
+                                                           monkeypatch):
+        """Heads train and are scored on features: `embed` sees every window
+        of each task's store once, and `forward` runs only in pretraining."""
+        real_embed, real_forward, real_pretrain = ModelGraph.embed, ModelGraph.forward, \
+            protocol.pretrain
+        embedded, forwards, pretraining = [], [], []
+
+        def embed(graph, x):
+            embedded.append(len(x))
+            return real_embed(graph, x)
+
+        def forward(graph, x, *args, **kwargs):
+            forwards.append(bool(pretraining))
+            return real_forward(graph, x, *args, **kwargs)
+
+        def pretrain(*args, **kwargs):
+            pretraining.append(True)
+            try:
+                return real_pretrain(*args, **kwargs)
+            finally:
+                pretraining.pop()
+
+        monkeypatch.setattr(ModelGraph, "embed", embed)
+        monkeypatch.setattr(ModelGraph, "forward", forward)
+        monkeypatch.setattr(protocol, "pretrain", pretrain)
+        stores = WindowStores(stores_root)
+        rows = run_experiment(("ephnogram",), "none|rev", 3, THREE_TASKS, stores, TEST_CFG,
+                              tmp_path)
+        assert len(rows) == 9 and all(r.status == "ok" for r in rows)
+        assert sum(embedded) == sum(len(stores.load(t.dataset_tag)[1]) for t in THREE_TASKS)
+        assert len(embedded) == len(THREE_TASKS)
+        assert forwards and all(forwards)
 
     def test_numeric_failure_marks_all_rows(self, stores_root, tmp_path, monkeypatch):
         def explode(*a, **k):
@@ -410,6 +447,53 @@ class TestRunPlan:
         with pytest.raises(DataError, match="'circor'"):
             run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path, jobs=jobs)
         assert list(tmp_path.iterdir()) == []
+
+    def test_empty_test_split_fails_before_any_training(self, tmp_path):
+        # 6 synthetic recordings at seed 4: the per-recording split leaves
+        # no recording for the 10% test share
+        raw, stores = tmp_path / "raw", tmp_path / "stores"
+        sio.generate_synthetic_manifest(raw, seed=4, n_recordings=6)
+        sio.prepare_manifest(raw / "manifest.tsv", stores)
+        plan = parse_plan_text("[ssl_sets]\nsynthetic\n[policies]\nnone|inv\n"
+                               "[tasks]\nsynthetic:binary\n[seeds]\n4\n")
+        out = tmp_path / "out"
+        with pytest.raises(DataError, match=re.escape(
+                "dataset 'synthetic' at seed 4 splits into train/val/test sizes [26, 9, 0]")):
+            run_plan(plan, WindowStores(stores), TEST_CFG, out, jobs=2)
+        assert not out.exists()
+
+    def test_killed_worker_is_an_error_naming_the_unfinished_items(self, stores_root, tmp_path,
+                                                                   monkeypatch):
+        plan = ExperimentPlan(
+            ssl_sets=[("ephnogram",)],
+            policies=["none|rev"],
+            tasks=THREE_TASKS[:2],
+            seeds=[5],
+            baseline_runs=1,
+        )
+        whole = run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path / "whole")
+        out = tmp_path / "cut"
+
+        def killed(*args):
+            # once the SSL entry's rows are in the ledger, so it holds a
+            # non-empty prefix
+            deadline = time.monotonic() + 120
+            while not (out / "ledger.csv").exists() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(protocol, "run_baseline", killed)
+        with pytest.raises(CardioclrError) as info:
+            run_plan(plan, WindowStores(stores_root), TEST_CFG, out, jobs=2)
+        baselines = [f"baseline replicate ({r.downstream}:{r.task}, seed {r.seed})"
+                     for r in whole if r.policy == protocol.BASELINE_POLICY
+                     and r.eval_kind == "in_distribution"]
+        assert len(baselines) == 2
+        assert str(info.value) == ("a sweep worker process died; these plan items did not "
+                                   "finish: " + "; ".join(baselines))
+        cut = [r.to_csv_fields() for r in read_ledger(out / "ledger.csv")]
+        assert cut and cut == [r.to_csv_fields() for r in whole[:len(cut)]]
+        assert {r[2] for r in cut} == {"none|rev"}
 
     def test_plan_parsing(self):
         plan = parse_plan_text(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 import wave
 
@@ -373,6 +374,16 @@ class TestSynthetic:
         normal_db = [band_db(e) for e in manifest.entries if e.original_label == "normal"]
         abnormal_db = [band_db(e) for e in manifest.entries if e.original_label == "abnormal"]
         assert max(normal_db) <= min(abnormal_db) - 10.0
+
+    @pytest.mark.parametrize("knobs,message", [
+        (dict(min_seconds=0.0), "need 0 < min_seconds <= max_seconds"),
+        (dict(min_seconds=31.0), "need 0 < min_seconds <= max_seconds"),
+        (dict(burst_amp=-0.6), "burst_amp must be non-negative"),
+        (dict(murmur_band=(150.0, 150.0)), "murmur band (150.0, 150.0) Hz"),
+    ])
+    def test_profile_rejects_bad_knobs(self, knobs, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            sio.SynthProfile(**knobs)
 
     def test_manifest_round_trip(self, tmp_path):
         manifest = sio.generate_synthetic_manifest(tmp_path, seed=3, n_recordings=3)
