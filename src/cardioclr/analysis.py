@@ -100,13 +100,7 @@ def _deletion_variants(policy_text: str, atom: str) -> list[str]:
                 variants.append(f"{left_s}|{right_s}")
                 if left_s != right_s:
                     variants.append(f"{right_s}|{left_s}")
-    seen = set()
-    unique = []
-    for v in variants:
-        if v not in seen:
-            seen.add(v)
-            unique.append(v)
-    return unique
+    return list(dict.fromkeys(variants))  # unique, in order
 
 
 def _metric(row: LedgerRow, metric: str) -> float:

@@ -21,11 +21,12 @@ from . import signal_io as sio
 from ._atomic import write_atomic
 from .augment import default_atom_grid, parse_policy
 from .config import RunConfig, config_hash, parse_config
-from .contrastive import freeze_encoder, history_to_csv
+from .contrastive import freeze_encoder
 from .downstream import TaskSpec, evaluate
 from .errors import CardioclrError, ConfigError
 from .nn import load_checkpoint, save_checkpoint
 from .nn.gradcheck import TOLERANCE, run_gradient_suite
+from .nn.optim import history_to_csv
 
 log = logging.getLogger("cardioclr")
 

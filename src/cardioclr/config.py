@@ -12,6 +12,7 @@ in the source file.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import fields, make_dataclass
 from pathlib import Path
 
@@ -35,7 +36,14 @@ def _parse_int_tuple(text: str) -> tuple:
     return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
-_PARSERS = {int: int, float: float, str: str, tuple: _parse_int_tuple}
+def _parse_finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+_PARSERS = {int: int, float: _parse_finite_float, str: str, tuple: _parse_int_tuple}
 
 
 def _entries():

@@ -9,7 +9,6 @@ other views by cosine similarity; the total is the mean over all 2N anchors
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .augment import AugmentationPolicy, apply_policy, window_rng
 from .errors import ConfigError, NumericError, ParameterError
 from .nn.model import ModelGraph
-from .nn.optim import Lars, LrSchedule
+from .nn.optim import EpochStats, Lars, LrSchedule, check_stopping, early_stopping
 
 
 def _pair_index(two_n: int) -> np.ndarray:
@@ -99,35 +98,11 @@ class PretrainConfig:
             raise ConfigError("batch size must be at least 2")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError("val_fraction must lie in [0, 1)")
-        if self.patience >= self.max_epochs:
-            raise ConfigError("patience must be smaller than max_epochs")
-        for name in ("peak_lr", "lr_floor_fraction", "lars_trust", "lars_momentum",
+        check_stopping(self)
+        for name in ("warmup_epochs", "peak_lr", "lr_floor_fraction", "lars_trust", "lars_momentum",
                      "lars_weight_decay"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-
-
-@dataclass
-class EpochStats:
-    epoch: int
-    train_loss: float
-    val_loss: float
-    lr: float
-
-
-def best_val_loss(history: list[EpochStats]) -> float | None:
-    """Lowest finite validation loss, or None when no epoch had one (a
-    validation split of fewer than 2 windows), so JSON gets null, not NaN."""
-    finite = [h.val_loss for h in history if np.isfinite(h.val_loss)]
-    return min(finite) if finite else None
-
-
-def history_to_csv(history: list[EpochStats]) -> str:
-    buf = io.StringIO()
-    buf.write("epoch,train_loss,val_loss,lr\n")
-    for row in history:
-        buf.write(f"{row.epoch},{row.train_loss:.8f},{row.val_loss:.8f},{row.lr:.8f}\n")
-    return buf.getvalue()
 
 
 def _make_views(x_batch, indices, policy, seed, stream, epoch):
@@ -189,8 +164,6 @@ def pretrain(
     )
 
     def validation_loss() -> float:
-        if n_val == 0:
-            return float("nan")
         losses = []
         batches = list(_epoch_batches(val_idx, config.batch_size))
         if not batches and len(val_idx) >= 2:
@@ -201,12 +174,7 @@ def pretrain(
             losses.append(nt_xent_grad(z, config.temperature)[0])
         return float(np.mean(losses)) if losses else float("nan")
 
-    history: list[EpochStats] = []
-    best_val = np.inf
-    best_snapshot = graph.snapshot()
-    bad_epochs = 0
-
-    for epoch in range(config.max_epochs):
+    def run_epoch(epoch: int) -> EpochStats:
         lr = schedule.lr(epoch)
         epoch_rng = window_rng(config.seed, "pretrain-shuffle", epoch)
         order = train_idx[epoch_rng.permutation(len(train_idx))]
@@ -220,20 +188,9 @@ def pretrain(
             batch_losses.append(loss)
         if not batch_losses:
             raise ConfigError("training split yields no full batch")
-        train_loss = float(np.mean(batch_losses))
-        val_loss = validation_loss()
-        monitored = train_loss if np.isnan(val_loss) else val_loss
-        history.append(EpochStats(epoch + 1, train_loss, val_loss, lr))
-        if monitored < best_val:
-            best_val = monitored
-            best_snapshot = graph.snapshot()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.patience:
-                break
+        return EpochStats(epoch + 1, float(np.mean(batch_losses)), validation_loss(), lr)
 
-    graph.restore(best_snapshot)
+    history = early_stopping(graph, run_epoch, config.max_epochs, config.patience)
     return graph, history
 
 

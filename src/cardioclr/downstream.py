@@ -20,7 +20,7 @@ from .augment import window_rng
 from .errors import ConfigError, DataError, ShapeError
 from .nn.losses import decisions, task_loss
 from .nn.model import CLASSIFIER, EVAL_CHUNK, ModelGraph, attach_classifier
-from .nn.optim import Adam
+from .nn.optim import Adam, EpochStats, check_stopping, early_stopping
 from .signal_io import LABEL_SETS, ABNORMAL, NORMAL
 
 BINARY_CLASSES = (NORMAL, ABNORMAL)
@@ -42,9 +42,7 @@ class TaskSpec:
     def __post_init__(self):
         if self.task_type not in ("all", "binary"):
             raise ConfigError(f"unknown task type {self.task_type!r}")
-        if self.task_type == "all" and self.dataset_tag not in _ALL_TASK_CLASSES:
-            raise ConfigError(f"dataset {self.dataset_tag!r} has no labels for an `all` task")
-        if self.task_type == "binary" and self.dataset_tag not in _ALL_TASK_CLASSES:
+        if self.dataset_tag not in _ALL_TASK_CLASSES:
             raise ConfigError(f"dataset {self.dataset_tag!r} has no labels")
 
     @property
@@ -157,19 +155,11 @@ class DownstreamConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError("batch size must be positive")
-        if self.patience >= self.max_epochs:
-            raise ConfigError("patience must be smaller than max_epochs")
+        check_stopping(self)
         if self.adam_lr < 0:
             raise ConfigError("adam_lr must be non-negative")
         if not 0 <= self.dropout < 1:
             raise ConfigError("dropout must lie in [0, 1)")
-
-
-@dataclass
-class HeadEpochStats:
-    epoch: int
-    train_loss: float
-    val_loss: float
 
 
 def _training_loop(graph, predict, backprop, x_tr, y_tr, x_val, y_val, cfg):
@@ -179,19 +169,17 @@ def _training_loop(graph, predict, backprop, x_tr, y_tr, x_val, y_val, cfg):
         raise DataError("empty training split")
     optimizer = Adam(graph.named_params(trainable_only=True), lr=cfg.adam_lr)
 
-    def eval_loss(x, y) -> float:
+    def val_loss() -> float:
+        if len(y_val) == 0:
+            return float("nan")
         losses, weights = [], []
-        for start in range(0, x.shape[0], EVAL_CHUNK):
-            xb, yb = x[start : start + EVAL_CHUNK], y[start : start + EVAL_CHUNK]
+        for start in range(0, x_val.shape[0], EVAL_CHUNK):
+            xb, yb = x_val[start : start + EVAL_CHUNK], y_val[start : start + EVAL_CHUNK]
             losses.append(task_loss(predict(xb, False, None), yb)[0])
             weights.append(len(yb))
         return float(np.average(losses, weights=weights))
 
-    history: list[HeadEpochStats] = []
-    best_val = np.inf
-    best_snapshot = graph.snapshot()
-    bad = 0
-    for epoch in range(cfg.max_epochs):
+    def run_epoch(epoch: int) -> EpochStats:
         order = window_rng(cfg.seed, "head-shuffle", epoch).permutation(len(y_tr))
         batch_losses, batch_sizes = [], []
         for bi, start in enumerate(range(0, len(order), cfg.batch_size)):
@@ -204,18 +192,9 @@ def _training_loop(graph, predict, backprop, x_tr, y_tr, x_val, y_val, cfg):
             batch_losses.append(loss)
             batch_sizes.append(len(idx))
         train_loss = float(np.average(batch_losses, weights=batch_sizes))
-        val_loss = eval_loss(x_val, y_val) if len(y_val) else train_loss
-        history.append(HeadEpochStats(epoch + 1, train_loss, val_loss))
-        if val_loss < best_val:
-            best_val = val_loss
-            best_snapshot = graph.snapshot()
-            bad = 0
-        else:
-            bad += 1
-            if bad >= cfg.patience:
-                break
-    graph.restore(best_snapshot)
-    return history
+        return EpochStats(epoch + 1, train_loss, val_loss(), cfg.adam_lr)
+
+    return early_stopping(graph, run_epoch, cfg.max_epochs, cfg.patience)
 
 
 def train_head(
@@ -224,7 +203,7 @@ def train_head(
     train: tuple[np.ndarray, np.ndarray],
     val: tuple[np.ndarray, np.ndarray],
     config: DownstreamConfig,
-) -> tuple[ModelGraph, list[HeadEpochStats]]:
+) -> tuple[ModelGraph, list[EpochStats]]:
     """Attach a fresh classification head to a frozen encoder and train it.
 
     `train` and `val` are `(features, labels)`, the features taken from
@@ -246,7 +225,7 @@ def train_baseline(
     train: tuple[np.ndarray, np.ndarray],
     val: tuple[np.ndarray, np.ndarray],
     config: DownstreamConfig,
-) -> tuple[ModelGraph, list[HeadEpochStats]]:
+) -> tuple[ModelGraph, list[EpochStats]]:
     """Fully supervised baseline: same architecture and regimen, nothing frozen."""
     if graph.encoder_frozen:
         raise ConfigError("baseline training expects an unfrozen graph")

@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .._atomic import write_atomic
-from ..errors import FormatError
+from ..errors import ConfigError, FormatError
 from .model import CLASSIFIER, PROJECTION, EncoderConfig, ModelGraph
 
 MAGIC = b"PCGSSL01"
@@ -22,16 +23,8 @@ def _canonical_json(obj) -> bytes:
 
 
 def save_checkpoint(path, graph: ModelGraph, extra: dict | None = None) -> str:
-    cfg = graph.encoder_cfg
     meta = {
-        "arch": {
-            "channels": list(cfg.channels),
-            "kernels": list(cfg.kernels),
-            "pool_widths": list(cfg.pool_widths),
-            "input_len": cfg.input_len,
-            "in_channels": cfg.in_channels,
-            "projection_dim": cfg.projection_dim,
-        },
+        "arch": asdict(graph.encoder_cfg),
         "head": graph.head_kind,
         "n_out": graph.n_out,
         "dropout": graph.dropout_rate,
@@ -67,6 +60,8 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
         raise FormatError(f"{path}: checkpoint metadata lacks key {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
         raise FormatError(f"{path}: bad checkpoint metadata") from exc
+    except ConfigError as exc:
+        raise FormatError(f"{path}: bad checkpoint architecture: {exc}") from exc
 
     offset = start + meta_len
     params = graph.named_params()
@@ -88,16 +83,9 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
 
 def _graph_from_meta(meta: dict) -> ModelGraph:
     """The graph a checkpoint's metadata declares, with placeholder values."""
-    arch = meta["arch"]
-    cfg = EncoderConfig(
-        channels=tuple(arch["channels"]),
-        kernels=tuple(arch["kernels"]),
-        pool_widths=tuple(arch["pool_widths"]),
-        input_len=arch["input_len"],
-        in_channels=arch["in_channels"],
-        projection_dim=arch["projection_dim"],
-    )
-    graph = ModelGraph(cfg)
+    arch = {f.name: meta["arch"][f.name] for f in fields(EncoderConfig)}
+    graph = ModelGraph(EncoderConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                        for k, v in arch.items()}))
     rng = np.random.default_rng(0)
     graph.build_encoder(rng)
     if meta["head"] == PROJECTION:

@@ -55,10 +55,6 @@ def _no_ties(rng, shape, width):
             return x
 
 
-def _scalar_probe(out_shape, rng):
-    return rng.uniform(-1.0, 1.0, size=out_shape)
-
-
 def _check_layer(layer, x, rng, training=False, fwd_rng_seed=None):
     """max relative error over input grad and every parameter grad.
 
@@ -70,7 +66,7 @@ def _check_layer(layer, x, rng, training=False, fwd_rng_seed=None):
         rng_f = np.random.default_rng(fwd_rng_seed) if fwd_rng_seed is not None else None
         return layer.forward(x, training=training, rng=rng_f)
 
-    probe = _scalar_probe(fwd().shape, rng)
+    probe = rng.uniform(-1.0, 1.0, size=fwd().shape)
 
     def objective():
         return float(np.sum(fwd() * probe))
@@ -121,28 +117,21 @@ def check_dropout(rng) -> float:
     return _check_layer(layer, x, rng, training=True, fwd_rng_seed=int(rng.integers(1 << 30)))
 
 
+def _check_loss(loss_fn, logits, labels) -> float:
+    """`loss_fn(logits, labels)` gives (loss, dloss/dlogits)."""
+    numeric = numeric_gradient(lambda: loss_fn(logits, labels)[0], logits)
+    return relative_error(loss_fn(logits, labels)[1], numeric)
+
+
 def check_softmax_ce(rng) -> float:
     b, n = int(rng.integers(2, 6)), int(rng.integers(2, 5))
-    logits = rng.uniform(-2, 2, (b, n))
-    labels = rng.integers(0, n, b)
-
-    def objective():
-        return cross_entropy_loss(logits, labels)[0]
-
-    analytic = cross_entropy_loss(logits, labels)[1]
-    return relative_error(analytic, numeric_gradient(objective, logits))
+    return _check_loss(cross_entropy_loss, rng.uniform(-2, 2, (b, n)), rng.integers(0, n, b))
 
 
 def check_binary_ce(rng) -> float:
     b = int(rng.integers(2, 8))
-    logits = rng.uniform(-2, 2, (b, 1))
-    labels = rng.integers(0, 2, b)
-
-    def objective():
-        return binary_cross_entropy_loss(logits, labels)[0]
-
-    analytic = binary_cross_entropy_loss(logits, labels)[1]
-    return relative_error(analytic, numeric_gradient(objective, logits))
+    return _check_loss(binary_cross_entropy_loss, rng.uniform(-2, 2, (b, 1)),
+                       rng.integers(0, 2, b))
 
 
 def check_nt_xent(rng) -> float:

@@ -1,8 +1,9 @@
 """Layers with explicit forward/backward passes.
 
 Shapes follow the (batch, channels, length) convention for convolutional
-layers and (batch, features) for dense ones. Every layer caches what its
-backward pass needs; calling backward without a prior forward is an error.
+layers and (batch, features) for dense ones. Every layer keeps what its
+backward pass needs in `_cache`; calling backward without a prior forward
+is an error.
 Frozen layers still propagate input gradients but report zero parameter
 gradients and are skipped by the optimizers.
 """
@@ -22,8 +23,8 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.
 
 class Layer:
     frozen = False
-    # what an encoder layer's forward keeps for backward (None before any
-    # forward); `ModelGraph.embed` resets it to None after each chunk
+    # what forward keeps for backward (None before any forward);
+    # `ModelGraph.clear_caches` resets it
     _cache = None
 
     def params(self) -> dict[str, np.ndarray]:
@@ -38,9 +39,10 @@ class Layer:
     def backward(self, grad_out, compute_input_grad=True):
         raise NotImplementedError
 
-    def _require_cache(self, cache):
-        if cache is None:
+    def _cached(self):
+        if self._cache is None:
             raise StateError(f"{type(self).__name__}.backward called before forward")
+        return self._cache
 
 
 # Bytes of im2col one GEMM call covers. Short-L layers take several
@@ -115,8 +117,7 @@ class Conv1d(Layer):
         return out
 
     def backward(self, grad_out, compute_input_grad=True):
-        self._require_cache(self._cache)
-        xp = self._cache
+        xp = self._cached()
         g = np.ascontiguousarray(grad_out, dtype=self.w.dtype)
         batch, _, length = g.shape
         groups = self._groups(batch, length)
@@ -154,8 +155,7 @@ class ReLU(Layer):
         return np.where(self._cache, 0, x)
 
     def backward(self, grad_out, compute_input_grad=True):
-        self._require_cache(self._cache)
-        return np.where(self._cache, 0, grad_out)
+        return np.where(self._cached(), 0, grad_out)
 
 
 class MaxPool1d(Layer):
@@ -186,8 +186,7 @@ class MaxPool1d(Layer):
         return out
 
     def backward(self, grad_out, compute_input_grad=True):
-        self._require_cache(self._cache)
-        x_shape, usable, arg = self._cache
+        x_shape, usable, arg = self._cached()
         dx = np.zeros(x_shape, dtype=grad_out.dtype)
         for j in range(self.width):
             np.multiply(grad_out, arg == j, out=dx[:, :, j:usable:self.width])
@@ -202,7 +201,6 @@ class Dense(Layer):
         self.b = np.zeros(out_dim, dtype=dtype)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
-        self._x = None
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -214,17 +212,17 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"dense expects (B, {self.in_dim}), got {x.shape}")
         x = np.ascontiguousarray(x, dtype=self.w.dtype)
-        self._x = x
+        self._cache = x
         return x @ self.w + self.b
 
     def backward(self, grad_out, compute_input_grad=True):
-        self._require_cache(self._x)
+        x = self._cached()
         g = np.ascontiguousarray(grad_out, dtype=self.w.dtype)
         if self.frozen:
             self.gw[...] = 0.0
             self.gb[...] = 0.0
         else:
-            self.gw[...] = self._x.T @ g
+            self.gw[...] = x.T @ g
             self.gb[...] = g.sum(axis=0)
         if not compute_input_grad:
             return None
@@ -233,26 +231,23 @@ class Dense(Layer):
 
 class Dropout(Layer):
     """Inverted dropout: kept activations scale by 1/(1-rate) in training
-    mode; identity in eval mode."""
+    mode; identity in eval mode. The cache is the keep mask, or True after
+    an identity pass."""
 
     def __init__(self, rate=0.5):
         self.rate = rate
-        self._mask = None
-        self._training = False
 
     def forward(self, x, training=False, rng=None):
-        self._training = training
         if not training or self.rate == 0.0:
-            self._mask = True
+            self._cache = True
             return x
         if rng is None:
             raise StateError("dropout in training mode needs an rng")
-        self._mask = (rng.random(x.shape) >= self.rate).astype(x.dtype)
-        return x * self._mask / (1.0 - self.rate)
+        self._cache = (rng.random(x.shape) >= self.rate).astype(x.dtype)
+        return x * self._cache / (1.0 - self.rate)
 
     def backward(self, grad_out, compute_input_grad=True):
-        if self._mask is None:
-            raise StateError("Dropout.backward called before forward")
-        if self._mask is True:
+        mask = self._cached()
+        if mask is True:
             return grad_out
-        return grad_out * self._mask / (1.0 - self.rate)
+        return grad_out * mask / (1.0 - self.rate)

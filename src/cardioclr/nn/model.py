@@ -15,8 +15,8 @@ PROJECTION = "projection"
 CLASSIFIER = "classifier"
 
 # Windows per encoder pass in `embed`, and feature rows per head pass when
-# heads are scored: every layer keeps its backward cache, so one pass over a
-# whole store would hold a cache the size of the store's activations.
+# heads are scored: every layer's forward keeps its backward cache, so one
+# pass over a whole store would hold a cache the size of its activations.
 EVAL_CHUNK = 256
 
 
@@ -35,6 +35,11 @@ class EncoderConfig:
     def __post_init__(self):
         if not len(self.channels) == len(self.kernels) == len(self.pool_widths):
             raise ConfigError("channels, kernels and pool_widths must align")
+        if not self.channels:
+            raise ConfigError("the encoder needs at least one block")
+        for name, value in vars(self).items():
+            if min(value if isinstance(value, tuple) else (value,)) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
 
     def feature_shape(self) -> tuple[int, int]:
         length = self.input_len
@@ -159,9 +164,14 @@ class ModelGraph:
         out = np.empty((x.shape[0], self.encoder_cfg.feature_dim()), dtype=self.dtype)
         for start in range(0, x.shape[0], EVAL_CHUNK):
             out[start : start + EVAL_CHUNK] = self._encode(x[start : start + EVAL_CHUNK])
-            for layer in self.encoder_layers:
-                layer._cache = None  # nothing backpropagates through `embed`
+            self.clear_caches()  # nothing backpropagates through `embed`
         return out
+
+    def clear_caches(self) -> None:
+        """Drop every layer's backward cache; `backward` then needs a new
+        `forward`."""
+        for layer in self.encoder_layers + self.head_layers:
+            layer._cache = None
 
     # -- parameter access ---------------------------------------------------
 
@@ -171,23 +181,16 @@ class ModelGraph:
         for i, layer in enumerate(self.head_layers):
             yield f"head{i}", layer
 
+    def _named(self, kind: str, trainable_only: bool) -> list[tuple[str, np.ndarray]]:
+        return [(f"{name}.{key}", arr) for name, layer in self._layer_items()
+                if not (trainable_only and layer.frozen)
+                for key, arr in getattr(layer, kind)().items()]
+
     def named_params(self, trainable_only=False) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for name, layer in self._layer_items():
-            if trainable_only and layer.frozen:
-                continue
-            for key, arr in layer.params().items():
-                out.append((f"{name}.{key}", arr))
-        return out
+        return self._named("params", trainable_only)
 
     def named_grads(self, trainable_only=False) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for name, layer in self._layer_items():
-            if trainable_only and layer.frozen:
-                continue
-            for key, arr in layer.grads().items():
-                out.append((f"{name}.{key}", arr))
-        return out
+        return self._named("grads", trainable_only)
 
     def snapshot(self) -> list[np.ndarray]:
         return [arr.copy() for _, arr in self.named_params()]
@@ -198,15 +201,11 @@ class ModelGraph:
             raise StateError("snapshot does not match the current graph")
         for (_, arr), saved in zip(params, snap):
             arr[...] = saved
+        self.clear_caches()  # activations of other weights
 
     def encoder_bytes(self) -> bytes:
-        chunks = []
-        for name, layer in self._layer_items():
-            if not name.startswith("enc"):
-                continue
-            for arr in layer.params().values():
-                chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        return b"".join(chunks)
+        return b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes()
+                        for layer in self.encoder_layers for arr in layer.params().values())
 
 
 def build_ssl_graph(cfg: EncoderConfig, seed: int, dtype=np.float32) -> ModelGraph:

@@ -1,14 +1,16 @@
 """Optimizers (LARS for the large-batch contrastive phase, Adam for the
-classification head) and the warmup-plus-cosine learning-rate schedule."""
+classification head), the warmup-plus-cosine learning-rate schedule, and
+the early-stopping epoch loop every trainer runs."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ..errors import NumericError, ParameterError, ShapeError
+from ..errors import ConfigError, NumericError, ParameterError, ShapeError
 
 
 def _check_grads(params, grads):
@@ -117,3 +119,56 @@ class LrSchedule:
             return self.peak_lr
         phase = math.pi * (epoch - warmup) / span
         return floor + (self.peak_lr - floor) * (1.0 + math.cos(phase)) / 2.0
+
+
+@dataclass
+class EpochStats:
+    epoch: int
+    train_loss: float
+    val_loss: float  # NaN when the run has no validation split
+    lr: float
+
+
+def best_val_loss(history: list[EpochStats]) -> float | None:
+    """Lowest finite validation loss, or None when no epoch had one (no
+    validation split), so JSON gets null, not NaN."""
+    finite = [h.val_loss for h in history if np.isfinite(h.val_loss)]
+    return min(finite) if finite else None
+
+
+def history_to_csv(history: list[EpochStats]) -> str:
+    return "epoch,train_loss,val_loss,lr\n" + "".join(
+        f"{h.epoch},{h.train_loss:.8f},{h.val_loss:.8f},{h.lr:.8f}\n" for h in history)
+
+
+def check_stopping(config) -> None:
+    """Raise `ConfigError` unless a stage config's stopping rule is sound."""
+    if not 0 <= config.patience < config.max_epochs:
+        raise ConfigError("need 0 <= patience < max_epochs, got patience "
+                          f"{config.patience} and max_epochs {config.max_epochs}")
+
+
+def early_stopping(graph, run_epoch: Callable[[int], EpochStats], max_epochs: int,
+                   patience: int) -> list[EpochStats]:
+    """Run `run_epoch(epoch)` for epochs 0, 1, ... until `patience` epochs
+    in a row bring no new best loss, or `max_epochs` have run; then restore
+    the best epoch's weights. The loss is the epoch's validation loss, or its
+    training loss when the validation loss is NaN."""
+    history: list[EpochStats] = []
+    best = np.inf
+    best_snapshot = graph.snapshot()
+    bad_epochs = 0
+    for epoch in range(max_epochs):
+        stats = run_epoch(epoch)
+        history.append(stats)
+        monitored = stats.train_loss if np.isnan(stats.val_loss) else stats.val_loss
+        if monitored < best:
+            best = monitored
+            best_snapshot = graph.snapshot()
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= patience:
+                break
+    graph.restore(best_snapshot)
+    return history

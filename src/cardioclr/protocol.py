@@ -27,10 +27,11 @@ from .config import (
     encoder_config,
     pretrain_config,
 )
-from .contrastive import best_val_loss, freeze_encoder, pretrain
+from .contrastive import freeze_encoder, pretrain
 from .downstream import TaskSpec, evaluate, train_baseline, train_head
 from .errors import CardioclrError, ConfigError, DataError, FormatError
 from .nn import build_ssl_graph, load_checkpoint, save_checkpoint
+from .nn.optim import best_val_loss
 from .signal_io import LABELED_TAGS, UNLABELED_TAGS, read_window_store, split_indices
 
 LEDGER_HEADER = (
@@ -136,13 +137,14 @@ class ExperimentPlan:
             raise ConfigError("plan needs at least one seed")
         if self.baseline_runs < 0:
             raise ConfigError(f"baseline_runs must be non-negative, got {self.baseline_runs}")
-        for policy in self.policies:
-            parse_policy(policy)
-        seen = set()
-        for task in self.tasks:
-            if task.dataset_tag in seen:
-                raise ConfigError(f"duplicate downstream dataset {task.dataset_tag!r}")
-            seen.add(task.dataset_tag)
+        # policies that parse alike would train one encoder under two ids
+        for what, keys in (("SSL set", ["+".join(s) for s in self.ssl_sets]),
+                           ("policy", [str(parse_policy(p)) for p in self.policies]),
+                           ("seed", self.seeds),
+                           ("downstream dataset", [t.dataset_tag for t in self.tasks])):
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise ConfigError(f"duplicate {what} {key!r} in the plan")
 
     def entries(self):
         for ssl_set in self.ssl_sets:

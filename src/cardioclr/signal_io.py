@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._atomic import replace_dir_atomic
 from ._dsp import highpass_taps, lowpass_taps
 from .errors import CardioclrError, FormatError, LabelError, ParameterError, UnsupportedFormatError
 
@@ -582,14 +583,12 @@ _STORE_ENTRY_FIELDS = ("record_id", "dataset_tag", "window_index", "original_lab
 
 
 def write_window_store(out_dir, windows: Sequence[LabeledWindow]) -> None:
-    """Persist windows as raw little-endian float32 plus a JSON label sidecar."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Persist windows as raw little-endian float32 plus a JSON label sidecar.
+    The store directory is replaced whole (`replace_dir_atomic`)."""
     if windows:
         matrix = np.stack([w.samples for w in windows]).astype("<f4", copy=False)
     else:
         matrix = np.zeros((0, WINDOW_SAMPLES), dtype="<f4")
-    matrix.tofile(out_dir / "windows.f32")
     meta = {
         "format_version": 1,
         "dtype": "<f4",
@@ -597,9 +596,14 @@ def write_window_store(out_dir, windows: Sequence[LabeledWindow]) -> None:
         "count": len(windows),
         "entries": [{k: getattr(w, k) for k in _STORE_ENTRY_FIELDS} for w in windows],
     }
-    (out_dir / "windows.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=1), encoding="utf-8"
-    )
+
+    def fill(tmp: Path) -> None:
+        matrix.tofile(tmp / "windows.f32")
+        (tmp / "windows.json").write_text(
+            json.dumps(meta, sort_keys=True, indent=1), encoding="utf-8"
+        )
+
+    replace_dir_atomic(out_dir, fill)
 
 
 def read_window_store(store_dir) -> tuple[np.ndarray, list[LabeledWindow]]:

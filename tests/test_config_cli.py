@@ -158,6 +158,30 @@ class TestConfig:
         cfg = parse_config_text("# top\n[run]\nseed = 9  # trailing\n")
         assert cfg.seed == 9
 
+    @pytest.mark.parametrize("text,message", [
+        ("[model]\nchannels = 8,0,32,64,128", "[model] channels must be at least 1, got (8, 0, 32, 64, 128)"),
+        ("[model]\nkernels = 64,32,16,0,8", "[model] kernels must be at least 1"),
+        ("[model]\npool_widths = 0,4,4,4,4", "[model] pool_widths must be at least 1"),
+        ("[model]\nchannels =\nkernels =\npool_widths =", "[model] the encoder needs at least one"),
+        ("[model]\nprojection_dim = 0", "[model] projection_dim must be at least 1"),
+        ("[pretrain]\nmax_epochs = 0\npatience = -1",
+         "[pretrain] need 0 <= patience < max_epochs, got patience -1 and max_epochs 0"),
+        ("[downstream]\nmax_epochs = 0\npatience = -1",
+         "[downstream] need 0 <= patience < max_epochs, got patience -1 and max_epochs 0"),
+        ("[pretrain]\npatience = -5", "[pretrain] need 0 <= patience < max_epochs"),
+        ("[downstream]\npatience = -5", "[downstream] need 0 <= patience < max_epochs"),
+        ("[pretrain]\nwarmup_epochs = -3", "[pretrain] warmup_epochs must be non-negative"),
+        ("[pretrain]\ntemperature = nan", "line 2: bad value for temperature: 'nan'"),
+        ("[pretrain]\npeak_lr = inf", "line 2: bad value for peak_lr: 'inf'"),
+        ("[pretrain]\n\nval_fraction = -inf", "line 3: bad value for val_fraction"),
+        ("[downstream]\nadam_lr = NaN", "line 2: bad value for adam_lr"),
+        ("[downstream]\ndropout = infinity", "line 2: bad value for dropout"),
+    ])
+    def test_out_of_range_values_name_their_place(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value).startswith(message)
+
 
 class TestCliBasics:
     def test_unknown_subcommand_exits_2(self, capsys):
@@ -197,6 +221,27 @@ class TestCliBasics:
         assert err.startswith("error: ConfigError: ") and cli.SEED_ENV in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["pretrain", "--datasets", "synthetic", "--policy", "none|rev", "--out", "enc.ckpt"],
+        ["finetune", "--ckpt", "enc.ckpt", "--dataset", "synthetic", "--out", "model.ckpt"],
+    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("text", [
+        "[model]\nchannels = 8,0,32,64,128",
+        "[model]\nprojection_dim = 0",
+        "[pretrain]\ntemperature = nan",
+        "[pretrain]\npeak_lr = inf",
+        "[downstream]\nmax_epochs = 0\npatience = -1",
+        "[pretrain]\nwarmup_epochs = -3",
+    ])
+    def test_out_of_range_config_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                   command, text):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text(text + "\n")
+        assert cli.main([*command, "--config", "bad.cfg", "--windows", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and "Traceback" not in err
+        assert not (tmp_path / command[-1]).exists()
+
     @pytest.mark.parametrize("bad,lineno", [("[seeds]\nx1\n", 8),
                                             ("[seeds]\n1\n[options]\nbaseline_runs = two\n", 10)])
     def test_bad_plan_number_names_the_line(self, tmp_path, capsys, bad, lineno):
@@ -208,6 +253,17 @@ class TestCliBasics:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: ConfigError: plan line {lineno}: ")
+
+    def test_duplicate_plan_entries_are_a_config_error(self, tmp_path, capsys):
+        plan = tmp_path / "p.plan"
+        plan.write_text("[ssl_sets]\nephnogram\n[policies]\nnone|flip(0.5)\nnone|flip(0.5)\n"
+                        "[tasks]\npascal:binary\n[seeds]\n0\n0\n")
+        code = cli.main(["sweep", "--plan", str(plan), "--windows", str(tmp_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: ConfigError: duplicate policy 'none|flip(0.5)'")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("metric", ["accuracy", "odd_micro_f1", "ood", "micro_f1"])
     def test_analyze_rejects_unknown_metric(self, tmp_path, capsys, metric):

@@ -9,14 +9,14 @@ from cardioclr import augment as aug
 from cardioclr.contrastive import (
     PretrainConfig,
     freeze_encoder,
-    history_to_csv,
     nt_xent_grad,
     nt_xent_loss,
     pretrain,
 )
-from cardioclr.downstream import DownstreamConfig, TaskSpec, train_head
+from cardioclr.downstream import DownstreamConfig, TaskSpec, train_baseline, train_head
 from cardioclr.errors import ConfigError, NumericError, ParameterError
 from cardioclr.nn import EncoderConfig, attach_classifier, build_ssl_graph
+from cardioclr.nn.optim import history_to_csv
 
 
 def naive_nt_xent(z, tau):
@@ -196,6 +196,41 @@ class TestPretrain:
         lines = csv_text.strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,lr"
         assert len(lines) == len(history) + 1
+
+
+class TestNoCachesAfterTraining:
+    """A trained graph holds no forward activations: `pretrain`'s last
+    validation batch, a head's last val chunk and a baseline's would
+    otherwise stay alive in the returned graph."""
+
+    @staticmethod
+    def caches(graph):
+        return [type(layer).__name__ for layer in graph.encoder_layers + graph.head_layers
+                if layer._cache is not None]
+
+    def test_pretrain(self):
+        x, _ = _toy_windows(32, seed=7)
+        graph, _ = pretrain(build_ssl_graph(TINY_CFG, seed=0), x, aug.parse_policy("none|rev"),
+                            tiny_pretrain_config(max_epochs=2, patience=1))
+        assert self.caches(graph) == []
+
+    def test_train_head(self):
+        x, labels = _toy_windows(24, seed=8)
+        graph = freeze_encoder(build_ssl_graph(TINY_CFG, seed=0))
+        f = graph.embed(x)
+        cfg = DownstreamConfig(max_epochs=2, patience=1, seed=0)
+        graph, _ = train_head(graph, TaskSpec("synthetic", "binary"), (f[:16], labels[:16]),
+                              (f[16:], labels[16:]), cfg)
+        assert self.caches(graph) == []
+
+    def test_train_baseline(self):
+        x, labels = _toy_windows(24, seed=9)
+        graph = build_ssl_graph(TINY_CFG, seed=0)
+        graph.drop_head()
+        cfg = DownstreamConfig(max_epochs=2, patience=1, seed=0)
+        graph, _ = train_baseline(graph, TaskSpec("synthetic", "binary"),
+                                  (x[:16], labels[:16]), (x[16:], labels[16:]), cfg)
+        assert self.caches(graph) == []
 
 
 class TestFreeze:

@@ -28,6 +28,7 @@ from cardioclr.nn import (
 )
 from cardioclr.nn.gradcheck import run_gradient_suite
 from cardioclr.nn.model import EVAL_CHUNK
+from cardioclr.nn.optim import EpochStats, early_stopping
 from cardioclr.nn.losses import (
     binary_cross_entropy_loss,
     cross_entropy_loss,
@@ -434,6 +435,10 @@ class TestOtherLayers:
         x = np.random.default_rng(0).uniform(-1, 1, (4, 6))
         assert layer.forward(x, training=False) is x
 
+    def test_dropout_backward_before_forward(self):
+        with pytest.raises(StateError):
+            Dropout(0.5).backward(np.ones((2, 3)))
+
     def test_dropout_training_scaling(self):
         layer = Dropout(0.5)
         x = np.ones((1000, 10), dtype=np.float32)
@@ -618,6 +623,58 @@ class TestLrSchedule:
         assert abs(sched.lr(9) - 0.1) < 1e-12
 
 
+class TestEarlyStopping:
+    """`run_epoch(e)` sets every weight to e, so the restored weights name
+    the epoch they came from."""
+
+    @staticmethod
+    def run(val_losses, patience, train_losses=None):
+        graph = build_ssl_graph(DESK_ENCODER, seed=0)
+        train_losses = train_losses or [1.0] * len(val_losses)
+
+        def run_epoch(epoch):
+            for _, arr in graph.named_params():
+                arr[...] = epoch
+            return EpochStats(epoch + 1, train_losses[epoch], val_losses[epoch], 0.1)
+
+        history = early_stopping(graph, run_epoch, len(val_losses), patience)
+        restored = {float(arr.flat[0]) for _, arr in graph.named_params()}
+        assert len(restored) == 1
+        return history, restored.pop()
+
+    def test_stops_after_patience_bad_epochs_and_restores_the_best(self):
+        history, epoch = self.run([3.0, 2.0, 2.5, 1.0, 1.0, 1.5, 0.5], patience=2)
+        assert [h.epoch for h in history] == [1, 2, 3, 4, 5, 6]
+        assert epoch == 3
+
+    def test_runs_max_epochs_without_a_stall(self):
+        history, epoch = self.run([5.0, 4.0, 3.0], patience=1)
+        assert len(history) == 3 and epoch == 2
+
+    def test_patience_zero_stops_at_the_first_stall(self):
+        history, epoch = self.run([2.0, 2.0, 1.0], patience=0)
+        assert len(history) == 2 and epoch == 0
+
+    def test_nan_val_loss_watches_the_training_loss(self):
+        nan = float("nan")
+        history, epoch = self.run([nan] * 5, patience=2, train_losses=[3.0, 1.0, 2.0, 0.5, 0.7])
+        assert len(history) == 5 and epoch == 3
+
+
+class TestCaches:
+    def test_restore_drops_every_cache(self):
+        graph = build_ssl_graph(DESK_ENCODER, seed=1)
+        attach_classifier(graph, 1, seed=2)
+        snap = graph.snapshot()
+        x = np.random.default_rng(3).standard_normal((4, DESK_ENCODER.input_len))
+        graph.forward(x, training=True, rng=np.random.default_rng(4))
+        assert all(layer._cache is not None for layer in graph.encoder_layers + graph.head_layers)
+        graph.restore(snap)
+        assert all(layer._cache is None for layer in graph.encoder_layers + graph.head_layers)
+        with pytest.raises(StateError):
+            graph.backward(np.ones((4, 1), dtype=np.float32))
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         cfg = EncoderConfig(channels=(2, 3), kernels=(5, 3), pool_widths=(2, 2),
@@ -727,6 +784,17 @@ class TestCheckpointCorruption:
         blob = json.dumps(meta).encode()
         path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[params_at:])
         with pytest.raises(FormatError, match=drop):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [("channels", [2, 0]), ("kernels", [5, -3]),
+                                           ("pool_widths", [0, 2]), ("projection_dim", 0)])
+    def test_out_of_range_architecture(self, saved, key, value):
+        path, data, params_at = saved
+        meta = json.loads(data[12:params_at])
+        meta["arch"][key] = value
+        blob = json.dumps(meta).encode()
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[params_at:])
+        with pytest.raises(FormatError, match=f"enc.ckpt: bad checkpoint architecture: .*{key}"):
             load_checkpoint(path)
 
     def test_non_utf8_metadata(self, saved):

@@ -532,6 +532,21 @@ class TestRunPlan:
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_plan_text(head + tail)
 
+    @pytest.mark.parametrize("section,lines,message", [
+        ("ssl_sets", ["ephnogram+fpcgdb", "fpcgdb", "ephnogram+fpcgdb"],
+         "duplicate SSL set 'ephnogram+fpcgdb'"),
+        ("policies", ["none|flip(0.5)", "none|rev", "none|flip(0.5)"],
+         "duplicate policy 'none|flip(0.5)'"),
+        ("policies", ["none|flip(0.5)", " | flip(.50)"], "duplicate policy 'none|flip(0.5)'"),
+        ("seeds", ["0", "1", "0"], "duplicate seed 0"),
+    ], ids=["ssl_set", "policy", "same_parsed_policy", "seed"])
+    def test_duplicate_plan_entries_rejected(self, section, lines, message):
+        parts = {"ssl_sets": ["ephnogram"], "policies": ["none|rev"],
+                 "tasks": ["pascal:binary"], "seeds": ["1"], section: lines}
+        text = "".join(f"[{name}]\n" + "\n".join(body) + "\n" for name, body in parts.items())
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_plan_text(text)
+
     def test_negative_baseline_runs_rejected(self):
         with pytest.raises(ConfigError, match="baseline_runs"):
             ExperimentPlan(ssl_sets=[("ephnogram",)], policies=["none|rev"],

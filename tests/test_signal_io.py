@@ -415,6 +415,35 @@ class TestWindowStore:
             assert orig.binary_label == back.binary_label
         assert matrix.flags.writeable
 
+    def test_failed_rewrite_keeps_the_previous_store(self, tmp_path, monkeypatch):
+        # same window count, so a half-replaced store would still read back
+        old = _dummy_windows({"a": 2})
+        new = _dummy_windows({"b": 2})
+        for w in new:
+            w.samples = np.ones(10000, dtype=np.float32)
+            w.original_label = w.binary_label = "abnormal"
+        sio.write_window_store(tmp_path / "s", old)
+
+        def fail(*args, **kwargs):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(sio.json, "dumps", fail)
+        with pytest.raises(OSError, match="no space left"):
+            sio.write_window_store(tmp_path / "s", new)
+        monkeypatch.undo()
+        matrix, loaded = sio.read_window_store(tmp_path / "s")
+        assert not matrix.any()
+        assert [(w.record_id, w.binary_label) for w in loaded] == [("a", "normal")] * 2
+        assert [p.name for p in tmp_path.iterdir()] == ["s"]
+
+    def test_rewrite_replaces_the_whole_directory(self, tmp_path):
+        store = self._store(tmp_path)
+        (store / "stray.txt").write_text("left from elsewhere")
+        sio.write_window_store(store, _dummy_windows({"b": 3}))
+        assert sorted(p.name for p in store.iterdir()) == ["windows.f32", "windows.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["s"]
+        assert len(sio.read_window_store(store)[1]) == 3
+
     def test_truncated_samples_raise_format_error(self, tmp_path):
         sio.write_window_store(tmp_path / "s", _dummy_windows({"a": 2}))
         data = (tmp_path / "s" / "windows.f32").read_bytes()
