@@ -14,11 +14,10 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import fields, make_dataclass
-from pathlib import Path
 
 from .contrastive import PretrainConfig
 from .downstream import DownstreamConfig
-from .errors import ConfigError
+from .errors import ConfigError, parse_text_file
 from .nn.model import EncoderConfig
 from .signal_io import SPLIT_GRANULARITIES
 
@@ -120,7 +119,7 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def parse_config(path) -> RunConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return parse_text_file(path, parse_config_text, ConfigError)
 
 
 def _format_value(value) -> str:

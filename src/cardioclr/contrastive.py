@@ -65,12 +65,6 @@ def nt_xent_grad(views: np.ndarray, temperature: float):
     return loss, per_pair, grad
 
 
-def nt_xent_loss(views, temperature: float):
-    """Scalar NT-Xent loss and the 2N per-anchor pair losses."""
-    loss, per_pair, _ = nt_xent_grad(views, temperature)
-    return loss, per_pair
-
-
 # ---------------------------------------------------------------------------
 # Pretraining
 # ---------------------------------------------------------------------------

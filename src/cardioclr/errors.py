@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way a text input
+file is read so that its errors name it."""
+
+from pathlib import Path
 
 
 class CardioclrError(Exception):
@@ -40,3 +43,17 @@ class ConfigError(CardioclrError):
 class DataError(CardioclrError):
     """Dataset-level problem: empty evaluation set, degenerate variance,
     too few records for the requested statistic."""
+
+
+def parse_text_file(path, parse, error):
+    """`parse(text)` of the UTF-8 file at `path`. Text that does not decode
+    raises `error`, and every `CardioclrError` from `parse` is re-raised
+    with the path in front, so each names the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8 text (byte {err.start})") from None
+    try:
+        return parse(text)
+    except CardioclrError as err:
+        raise type(err)(f"{path}: {err}") from err

@@ -1,13 +1,14 @@
 """Central finite-difference verification of every analytic gradient.
 
-All checks run in float64 with h=1e-5 on small randomized shapes. Inputs are
-kept away from ReLU kinks and max-pool ties so the numeric derivative is
-well defined.
+All checks run in float64 with h=1e-5 on small randomized shapes. Inputs
+(for the encoder block, its conv outputs) are kept away from ReLU kinks and
+max-pool ties so the numeric derivative is well defined.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .layers import Conv1d, Dense, Dropout, MaxPool1d, ReLU
 from .losses import binary_cross_entropy_loss, cross_entropy_loss
@@ -44,15 +45,31 @@ def _no_kinks(rng, shape, margin=5e-3):
     return x * rng.choice([-1.0, 1.0], size=shape)
 
 
+def _pool_blocks(x, width):
+    """(..., L // width, width) blocks of the usable part of x."""
+    length = x.shape[-1] - x.shape[-1] % width
+    return x[..., :length].reshape(*x.shape[:-1], length // width, width)
+
+
+def _tie_free(x, width, margin=1e-3):
+    top2 = np.sort(_pool_blocks(x, width), axis=-1)[..., -2:]
+    return width == 1 or np.min(top2[..., 1] - top2[..., 0]) > margin
+
+
 def _no_ties(rng, shape, width):
     """Random values whose max-pool windows have no near-ties."""
     while True:
         x = rng.uniform(-1.0, 1.0, size=shape)
-        length = shape[-1] - shape[-1] % width
-        blocks = x[..., :length].reshape(*shape[:-1], length // width, width)
-        top2 = np.sort(blocks, axis=-1)[..., -2:]
-        if width == 1 or np.min(top2[..., 1] - top2[..., 0]) > 1e-3:
+        if _tie_free(x, width):
             return x
+
+
+def _conv(layer, x):
+    """The block's same-padded convolution before pooling, by definition."""
+    k = layer.kernel
+    xp = np.pad(x, ((0, 0), (0, 0), (k // 2, k - 1 - k // 2)))
+    win = sliding_window_view(xp, k, axis=2)  # (B, Cin, L, K)
+    return np.einsum("ock,bctk->bot", layer.w, win) + layer.b[:, None]
 
 
 def _check_layer(layer, x, rng, training=False, fwd_rng_seed=None):
@@ -87,13 +104,19 @@ def check_dense(rng) -> float:
     return _check_layer(layer, x, rng)
 
 
-def check_conv1d(rng) -> float:
+def check_conv_block(rng) -> float:
+    """Conv -> max-pool -> ReLU on inputs whose conv outputs have neither
+    pool ties nor pooled maxima near the ReLU kink."""
     b, cin, cout = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 4)
-    k = int(rng.integers(1, 6))
-    length = int(rng.integers(max(k, 4), 14))
-    layer = Conv1d(int(cin), int(cout), k, rng, dtype=np.float64)
-    x = rng.uniform(-1, 1, (int(b), int(cin), length))
-    return _check_layer(layer, x, rng)
+    k, width = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    length = int(rng.integers(max(k, 4, width), 14))
+    layer = Conv1d(int(cin), int(cout), k, width, rng, dtype=np.float64)
+    layer.b[...] = rng.uniform(-0.5, 0.5, int(cout))
+    while True:
+        x = rng.uniform(-1, 1, (int(b), int(cin), length))
+        conv = _conv(layer, x)
+        if _tie_free(conv, width) and np.min(np.abs(_pool_blocks(conv, width).max(-1))) > 1e-3:
+            return _check_layer(layer, x, rng)
 
 
 def check_relu(rng) -> float:
@@ -182,7 +205,7 @@ def check_two_block_model(rng) -> float:
 
 LAYER_CHECKS = {
     "dense": check_dense,
-    "conv1d": check_conv1d,
+    "conv_block": check_conv_block,
     "relu": check_relu,
     "maxpool": check_maxpool,
     "dropout": check_dropout,

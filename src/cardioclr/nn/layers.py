@@ -45,32 +45,79 @@ class Layer:
         return self._cache
 
 
-# Bytes of im2col one GEMM call covers. Short-L layers take several
-# samples per call; a sample whose im2col alone exceeds this goes alone.
+# Bytes of im2col one GEMM call covers, and of conv output one encoder-block
+# chunk holds. Short-L layers take several samples per GEMM call; a sample
+# whose im2col alone exceeds this goes alone.
 IM2COL_BUDGET = 1 << 20
 
 
+def max_pool(x, width, out, arg, floor=False):
+    """Non-overlapping max pooling of x (n, C, L) into `out` and its argmax
+    `arg`, both (n, C, L // width); a trailing remainder shorter than the
+    width is dropped.
+
+    A running `np.maximum` over the W strided taps x[:, :, j:usable:W] (NaN
+    propagates); `arg` holds the index of the first maximum, updated
+    without branches. With `floor`, ReLU is folded in: every pooled value
+    <= 0 (-0.0 and -inf included) becomes +0.0 and its `arg` is `width`,
+    "the floor won"; NaN stays NaN.
+    """
+    usable = out.shape[2] * width
+    out[...] = x[:, :, 0:usable:width]
+    arg[...] = 0
+    for j in range(1, width):
+        tap = x[:, :, j:usable:width]
+        gt = tap > out  # strict, so a tie keeps the first maximum
+        arg *= ~gt
+        arg += gt * arg.dtype.type(j)
+        np.maximum(out, tap, out=out)
+    if floor:
+        # every arg < width, so the maximum sets exactly the floored ones
+        np.maximum(arg, (out <= 0) * arg.dtype.type(width), out=arg)
+        np.maximum(out, 0, out=out)
+        out += 0.0  # -0.0 + 0.0 is +0.0; every other value, NaN too, stays
+
+
+def unpool(g, arg, width, dx):
+    """Writes the pooled gradient g through `max_pool`'s argmax into the
+    usable part of dx (n, C, L): g at each first maximum, zeros elsewhere,
+    and +0.0 in every tap of a window the floor won."""
+    g = np.where(arg == width, 0, g)
+    usable = g.shape[2] * width
+    for j in range(width):
+        np.multiply(g, arg == j, out=dx[:, :, j:usable:width])
+
+
 class Conv1d(Layer):
-    """Stride-1, same-padded 1D convolution.
+    """One encoder block: a stride-1, same-padded 1D convolution, then
+    non-overlapping max pooling of width `pool`, then ReLU.
 
-    out[b,o,t] = bias[o] + sum_{c,k} w[o,c,k] * in[b,c,t+k-K//2]
+    conv[b,o,t] = bias[o] + sum_{c,k} w[o,c,k] * in[b,c,t+k-K//2]
+    out[b,o,u] = relu(max_{j<pool} conv[b,o,u*pool+j])
 
-    im2col GEMMs (Chellapilla et al. 2006) over groups of consecutive
-    samples, as many as fit the im2col budget (one at long L, up to hundreds
-    at short L). Each pass builds one window view of the padded batch and
-    copies a group's (n, Cin*K, L) im2col out of it. Per group, each pass is
-    one stacked `np.matmul`: forward multiplies the (Cout, Cin*K) weights by
-    the im2col straight into the output; the weight gradient is the im2col
-    times the transposed output gradient, cols · gᵀ (BLAS runs this
-    orientation faster than g · colsᵀ), summed over the group and added
-    transposed; the input gradient is the transposed weights times the
-    output gradient, folded back onto the padded input by K shifted adds.
+    The convolution is im2col GEMMs (Chellapilla et al. 2006) over groups
+    of consecutive samples, as many as fit the im2col budget (one at long
+    L, up to hundreds at short L). Each pass builds one window view of the
+    padded batch and copies a group's (n, Cin*K, L) im2col out of it. The
+    batch streams through in chunks, runs of whole groups whose conv output
+    fits the same budget, so the full-resolution (B, Cout, L) conv output
+    and its gradient are never held. Forward, per chunk: one stacked
+    `np.matmul` per group of the (Cout, Cin*K) weights by the im2col into a
+    chunk buffer, the bias, then `max_pool` with ReLU folded in as a floor.
+    Backward, per chunk: `unpool` into a chunk-sized gradient, the weight
+    gradient per group as the im2col times the transposed gradient,
+    cols · gᵀ (BLAS runs this orientation faster than g · colsᵀ), summed
+    over the group and added transposed, the bias gradient per sample, and
+    the input gradient as the transposed weights times the gradient, folded
+    back onto the padded input by K shifted adds. Only the padded input
+    and the pool's argmax are cached.
     """
 
-    def __init__(self, in_channels, out_channels, kernel, rng, dtype=np.float32):
+    def __init__(self, in_channels, out_channels, kernel, pool, rng, dtype=np.float32):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
+        self.pool = pool
         self.w = _kaiming_uniform(
             rng, (out_channels, in_channels, kernel), in_channels * kernel, dtype
         )
@@ -89,9 +136,19 @@ class Conv1d(Layer):
         sample_bytes = self.w.itemsize * self.in_channels * self.kernel * length
         return max(1, IM2COL_BUDGET // sample_bytes)
 
-    def _groups(self, batch, length):
+    def chunk_size(self, length):
+        """Samples per chunk at input length `length`: whole GEMM groups
+        whose conv output fits the budget, at least one group."""
         n = self.group_size(length)
-        return [slice(s, min(s + n, batch)) for s in range(0, batch, n)]
+        group_bytes = n * self.w.itemsize * self.out_channels * length
+        return n * max(1, IM2COL_BUDGET // group_bytes)
+
+    def _chunks(self, batch, length):
+        """(chunk, its GEMM groups relative to the chunk) over the batch."""
+        n, size = self.group_size(length), self.chunk_size(length)
+        for start in range(0, batch, size):
+            m = min(size, batch - start)
+            yield slice(start, start + m), [slice(s, min(s + n, m)) for s in range(0, m, n)]
 
     @staticmethod
     def _cols(win, group):
@@ -99,51 +156,70 @@ class Conv1d(Layer):
         cols = np.ascontiguousarray(win[group])
         return cols.reshape(len(cols), -1, cols.shape[3])
 
+    def _buffer(self, batch, length):
+        """Chunk-sized (n, Cout, L) work buffer for conv outputs or their
+        gradient, whose columns past the last whole pool window are 0."""
+        rows = min(batch, self.chunk_size(length))
+        buf = np.empty((rows, self.out_channels, length), dtype=self.w.dtype)
+        buf[:, :, length - length % self.pool :] = 0.0
+        return buf
+
     def forward(self, x, training=False, rng=None):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"conv expects (B, {self.in_channels}, L), got {x.shape}"
             )
+        batch, _, length = x.shape
         k = self.kernel
         pl = k // 2
         xp = np.pad(np.asarray(x, dtype=self.w.dtype), ((0, 0), (0, 0), (pl, k - 1 - pl)))
         w2 = self.w.reshape(self.out_channels, -1)
-        out = np.empty((x.shape[0], self.out_channels, x.shape[2]), dtype=self.w.dtype)
-        win = sliding_window_view(xp, x.shape[2], axis=2)
-        for group in self._groups(x.shape[0], x.shape[2]):
-            np.matmul(w2, self._cols(win, group), out=out[group])
-        out += self.b[:, None]
-        self._cache = xp
+        out = np.empty((batch, self.out_channels, length // self.pool), dtype=self.w.dtype)
+        arg = np.empty(out.shape, dtype=np.min_scalar_type(self.pool))
+        win = sliding_window_view(xp, length, axis=2)
+        conv = self._buffer(batch, length)
+        for chunk, groups in self._chunks(batch, length):
+            y, cwin = conv[: chunk.stop - chunk.start], win[chunk]
+            for group in groups:
+                np.matmul(w2, self._cols(cwin, group), out=y[group])
+            y += self.b[:, None]
+            max_pool(y, self.pool, out[chunk], arg[chunk], floor=True)
+        self._cache = (xp, arg)
         return out
 
     def backward(self, grad_out, compute_input_grad=True):
-        xp = self._cached()
-        g = np.ascontiguousarray(grad_out, dtype=self.w.dtype)
-        batch, _, length = g.shape
-        groups = self._groups(batch, length)
-        if self.frozen:
-            self.gw[...] = 0.0
-            self.gb[...] = 0.0
-        else:
-            gw2 = self.gw.reshape(self.out_channels, -1)
-            gw2[...] = 0.0
-            win = sliding_window_view(xp, length, axis=2)
-            for group in groups:
-                g_t = g[group].transpose(0, 2, 1)
-                gw2 += np.matmul(self._cols(win, group), g_t).sum(axis=0).T
-            self.gb[...] = g.sum(axis=(0, 2))
-        if not compute_input_grad:
-            return None
+        xp, arg = self._cached()
+        g = np.asarray(grad_out, dtype=self.w.dtype)
         k = self.kernel
+        batch, length = g.shape[0], xp.shape[2] - k + 1
+        self.gw[...] = 0.0
+        self.gb[...] = 0.0
+        if self.frozen and not compute_input_grad:
+            return None
+        gw2 = self.gw.reshape(self.out_channels, -1)
         w2t = self.w.reshape(self.out_channels, -1).T
-        dxp = np.zeros_like(xp)
-        for group in groups:
-            dcols = np.matmul(w2t, g[group]).reshape(-1, self.in_channels, k, length)
-            dst = dxp[group]
-            for j in range(k):
-                dst[:, :, j : j + length] += dcols[:, :, j]
-        pl = k // 2
-        return dxp[:, :, pl : pl + length]
+        win = sliding_window_view(xp, length, axis=2)
+        dxp = np.zeros_like(xp) if compute_input_grad else None
+        dy_buf = self._buffer(batch, length)  # unpool leaves the remainder 0
+        for chunk, groups in self._chunks(batch, length):
+            dy, cwin = dy_buf[: chunk.stop - chunk.start], win[chunk]
+            unpool(g[chunk], arg[chunk], self.pool, dy)
+            if not self.frozen:
+                for group in groups:
+                    g_t = dy[group].transpose(0, 2, 1)
+                    gw2 += np.matmul(self._cols(cwin, group), g_t).sum(axis=0).T
+                # per sample, then in sample order: how dy.sum(axis=(0, 2))
+                # adds when Cout > 1
+                for sample_sum in dy.sum(axis=2):
+                    self.gb += sample_sum
+            if compute_input_grad:
+                dst_chunk = dxp[chunk]
+                for group in groups:
+                    dcols = np.matmul(w2t, dy[group]).reshape(-1, self.in_channels, k, length)
+                    dst = dst_chunk[group]
+                    for j in range(k):
+                        dst[:, :, j : j + length] += dcols[:, :, j]
+        return None if dxp is None else dxp[:, :, k // 2 : k // 2 + length]
 
 
 class ReLU(Layer):
@@ -159,37 +235,24 @@ class ReLU(Layer):
 
 
 class MaxPool1d(Layer):
-    """Non-overlapping max pooling; a trailing remainder shorter than the
-    pool width is dropped.
-
-    Forward is a running `np.maximum` over the W strided taps
-    x[:, :, j:usable:W] (NaN propagates); the index of the first maximum is
-    kept in the smallest unsigned dtype that holds W-1 and updated without
-    branches. Backward writes the gradient through the same taps.
-    """
+    """Non-overlapping max pooling (`max_pool`, without the floor); a
+    trailing remainder shorter than the pool width is dropped."""
 
     def __init__(self, width):
         self.width = width
 
     def forward(self, x, training=False, rng=None):
-        width = self.width
-        usable = x.shape[2] - x.shape[2] % width
-        out = x[:, :, 0:usable:width].copy()
-        arg = np.zeros(out.shape, dtype=np.min_scalar_type(width - 1))
-        for j in range(1, width):
-            tap = x[:, :, j:usable:width]
-            gt = tap > out  # strict, so a tie keeps the first maximum
-            arg *= ~gt
-            arg += gt * arg.dtype.type(j)
-            np.maximum(out, tap, out=out)
-        self._cache = (x.shape, usable, arg)
+        b, c, length = x.shape
+        out = np.empty((b, c, length // self.width), dtype=x.dtype)
+        arg = np.empty(out.shape, dtype=np.min_scalar_type(self.width))
+        max_pool(x, self.width, out, arg)
+        self._cache = (x.shape, arg)
         return out
 
     def backward(self, grad_out, compute_input_grad=True):
-        x_shape, usable, arg = self._cached()
+        x_shape, arg = self._cached()
         dx = np.zeros(x_shape, dtype=grad_out.dtype)
-        for j in range(self.width):
-            np.multiply(grad_out, arg == j, out=dx[:, :, j:usable:self.width])
+        unpool(grad_out, arg, self.width, dx)
         return dx
 
 

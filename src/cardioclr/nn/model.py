@@ -1,6 +1,6 @@
-"""The encoder/head graph: 5 conv -> max-pool -> ReLU blocks, then either a
-projection head for contrastive pretraining or a 3-layer classification head
-with dropout."""
+"""The encoder/head graph: 5 conv -> max-pool -> ReLU blocks (one fused
+`Conv1d` layer each), then either a projection head for contrastive
+pretraining or a 3-layer classification head with dropout."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, ShapeError, StateError
-from .layers import Conv1d, Dense, Dropout, MaxPool1d, ReLU
+from .layers import Conv1d, Dense, Dropout, ReLU
 
 PROJECTION = "projection"
 CLASSIFIER = "classifier"
@@ -71,12 +71,8 @@ class ModelGraph:
         cfg = self.encoder_cfg
         self.encoder_layers = []
         in_ch = cfg.in_channels
-        # Pooling before ReLU gives the same values and gradients as
-        # ReLU-then-pool (ReLU is monotone), with ReLU on 1/pool of the data.
         for out_ch, kernel, pool in zip(cfg.channels, cfg.kernels, cfg.pool_widths):
-            self.encoder_layers.append(Conv1d(in_ch, out_ch, kernel, rng, self.dtype))
-            self.encoder_layers.append(MaxPool1d(pool))
-            self.encoder_layers.append(ReLU())
+            self.encoder_layers.append(Conv1d(in_ch, out_ch, kernel, pool, rng, self.dtype))
             in_ch = out_ch
 
     def set_projection_head(self, rng: np.random.Generator) -> None:
@@ -176,8 +172,10 @@ class ModelGraph:
     # -- parameter access ---------------------------------------------------
 
     def _layer_items(self):
+        # block i is named for its conv's index in a conv/pool/ReLU layer
+        # stack, so checkpoints written before the blocks were fused load
         for i, layer in enumerate(self.encoder_layers):
-            yield f"enc{i}", layer
+            yield f"enc{3 * i}", layer
         for i, layer in enumerate(self.head_layers):
             yield f"head{i}", layer
 

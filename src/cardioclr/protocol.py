@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import os
 from contextlib import closing
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .config import (
 )
 from .contrastive import freeze_encoder, pretrain
 from .downstream import TaskSpec, evaluate, train_baseline, train_head
-from .errors import CardioclrError, ConfigError, DataError, FormatError
+from .errors import CardioclrError, ConfigError, DataError, FormatError, parse_text_file
 from .nn import build_ssl_graph, load_checkpoint, save_checkpoint
 from .nn.optim import best_val_loss
 from .signal_io import LABELED_TAGS, UNLABELED_TAGS, read_window_store, split_indices
@@ -43,6 +44,7 @@ LEDGER_COLUMNS = LEDGER_HEADER.split(",")
 IN_DISTRIBUTION = "in_distribution"
 OOD = "ood"
 BASELINE_POLICY = "baseline"
+STATUSES = ("ok", "failed")
 
 
 @dataclass
@@ -61,11 +63,6 @@ class LedgerRow:
     checkpoint: str
     status: str = "ok"
 
-    @property
-    def is_no_ds(self) -> bool:
-        """True when the encoder never saw the downstream dataset."""
-        return self.downstream not in self.ssl_set.split("+")
-
     def to_csv_fields(self) -> list[str]:
         def num(v):
             return "" if v is None else f"{v:.6f}"
@@ -79,17 +76,36 @@ class LedgerRow:
 
     @classmethod
     def from_csv_fields(cls, fields: Sequence[str]) -> "LedgerRow":
+        """The row a ledger line holds; a field no ledger writes raises
+        `FormatError`."""
         if len(fields) != len(LEDGER_COLUMNS):
             raise FormatError(f"ledger row has {len(fields)} fields, expected {len(LEDGER_COLUMNS)}")
+        named = dict(zip(LEDGER_COLUMNS, fields))
 
-        def num(text):
-            return None if text == "" else float(text)
+        def metric(name):
+            text = named[name]
+            if text == "":
+                return None
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not 0.0 <= value <= 1.0:  # NaN fails too
+                raise FormatError(f"{name} must be empty or a number in [0, 1], got {text!r}")
+            return value
 
+        for name, allowed in (("eval_kind", (IN_DISTRIBUTION, OOD)), ("status", STATUSES)):
+            if named[name] not in allowed:
+                raise FormatError(f"{name} must be one of {', '.join(allowed)}, got {named[name]!r}")
+        try:
+            seed = int(named["seed"])
+        except ValueError:
+            raise FormatError(f"seed must be an integer, got {named['seed']!r}") from None
         return cls(
             experiment_id=fields[0], ssl_set=fields[1], policy=fields[2],
             downstream=fields[3], task=fields[4], eval_dataset=fields[5],
-            eval_kind=fields[6], accuracy=num(fields[7]), micro_f1=num(fields[8]),
-            macro_f1=num(fields[9]), seed=int(fields[10]), checkpoint=fields[11],
+            eval_kind=fields[6], accuracy=metric("accuracy"), micro_f1=metric("micro_f1"),
+            macro_f1=metric("macro_f1"), seed=seed, checkpoint=fields[11],
             status=fields[12],
         )
 
@@ -104,15 +120,25 @@ def write_ledger(path, rows: Sequence[LedgerRow]) -> None:
 
 
 def read_ledger(path) -> list[LedgerRow]:
+    """The ledger's rows, none if it does not exist. A malformed ledger
+    raises `FormatError` naming the file and the line."""
     path = Path(path)
     if not path.exists():
         return []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LEDGER_COLUMNS:
-            raise FormatError(f"{path}: unexpected ledger header")
-        return [LedgerRow.from_csv_fields(row) for row in reader]
+    return parse_text_file(path, _parse_ledger, FormatError)
+
+
+def _parse_ledger(text: str) -> list[LedgerRow]:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = []
+    try:
+        if next(reader, None) != LEDGER_COLUMNS:
+            raise FormatError("unexpected ledger header")
+        for fields in reader:
+            rows.append(LedgerRow.from_csv_fields(fields))
+    except (FormatError, csv.Error) as err:
+        raise FormatError(f"line {reader.line_num or 1}: {err}") from None
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +231,7 @@ def parse_plan_text(text: str) -> ExperimentPlan:
 
 
 def parse_plan(path) -> ExperimentPlan:
-    return parse_plan_text(Path(path).read_text(encoding="utf-8"))
+    return parse_text_file(path, parse_plan_text, ConfigError)
 
 
 # ---------------------------------------------------------------------------

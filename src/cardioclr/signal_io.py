@@ -19,7 +19,8 @@ import numpy as np
 
 from ._atomic import replace_dir_atomic
 from ._dsp import highpass_taps, lowpass_taps
-from .errors import CardioclrError, FormatError, LabelError, ParameterError, UnsupportedFormatError
+from .errors import (CardioclrError, FormatError, LabelError, ParameterError,
+                     UnsupportedFormatError, parse_text_file)
 
 TARGET_RATE = 2000
 WINDOW_SECONDS = 5.0
@@ -555,8 +556,12 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def read_manifest(path) -> DatasetManifest:
+    return parse_text_file(path, _parse_manifest, FormatError)
+
+
+def _parse_manifest(text: str) -> DatasetManifest:
     entries = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         # Split the line unstripped: an unlabeled entry ends in a tab.
         if not line.strip() or line.lstrip().startswith("#"):
             continue

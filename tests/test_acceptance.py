@@ -20,7 +20,7 @@ from cardioclr.augment import (
     reverse,
 )
 from cardioclr.config import RunConfig
-from cardioclr.contrastive import PretrainConfig, freeze_encoder, nt_xent_loss, pretrain
+from cardioclr.contrastive import PretrainConfig, freeze_encoder, pretrain
 from cardioclr.downstream import (
     DownstreamConfig,
     TaskSpec,
@@ -39,6 +39,7 @@ from cardioclr.protocol import (
     run_plan,
 )
 from cardioclr.signal_io import LabeledWindow, write_window_store
+from test_contrastive import nt_xent_loss
 
 DESK_ENCODER = EncoderConfig(
     channels=(4, 8, 8, 16, 16),

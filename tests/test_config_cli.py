@@ -18,12 +18,14 @@ from cardioclr.config import (
     config_hash,
     downstream_config,
     encoder_config,
+    parse_config,
     parse_config_text,
     pretrain_config,
     resolved_text,
 )
 from cardioclr.errors import ConfigError
 from cardioclr.nn import load_checkpoint
+from cardioclr import protocol
 from cardioclr.protocol import LedgerRow, downstream_splits, read_ledger, write_ledger
 
 # a non-default value for each string key; a new string key must be added
@@ -183,6 +185,47 @@ class TestConfig:
         assert str(info.value).startswith(message)
 
 
+class TestReadersNameTheFile:
+    def test_bad_config_value_names_the_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[pretrain]\nbatch_size = lots\n")
+        with pytest.raises(ConfigError, match=rf"^{path}: line 2: bad value for batch_size: 'lots'"):
+            parse_config(path)
+
+    def test_bad_config_combination_names_the_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[pretrain]\npatience = -5\n")
+        with pytest.raises(ConfigError, match=rf"^{path}: \[pretrain\] need 0 <= patience"):
+            parse_config(path)
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"[pretrain]\nbatch_size = \xff\n")
+        with pytest.raises(ConfigError, match=rf"^{path}: not UTF-8 text"):
+            parse_config(path)
+
+    def test_bad_plan_names_the_file(self, tmp_path):
+        path = tmp_path / "p.plan"
+        path.write_text("[ssl_sets]\nephnogram\n[policies]\nnone|rev\n[tasks]\npascal:binary\n")
+        with pytest.raises(ConfigError, match=rf"^{path}: plan is missing a non-empty \[seeds\]"):
+            protocol.parse_plan(path)
+
+    def test_non_utf8_plan_is_a_config_error(self, tmp_path):
+        path = tmp_path / "p.plan"
+        path.write_bytes(b"[ssl_sets]\n\xffephnogram\n")
+        with pytest.raises(ConfigError, match=rf"^{path}: not UTF-8 text"):
+            protocol.parse_plan(path)
+
+    def test_prepare_on_a_non_utf8_manifest_names_it(self, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_bytes(b"a.wav\trec\xff\tsynthetic\t\n")
+        code = cli.main(["prepare", "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: FormatError: {manifest}: not UTF-8 text") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestCliBasics:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2
@@ -252,7 +295,7 @@ class TestCliBasics:
                          "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith(f"error: ConfigError: plan line {lineno}: ")
+        assert err.startswith(f"error: ConfigError: {plan}: plan line {lineno}: ")
 
     def test_duplicate_plan_entries_are_a_config_error(self, tmp_path, capsys):
         plan = tmp_path / "p.plan"
@@ -262,7 +305,7 @@ class TestCliBasics:
                          "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith(
-            "error: ConfigError: duplicate policy 'none|flip(0.5)'")
+            f"error: ConfigError: {plan}: duplicate policy 'none|flip(0.5)'")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("metric", ["accuracy", "odd_micro_f1", "ood", "micro_f1"])

@@ -10,13 +10,18 @@ from cardioclr.contrastive import (
     PretrainConfig,
     freeze_encoder,
     nt_xent_grad,
-    nt_xent_loss,
     pretrain,
 )
 from cardioclr.downstream import DownstreamConfig, TaskSpec, train_baseline, train_head
 from cardioclr.errors import ConfigError, NumericError, ParameterError
 from cardioclr.nn import EncoderConfig, attach_classifier, build_ssl_graph
 from cardioclr.nn.optim import history_to_csv
+
+
+def nt_xent_loss(views, temperature: float):
+    """Scalar NT-Xent loss and the 2N per-anchor pair losses."""
+    loss, per_pair, _ = nt_xent_grad(views, temperature)
+    return loss, per_pair
 
 
 def naive_nt_xent(z, tau):

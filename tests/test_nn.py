@@ -4,6 +4,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from cardioclr.nn import (
     save_checkpoint,
 )
 from cardioclr.nn.gradcheck import run_gradient_suite
-from cardioclr.nn.model import EVAL_CHUNK
+from cardioclr.nn.layers import IM2COL_BUDGET, Layer
+from cardioclr.nn.model import EVAL_CHUNK, ModelGraph
 from cardioclr.nn.optim import EpochStats, early_stopping
 from cardioclr.nn.losses import (
     binary_cross_entropy_loss,
@@ -76,173 +78,6 @@ def reference_conv1d(x, w, b, g):
     return out, gw, g.sum(axis=(0, 2)), dxp[:, :, pl : pl + L]
 
 
-class PreviousConv1d(Conv1d):
-    """The kernel before the weight gradient became cols · gᵀ, kept as a
-    bitwise reference: a window view per group, and gw += g · colsᵀ."""
-
-    def _group_cols(self, xp, group):
-        length = xp.shape[2] - self.kernel + 1
-        win = sliding_window_view(xp[group], length, axis=2)
-        return np.ascontiguousarray(win).reshape(len(win), -1, length)
-
-    def forward(self, x, training=False, rng=None):
-        k = self.kernel
-        xp = np.pad(np.asarray(x, dtype=self.w.dtype), ((0, 0), (0, 0), (k // 2, k - 1 - k // 2)))
-        w2 = self.w.reshape(self.out_channels, -1)
-        out = np.empty((x.shape[0], self.out_channels, x.shape[2]), dtype=self.w.dtype)
-        for group in self._groups(x.shape[0], x.shape[2]):
-            np.matmul(w2, self._group_cols(xp, group), out=out[group])
-        out += self.b[:, None]
-        self._cache = xp
-        return out
-
-    def backward(self, grad_out, compute_input_grad=True):
-        xp, k = self._cache, self.kernel
-        g = np.ascontiguousarray(grad_out, dtype=self.w.dtype)
-        batch, _, length = g.shape
-        groups = self._groups(batch, length)
-        gw2 = self.gw.reshape(self.out_channels, -1)
-        gw2[...] = 0.0
-        for group in groups:
-            gw2 += np.matmul(g[group], self._group_cols(xp, group).transpose(0, 2, 1)).sum(axis=0)
-        self.gb[...] = g.sum(axis=(0, 2))
-        w2t = self.w.reshape(self.out_channels, -1).T
-        dxp = np.zeros_like(xp)
-        for group in groups:
-            dcols = np.matmul(w2t, g[group]).reshape(-1, self.in_channels, k, length)
-            dst = dxp[group]
-            for j in range(k):
-                dst[:, :, j : j + length] += dcols[:, :, j]
-        return dxp[:, :, k // 2 : k // 2 + length]
-
-
-def conv_shapes(cfg):
-    """(Cin, Cout, K, L) of every conv layer of an encoder config."""
-    shapes, cin, length = [], cfg.in_channels, cfg.input_len
-    for cout, k, pool in zip(cfg.channels, cfg.kernels, cfg.pool_widths):
-        shapes.append((cin, cout, k, length))
-        cin, length = cout, length // pool
-    return shapes
-
-
-def rel_err(got, want):
-    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-30))
-
-
-KERNEL_SHAPES = (
-    conv_shapes(EncoderConfig())
-    + conv_shapes(DESK_ENCODER)
-    + [(2, 3, 4, 11), (3, 2, 5, 11), (2, 3, 1, 7), (2, 3, 9, 4), (1, 2, 8, 3)]
-)
-
-
-def group_size(cin, k, length):
-    return Conv1d(cin, 1, k, np.random.default_rng(0)).group_size(length)
-
-
-def partial_batch(cin, k, length):
-    """A batch size whose last GEMM group is partial, or None where a group
-    is one sample."""
-    n = group_size(cin, k, length)
-    return n + max(1, n // 2) if n > 1 else None
-
-
-def kernel_cases():
-    """Each shape at B=2, B=1 and a B with a partial last group. The B=2
-    cases keep their plain shape ids."""
-    for cin, cout, k, length in KERNEL_SHAPES:
-        shape_id = f"{cin}-{cout}-{k}-{length}"
-        yield pytest.param(cin, cout, k, length, 2, id=shape_id)
-        yield pytest.param(cin, cout, k, length, 1, id=f"{shape_id}-B1")
-        batch = partial_batch(cin, k, length)
-        if batch:
-            yield pytest.param(cin, cout, k, length, batch, id=f"{shape_id}-B{batch}")
-
-
-class TestConv1dKernels:
-    """The grouped GEMM conv against the float64 definition at every layer
-    shape of the full-size and desk encoders, plus even/odd K, K=1 and K>L,
-    at batch sizes on both sides of the group boundaries."""
-
-    def test_group_size_follows_the_layer_shape(self):
-        for cin, _, k, length in conv_shapes(EncoderConfig())[:2] + conv_shapes(DESK_ENCODER)[:1]:
-            assert group_size(cin, k, length) == 1
-        assert group_size(16, 4, 39) > group_size(16, 4, 156) > 1
-
-    @pytest.mark.parametrize("cin,cout,k,length,batch", kernel_cases())
-    def test_forward_and_gradients(self, cin, cout, k, length, batch):
-        rng = np.random.default_rng(cin * 1000 + k * 10 + length)
-        layer = Conv1d(cin, cout, k, rng)
-        layer.b[...] = rng.uniform(-1, 1, cout)
-        x = rng.standard_normal((batch, cin, length)).astype(np.float32)
-        g = rng.standard_normal((batch, cout, length)).astype(np.float32)
-        out_ref, gw_ref, gb_ref, dx_ref = reference_conv1d(x, layer.w, layer.b, g)
-        out = layer.forward(x)
-        dx = layer.backward(g)
-        assert out.shape == out_ref.shape and dx.shape == x.shape
-        assert rel_err(out, out_ref) <= 1e-5
-        assert rel_err(layer.gw, gw_ref) <= 1e-5
-        assert rel_err(layer.gb, gb_ref) <= 1e-5
-        assert rel_err(dx, dx_ref) <= 1e-5
-
-    @pytest.mark.parametrize("cin,cout,k,length,batch", kernel_cases())
-    def test_same_bytes_as_previous_kernel(self, cin, cout, k, length, batch):
-        layers = [cls(cin, cout, k, np.random.default_rng(k * length))
-                  for cls in (Conv1d, PreviousConv1d)]
-        rng = np.random.default_rng(cin * 1000 + k * 10 + length)
-        x = rng.standard_normal((batch, cin, length)).astype(np.float32)
-        g = rng.standard_normal((batch, cout, length)).astype(np.float32)
-        (out, dx, gw, gb), (out_ref, dx_ref, gw_ref, gb_ref) = (
-            (layer.forward(x), layer.backward(g), layer.gw, layer.gb) for layer in layers
-        )
-        assert out.tobytes() == out_ref.tobytes()
-        assert gw.tobytes() == gw_ref.tobytes()
-        assert gb.tobytes() == gb_ref.tobytes()
-        assert dx.tobytes() == dx_ref.tobytes()
-
-    @pytest.mark.parametrize("cfg", [EncoderConfig(), DESK_ENCODER], ids=["full", "desk"])
-    def test_pretrain_step_same_encoder_bytes_as_previous_kernel(self, cfg):
-        windows = np.random.default_rng(3).standard_normal((16, cfg.input_len)).astype(np.float32)
-        config = PretrainConfig(batch_size=8, max_epochs=1, patience=0, warmup_epochs=0)
-        encoders = []
-        for previous in (False, True):
-            graph = build_ssl_graph(cfg, seed=5)
-            initial = graph.encoder_bytes()
-            if previous:
-                for layer in graph.encoder_layers:
-                    if type(layer) is Conv1d:
-                        layer.__class__ = PreviousConv1d
-            graph, history = pretrain(graph, windows, parse_policy("none|rev"), config)
-            assert len(history) == 1 and graph.encoder_bytes() != initial
-            encoders.append(graph.encoder_bytes())
-        assert encoders[0] == encoders[1]
-
-    def test_no_input_grad_still_fills_param_grads(self):
-        rng = np.random.default_rng(5)
-        layer = Conv1d(3, 4, 6, rng)
-        batch = partial_batch(3, 6, 20)
-        x = rng.standard_normal((batch, 3, 20)).astype(np.float32)
-        g = rng.standard_normal((batch, 4, 20)).astype(np.float32)
-        _, gw_ref, gb_ref, _ = reference_conv1d(x, layer.w, layer.b, g)
-        layer.forward(x)
-        assert layer.backward(g, compute_input_grad=False) is None
-        assert rel_err(layer.gw, gw_ref) <= 1e-5
-        assert rel_err(layer.gb, gb_ref) <= 1e-5
-
-    def test_frozen_layer_reports_zero_grads_and_passes_dx(self):
-        rng = np.random.default_rng(6)
-        layer = Conv1d(2, 3, 5, rng)
-        layer.frozen = True
-        batch = partial_batch(2, 5, 15)
-        x = rng.standard_normal((batch, 2, 15)).astype(np.float32)
-        g = rng.standard_normal((batch, 3, 15)).astype(np.float32)
-        _, _, _, dx_ref = reference_conv1d(x, layer.w, layer.b, g)
-        layer.forward(x)
-        dx = layer.backward(g)
-        assert np.all(layer.gw == 0.0) and np.all(layer.gb == 0.0)
-        assert rel_err(dx, dx_ref) <= 1e-5
-
-
 def reference_maxpool(x, width, g):
     """Pooled values and input gradient in the natural (B, C, L/W, W)
     block layout: first-maximum argmax, gather, scatter."""
@@ -257,9 +92,249 @@ def reference_maxpool(x, width, g):
     return out, dx
 
 
+def reference_block(x, w, b, width, g):
+    """float64 forward, gw, gb and dx of conv -> max-pool -> ReLU from the
+    definitions of the three."""
+    conv = reference_conv1d(x, w, b, np.zeros(x.shape[:1] + b.shape + x.shape[2:]))[0]
+    pooled, _ = reference_maxpool(conv, width, np.zeros(g.shape))
+    _, dconv = reference_maxpool(conv, width, np.where(pooled > 0, g, 0.0))
+    _, gw, gb, dx = reference_conv1d(x, w, b, dconv)
+    return np.maximum(pooled, 0.0), gw, gb, dx
+
+
+class UnfusedConv1d(Layer):
+    """The conv layer of the conv -> max-pool -> ReLU stack an encoder
+    block fuses, as it ran before the fusion: the same grouped im2col GEMMs
+    over the whole batch, holding the full-resolution (B, Cout, L) output
+    and its gradient. Kept as the bitwise reference; it shares the block's
+    parameter arrays."""
+
+    def __init__(self, block):
+        self.in_channels, self.out_channels = block.in_channels, block.out_channels
+        self.kernel, self.w, self.b = block.kernel, block.w, block.b
+        self.gw, self.gb = np.zeros_like(self.w), np.zeros_like(self.b)
+
+    def params(self):
+        return {"w": self.w, "b": self.b}
+
+    def grads(self):
+        return {"w": self.gw, "b": self.gb}
+
+    def _groups(self, batch, length):
+        n = max(1, IM2COL_BUDGET // (self.w.itemsize * self.in_channels * self.kernel * length))
+        return [slice(s, min(s + n, batch)) for s in range(0, batch, n)]
+
+    @staticmethod
+    def _cols(win, group):
+        cols = np.ascontiguousarray(win[group])
+        return cols.reshape(len(cols), -1, cols.shape[3])
+
+    def forward(self, x, training=False, rng=None):
+        k, length = self.kernel, x.shape[2]
+        xp = np.pad(np.asarray(x, dtype=self.w.dtype), ((0, 0), (0, 0), (k // 2, k - 1 - k // 2)))
+        w2 = self.w.reshape(self.out_channels, -1)
+        out = np.empty((x.shape[0], self.out_channels, length), dtype=self.w.dtype)
+        win = sliding_window_view(xp, length, axis=2)
+        for group in self._groups(x.shape[0], length):
+            np.matmul(w2, self._cols(win, group), out=out[group])
+        out += self.b[:, None]
+        self._cache = xp
+        return out
+
+    def backward(self, grad_out, compute_input_grad=True):
+        xp, k = self._cached(), self.kernel
+        g = np.ascontiguousarray(grad_out, dtype=self.w.dtype)
+        batch, _, length = g.shape
+        groups = self._groups(batch, length)
+        gw2 = self.gw.reshape(self.out_channels, -1)
+        gw2[...] = 0.0
+        self.gb[...] = 0.0
+        if not self.frozen:
+            win = sliding_window_view(xp, length, axis=2)
+            for group in groups:
+                gw2 += np.matmul(self._cols(win, group), g[group].transpose(0, 2, 1)).sum(axis=0).T
+            self.gb[...] = g.sum(axis=(0, 2))
+        if not compute_input_grad:
+            return None
+        w2t = self.w.reshape(self.out_channels, -1).T
+        dxp = np.zeros_like(xp)
+        for group in groups:
+            dcols = np.matmul(w2t, g[group]).reshape(-1, self.in_channels, k, length)
+            dst = dxp[group]
+            for j in range(k):
+                dst[:, :, j : j + length] += dcols[:, :, j]
+        return dxp[:, :, k // 2 : k // 2 + length]
+
+
+def unfused(block):
+    """The conv -> max-pool -> ReLU layers a block fuses, on its parameters."""
+    return [UnfusedConv1d(block), MaxPool1d(block.pool), ReLU()]
+
+
+def unfuse(graph):
+    """`graph` with every encoder block replaced by its unfused layers."""
+    graph.encoder_layers = [layer for block in graph.encoder_layers for layer in unfused(block)]
+    return graph
+
+
+def run_layers(layers, x, g, compute_input_grad=True):
+    """(out, dx, gw, gb) of a forward then backward pass through `layers`;
+    gw and gb are the first layer's."""
+    out = x
+    for layer in layers:
+        out = layer.forward(out)
+    grad = g
+    for i in range(len(layers) - 1, -1, -1):
+        grad = layers[i].backward(grad, compute_input_grad=compute_input_grad or i > 0)
+    return out, grad, layers[0].gw, layers[0].gb
+
+
+def assert_same_bytes(got, want):
+    for name, a, b in zip(("out", "dx", "gw", "gb"), got, want):
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+def block_shapes(cfg):
+    """(Cin, Cout, K, L, W) of every block of an encoder config."""
+    shapes, cin, length = [], cfg.in_channels, cfg.input_len
+    for cout, k, pool in zip(cfg.channels, cfg.kernels, cfg.pool_widths):
+        shapes.append((cin, cout, k, length, pool))
+        cin, length = cout, length // pool
+    return shapes
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-30))
+
+
+# every full-size and desk block, plus even/odd K, K=1, K>L and pool widths
+# 2-5 that leave a remainder (L % W != 0)
+KERNEL_SHAPES = (
+    block_shapes(EncoderConfig())
+    + block_shapes(DESK_ENCODER)
+    + [(2, 3, 4, 11, 3), (3, 2, 5, 11, 2), (2, 3, 1, 7, 5), (2, 3, 9, 4, 3), (1, 2, 8, 3, 2)]
+)
+
+
+def make_block(cin, cout, k, width, seed):
+    return Conv1d(cin, cout, k, width, np.random.default_rng(seed))
+
+
+def group_size(cin, k, length):
+    return Conv1d(cin, 1, k, 1, np.random.default_rng(0)).group_size(length)
+
+
+def partial_batch(cin, k, length):
+    """A batch size whose last GEMM group is partial, or None where a group
+    is one sample."""
+    n = group_size(cin, k, length)
+    return n + max(1, n // 2) if n > 1 else None
+
+
+def kernel_cases():
+    """Each shape at B=2, B=1 and a B with a partial last group. The B=2
+    cases keep their plain shape ids."""
+    for cin, cout, k, length, width in KERNEL_SHAPES:
+        shape_id = f"{cin}-{cout}-{k}-{length}"
+        yield pytest.param(cin, cout, k, length, width, 2, id=shape_id)
+        yield pytest.param(cin, cout, k, length, width, 1, id=f"{shape_id}-B1")
+        batch = partial_batch(cin, k, length)
+        if batch:
+            yield pytest.param(cin, cout, k, length, width, batch, id=f"{shape_id}-B{batch}")
+
+
+def block_inputs(cin, cout, length, batch, width, seed):
+    """x and a pooled output gradient for a block."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, cin, length)).astype(np.float32)
+    g = rng.standard_normal((batch, cout, length // width)).astype(np.float32)
+    return x, g
+
+
+class TestConv1dKernels:
+    """The fused encoder block against the float64 definition and bitwise
+    against the unfused conv -> max-pool -> ReLU layers, at every block
+    shape of the full-size and desk encoders, plus even/odd K, K=1, K>L and
+    pool remainders, at batch sizes on both sides of the group boundaries."""
+
+    def test_group_size_follows_the_layer_shape(self):
+        for cin, _, k, length, _ in block_shapes(EncoderConfig())[:2] + block_shapes(DESK_ENCODER)[:1]:
+            assert group_size(cin, k, length) == 1
+        assert group_size(16, 4, 39) > group_size(16, 4, 156) > 1
+
+    @pytest.mark.parametrize("cin,cout,k,length,width", KERNEL_SHAPES)
+    def test_chunks_are_runs_of_whole_groups_within_the_budget(self, cin, cout, k, length, width):
+        block = make_block(cin, cout, k, width, 0)
+        n, size = block.group_size(length), block.chunk_size(length)
+        assert size % n == 0
+        assert size == n or size * cout * length * 4 <= IM2COL_BUDGET < (size + n) * cout * length * 4
+        batch = size + max(1, n // 2)
+        chunks = list(block._chunks(batch, length))
+        assert [c.stop - c.start for c, _ in chunks] == [size, batch - size]
+        for chunk, groups in chunks:
+            assert [g.start for g in groups] == list(range(0, chunk.stop - chunk.start, n))
+
+    @pytest.mark.parametrize("cin,cout,k,length,width,batch", kernel_cases())
+    def test_forward_and_gradients(self, cin, cout, k, length, width, batch):
+        layer = make_block(cin, cout, k, width, cin * 1000 + k * 10 + length)
+        x, g = block_inputs(cin, cout, length, batch, width, k * length)
+        layer.b[...] = np.random.default_rng(cout).uniform(-0.5, 0.5, cout)
+        out_ref, gw_ref, gb_ref, dx_ref = reference_block(x, layer.w, layer.b, width, g)
+        out = layer.forward(x)
+        dx = layer.backward(g)
+        assert out.shape == out_ref.shape and dx.shape == x.shape
+        assert rel_err(out, out_ref) <= 1e-5
+        assert rel_err(layer.gw, gw_ref) <= 1e-5
+        assert rel_err(layer.gb, gb_ref) <= 1e-5
+        assert rel_err(dx, dx_ref) <= 1e-5
+
+    @pytest.mark.parametrize("cin,cout,k,length,width,batch", kernel_cases())
+    def test_same_bytes_as_previous_kernel(self, cin, cout, k, length, width, batch):
+        block = make_block(cin, cout, k, width, k * length)
+        x, g = block_inputs(cin, cout, length, batch, width, cin * 1000 + k * 10 + length)
+        assert_same_bytes(run_layers([block], x, g), run_layers(unfused(block), x, g))
+
+    @pytest.mark.parametrize("cfg", [EncoderConfig(), DESK_ENCODER], ids=["full", "desk"])
+    def test_pretrain_step_same_encoder_bytes_as_previous_kernel(self, cfg):
+        windows = np.random.default_rng(3).standard_normal((16, cfg.input_len)).astype(np.float32)
+        config = PretrainConfig(batch_size=8, max_epochs=1, patience=0, warmup_epochs=0)
+        encoders = []
+        for previous in (False, True):
+            graph = build_ssl_graph(cfg, seed=5)
+            initial = graph.encoder_bytes()
+            if previous:
+                unfuse(graph)
+            graph, history = pretrain(graph, windows, parse_policy("none|rev"), config)
+            assert len(history) == 1 and graph.encoder_bytes() != initial
+            encoders.append(graph.encoder_bytes())
+        assert encoders[0] == encoders[1]
+
+    def test_no_input_grad_still_fills_param_grads(self):
+        layer = make_block(3, 4, 6, 3, 5)
+        x, g = block_inputs(3, 4, 20, partial_batch(3, 6, 20), 3, 5)
+        _, gw_ref, gb_ref, _ = reference_block(x, layer.w, layer.b, 3, g)
+        layer.forward(x)
+        assert layer.backward(g, compute_input_grad=False) is None
+        assert rel_err(layer.gw, gw_ref) <= 1e-5
+        assert rel_err(layer.gb, gb_ref) <= 1e-5
+
+    def test_frozen_layer_reports_zero_grads_and_passes_dx(self):
+        layer = make_block(2, 3, 5, 2, 6)
+        layer.frozen = True
+        x, g = block_inputs(2, 3, 15, partial_batch(2, 5, 15), 2, 6)
+        _, _, _, dx_ref = reference_block(x, layer.w, layer.b, 2, g)
+        layer.forward(x)
+        dx = layer.backward(g)
+        assert np.all(layer.gw == 0.0) and np.all(layer.gb == 0.0)
+        assert rel_err(dx, dx_ref) <= 1e-5
+
+
 def pool_shapes(cfg):
     """(C, L, W) of every pooling layer of an encoder config."""
-    return [(cout, length, w) for (_, cout, _, length), w in zip(conv_shapes(cfg), cfg.pool_widths)]
+    return [(cout, length, w) for _, cout, _, length, w in block_shapes(cfg)]
 
 
 class TestMaxPool1d:
@@ -297,29 +372,98 @@ class TestMaxPool1d:
         )
 
 
-class TestBlockOrder:
-    def test_pool_before_relu_is_bitwise_relu_before_pool(self):
-        """Conv -> MaxPool -> ReLU (as built) against Conv -> ReLU -> MaxPool
-        on one whole encoder with its projection head: same bytes out and
-        the same gradient bytes for every parameter."""
-        new = build_ssl_graph(DESK_ENCODER, seed=4)
-        old = build_ssl_graph(DESK_ENCODER, seed=4)
-        layers = old.encoder_layers
-        for i in range(0, len(layers), 3):
-            conv, pool, relu = layers[i : i + 3]
-            assert (type(conv), type(pool), type(relu)) == (Conv1d, MaxPool1d, ReLU)
-            layers[i : i + 3] = [conv, relu, pool]
+def chunk_cases():
+    """Each full-size and desk block at a batch of one chunk plus a partial
+    one (whose last GEMM group is partial too where groups hold several
+    samples)."""
+    for cin, cout, k, length, width in block_shapes(EncoderConfig()) + block_shapes(DESK_ENCODER):
+        block = make_block(cin, cout, k, width, 0)
+        n = block.group_size(length)
+        batch = block.chunk_size(length) + max(1, n // 2)
+        yield pytest.param(cin, cout, k, length, width, batch,
+                           id=f"{cin}-{cout}-{k}-{length}-B{batch}")
+
+
+class TestConvBlock:
+    """The fused block gives the bytes of the unfused conv -> max-pool ->
+    ReLU layers (`unfused`): output, input gradient, weight and bias
+    gradients."""
+
+    def test_encoder_same_bytes_as_the_unfused_triple(self):
+        """One whole desk encoder with its projection head, fused (as built)
+        against unfused: same bytes out, the same gradient bytes for every
+        parameter and the same embedding."""
+        fused = build_ssl_graph(DESK_ENCODER, seed=4)
+        old = unfuse(build_ssl_graph(DESK_ENCODER, seed=4))
+        assert [type(layer) for layer in old.encoder_layers[:3]] == [UnfusedConv1d, MaxPool1d, ReLU]
         rng = np.random.default_rng(7)
         x = rng.standard_normal((3, DESK_ENCODER.input_len)).astype(np.float32)
-        out_new, out_old = new.forward(x, training=True), old.forward(x, training=True)
+        out_new, out_old = fused.forward(x, training=True), old.forward(x, training=True)
         assert out_new.tobytes() == out_old.tobytes()
         g = rng.standard_normal(out_new.shape).astype(np.float32)
-        new.backward(g)
+        fused.backward(g)
         old.backward(g)
-        for (n1, a), (n2, b) in zip(new.named_grads(), old.named_grads()):
-            assert n1 == n2
-            assert a.tobytes() == b.tobytes(), n1
-        assert new.embed(x).tobytes() == old.embed(x).tobytes()
+        grads_old = [a for _, a in old.named_grads()]
+        assert len(grads_old) == len(fused.named_grads())
+        for (name, a), b in zip(fused.named_grads(), grads_old):
+            assert a.tobytes() == b.tobytes(), name
+        assert fused.embed(x).tobytes() == old.embed(x).tobytes()
+
+    @pytest.mark.parametrize("cin,cout,k,length,width,batch", chunk_cases())
+    def test_partial_chunk_same_bytes(self, cin, cout, k, length, width, batch):
+        block = make_block(cin, cout, k, width, k + length)
+        x, g = block_inputs(cin, cout, length, batch, width, cin + length)
+        for compute_input_grad in (True, False):
+            assert_same_bytes(run_layers([block], x, g, compute_input_grad),
+                              run_layers(unfused(block), x, g, compute_input_grad))
+
+    @pytest.mark.parametrize("width", [2, 3, 4, 5])
+    def test_ties_signed_zeros_and_nan_same_bytes(self, width):
+        """Integer weights and inputs on a coarse grid make exact conv
+        outputs: tied maxima, +0.0 and -0.0 maxima, negative windows, and a
+        NaN window; the gradient holds negatives (so -0.0 products)."""
+        length = 7 * width + width - 1  # L % W != 0
+        rng = np.random.default_rng(width)
+        block = Conv1d(2, 3, 3, width, rng)
+        block.w[...] = rng.integers(-1, 2, block.w.shape)
+        block.b[...] = [0.0, -0.0, -1.0]
+        batch = block.chunk_size(length) + 2
+        x = rng.integers(-1, 2, (batch, 2, length)).astype(np.float32)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[0, 0, 5] = np.nan
+        g = rng.integers(-2, 3, (batch, 3, length // width)).astype(np.float32)
+        got = run_layers([block], x, g)
+        assert_same_bytes(got, run_layers(unfused(block), x, g))
+        out = got[0]
+        assert np.isnan(out).any() and (out == 0).any()
+        assert not np.signbit(out[out == 0]).any()
+
+    def test_unpooled_gradient_of_a_floored_window_is_positive_zero(self):
+        block = Conv1d(1, 1, 1, 4, np.random.default_rng(0))
+        block.w[...] = 1.0
+        x = np.array([[[-1.0, -3.0, -2.0, -4.0, 1.0, 2.0, -1.0, 0.0]]], dtype=np.float32)
+        out = block.forward(x)
+        np.testing.assert_array_equal(out, [[[0.0, 2.0]]])
+        dx = block.backward(np.array([[[-5.0, -7.0]]], dtype=np.float32))
+        np.testing.assert_array_equal(dx, [[[0, 0, 0, 0, 0, -7.0, 0, 0]]])
+        assert not np.signbit(dx[0, 0, :4]).any()
+
+    def test_full_size_step_holds_no_full_resolution_activation(self):
+        """One forward+backward of the full-size block stack at B=32 under
+        tracemalloc. The unfused layers peak at 21.4 MiB here: block 0's
+        (32, 8, 10000) conv output and then its gradient are 9.8 MiB each.
+        The fused blocks hold one chunk of either at a time (17.0 MiB)."""
+        graph = ModelGraph(EncoderConfig())
+        graph.build_encoder(np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((32, 10000)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = graph.forward(x, training=True)
+            graph.backward(np.ones_like(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19 * 2**20, peak / 2**20
 
 
 class TestEmbed:
@@ -355,39 +499,45 @@ class TestEmbed:
         assert features.shape == (0, DESK_ENCODER.feature_dim())
 
 
+def pool_relu(conv, width):
+    """max-pool of width `width`, then ReLU, of a (B, C, L) array."""
+    usable = conv.shape[2] - conv.shape[2] % width
+    return np.maximum(conv[:, :, :usable].reshape(*conv.shape[:2], -1, width).max(axis=3), 0.0)
+
+
 class TestConv1d:
     def test_single_tap_identity(self):
-        layer = Conv1d(1, 1, 1, np.random.default_rng(0))
+        layer = Conv1d(1, 1, 1, 1, np.random.default_rng(0))
         layer.w[...] = 1.0
         layer.b[...] = 0.0
         x = np.random.default_rng(1).uniform(-1, 1, (2, 1, 9)).astype(np.float32)
-        np.testing.assert_allclose(layer.forward(x), x)
+        np.testing.assert_allclose(layer.forward(x), np.maximum(x, 0.0))
 
     def test_centered_kernel_identity(self):
-        layer = Conv1d(1, 1, 3, np.random.default_rng(0))
+        layer = Conv1d(1, 1, 3, 1, np.random.default_rng(0))
         layer.w[...] = np.array([[[0.0, 1.0, 0.0]]])
         layer.b[...] = 0.0
         x = np.random.default_rng(2).uniform(-1, 1, (1, 1, 12)).astype(np.float32)
-        np.testing.assert_allclose(layer.forward(x), x)
+        np.testing.assert_allclose(layer.forward(x), np.maximum(x, 0.0))
 
     def test_against_naive_loops(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, (2, 3, 16)).astype(np.float32)
-        layer = Conv1d(3, 4, 5, rng)
+        layer = Conv1d(3, 4, 5, 2, rng)
         expected = naive_conv1d(x.astype(np.float64), layer.w.astype(np.float64), layer.b.astype(np.float64))
-        np.testing.assert_allclose(layer.forward(x), expected, atol=1e-6)
+        np.testing.assert_allclose(layer.forward(x), pool_relu(expected, 2), atol=1e-6)
 
     def test_even_kernel_against_naive(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 1, (2, 2, 10)).astype(np.float32)
-        layer = Conv1d(2, 3, 4, rng)
+        layer = Conv1d(2, 3, 4, 3, rng)
         expected = naive_conv1d(x.astype(np.float64), layer.w.astype(np.float64), layer.b.astype(np.float64))
-        np.testing.assert_allclose(layer.forward(x), expected, atol=1e-6)
+        np.testing.assert_allclose(layer.forward(x), pool_relu(expected, 3), atol=1e-6)
 
     def test_backward_before_forward(self):
-        layer = Conv1d(1, 1, 3, np.random.default_rng(0))
+        layer = Conv1d(1, 1, 3, 2, np.random.default_rng(0))
         with pytest.raises(StateError):
-            layer.backward(np.zeros((1, 1, 4)))
+            layer.backward(np.zeros((1, 1, 2)))
 
 
 class TestOtherLayers:

@@ -14,7 +14,7 @@ from cardioclr import protocol
 from cardioclr import signal_io as sio
 from cardioclr.config import RunConfig
 from cardioclr.downstream import TaskSpec
-from cardioclr.errors import CardioclrError, ConfigError, DataError, NumericError
+from cardioclr.errors import CardioclrError, ConfigError, DataError, FormatError, NumericError
 from cardioclr.nn import ModelGraph, load_checkpoint
 from cardioclr.protocol import (
     ExperimentPlan,
@@ -52,6 +52,11 @@ _TAG_LABELS = {
     "physionet2016": ("normal", "abnormal"),
     "physionet2022": ("absent", "present"),
 }
+
+
+def is_no_ds(row):
+    """True when the row's encoder never saw its downstream dataset."""
+    return row.downstream not in row.ssl_set.split("+")
 
 
 def _store_windows(tag, n_recordings, per_recording, seed):
@@ -168,7 +173,7 @@ class TestRunExperiment:
         id_rows = [r for r in rows if r.eval_kind == "in_distribution"]
         assert len(id_rows) == 3
         assert all(r.eval_dataset == r.downstream for r in id_rows)
-        assert all(r.is_no_ds for r in rows)  # encoder never saw labeled data
+        assert all(is_no_ds(r) for r in rows)  # encoder never saw labeled data
 
     def test_single_downstream_has_no_ood_records(self, stores_root, tmp_path):
         rows = run_experiment(
@@ -600,11 +605,62 @@ class TestLedgerAndSelect:
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["ledger.csv"]
 
+    def _ledger_with(self, tmp_path, column, value):
+        """A valid two-row ledger whose second row (line 3) has the text
+        `value` in `column`."""
+        path = tmp_path / "ledger.csv"
+        write_ledger(path, [self._row("none|rev"), self._row("none|inv")])
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")  # no field of this row holds a comma
+        fields[protocol.LEDGER_COLUMNS.index(column)] = value
+        path.write_text("\n".join(lines[:2] + [",".join(fields)]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("column,value,message", [
+        ("seed", "x", "seed must be an integer, got 'x'"),
+        ("seed", "1.5", "seed must be an integer"),
+        ("status", "weird", "status must be one of ok, failed, got 'weird'"),
+        ("eval_kind", "x", "eval_kind must be one of in_distribution, ood, got 'x'"),
+        ("micro_f1", "abc", "micro_f1 must be empty or a number in \\[0, 1\\], got 'abc'"),
+        ("accuracy", "nan", "accuracy must be empty or a number in"),
+        ("macro_f1", "inf", "macro_f1 must be empty or a number in"),
+        ("accuracy", "1.5", "accuracy must be empty or a number in"),
+        ("accuracy", "-0.25", "accuracy must be empty or a number in"),
+    ])
+    def test_bad_field_is_a_format_error_naming_ledger_and_line(self, tmp_path, column, value,
+                                                                message):
+        path = self._ledger_with(tmp_path, column, value)
+        with pytest.raises(FormatError, match=rf"^{path}: line 3: {message}"):
+            read_ledger(path)
+
+    def test_short_row_names_ledger_and_line(self, tmp_path):
+        path = self._ledger_with(tmp_path, "checkpoint", "x.ckpt")
+        path.write_text(path.read_text() + "e1,ephnogram,none|rev\n")
+        with pytest.raises(FormatError, match=rf"^{path}: line 4: ledger row has 3 fields"):
+            read_ledger(path)
+
+    def test_non_utf8_ledger_is_a_format_error_naming_it(self, tmp_path):
+        path = self._ledger_with(tmp_path, "checkpoint", "x.ckpt")
+        path.write_bytes(path.read_bytes() + b"\xff\xfe,\n")
+        with pytest.raises(FormatError, match=rf"^{path}: not UTF-8 text"):
+            read_ledger(path)
+
+    def test_valid_ledger_keeps_its_bytes(self, tmp_path):
+        rows = [self._row("none|rev", micro=1.0), self._row("none|inv", micro=0.0),
+                self._row("none|flip(0.5)", kind="ood", micro=0.123456),
+                self._row("none|scale(0.5,2)", accuracy=None, micro_f1=None, macro_f1=None,
+                          status="failed", seed=-3)]
+        path = tmp_path / "ledger.csv"
+        write_ledger(path, rows)
+        first = path.read_bytes()
+        write_ledger(path, read_ledger(path))
+        assert path.read_bytes() == first
+
     def test_is_no_ds(self):
         row = self._row("none|rev", ssl_set="ephnogram+fpcgdb+pascal")
-        assert not row.is_no_ds
+        assert not is_no_ds(row)
         row2 = self._row("none|rev", ssl_set="ephnogram+fpcgdb")
-        assert row2.is_no_ds
+        assert is_no_ds(row2)
 
     def test_select_best_single(self):
         row = self._row("none|rev")

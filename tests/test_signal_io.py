@@ -498,6 +498,22 @@ class TestWindowStore:
         assert type(info.value) is error
         assert not (tmp_path / "stores").exists()
 
+    @pytest.mark.parametrize("line,message", [
+        ("a.wav\trec\tsynthetic", "manifest line 2: expected 4 tab-separated fields"),
+        ("a.wav\trec\tnope\t", "manifest line 2: unknown dataset tag 'nope'"),
+    ])
+    def test_bad_manifest_line_names_the_manifest(self, tmp_path, line, message):
+        path = tmp_path / "manifest.tsv"
+        path.write_text("# header\n" + line + "\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: {message}"):
+            sio.read_manifest(path)
+
+    def test_non_utf8_manifest_is_a_format_error_naming_it(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_bytes(b"# header\na\xff.wav\trec\tsynthetic\t\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: not UTF-8 text \(byte 10\)"):
+            sio.read_manifest(path)
+
     def test_prepare_pipeline(self, tmp_path):
         src = tmp_path / "raw"
         sio.generate_synthetic_manifest(src, seed=6, n_recordings=4)
