@@ -128,7 +128,9 @@ def cmd_finetune(args) -> int:
     encoder = meta.get("extra", {})
     enc_id = encoder.get("encoder_id", "")
     task = TaskSpec(args.dataset, args.task)
-    x, metas = protocol.WindowStores(args.windows).load(args.dataset)
+    stores = protocol.WindowStores(args.windows)
+    protocol.check_splits([(task, cfg.seed)], [task], stores, cfg)
+    x, metas = stores.load(args.dataset)
     graph = freeze_encoder(graph)
     features = graph.embed(x)
     graph, history = protocol.fit_head(graph, enc_id, task, cfg.seed, features, metas, cfg)

@@ -2,10 +2,9 @@
 
 Shapes follow the (batch, channels, length) convention for convolutional
 layers and (batch, features) for dense ones. Every layer keeps what its
-backward pass needs in `_cache`; calling backward without a prior forward
-is an error.
-Frozen layers still propagate input gradients but report zero parameter
-gradients and are skipped by the optimizers.
+backward pass needs in `_cache`, and backward hands it over: a cache lives
+from one forward to the next backward, and calling backward without a prior
+forward is an error.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.
 
 
 class Layer:
-    frozen = False
-    # what forward keeps for backward (None before any forward);
-    # `ModelGraph.clear_caches` resets it
+    # what forward keeps for backward (None before any forward and after a
+    # backward); `ModelGraph.clear_caches` resets it
     _cache = None
 
     def params(self) -> dict[str, np.ndarray]:
@@ -40,9 +38,11 @@ class Layer:
         raise NotImplementedError
 
     def _cached(self):
-        if self._cache is None:
+        """The forward's cache, handed over: a second backward raises."""
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise StateError(f"{type(self).__name__}.backward called before forward")
-        return self._cache
+        return cache
 
 
 # Bytes of im2col one GEMM call covers, and of conv output one encoder-block
@@ -194,8 +194,6 @@ class Conv1d(Layer):
         batch, length = g.shape[0], xp.shape[2] - k + 1
         self.gw[...] = 0.0
         self.gb[...] = 0.0
-        if self.frozen and not compute_input_grad:
-            return None
         gw2 = self.gw.reshape(self.out_channels, -1)
         w2t = self.w.reshape(self.out_channels, -1).T
         win = sliding_window_view(xp, length, axis=2)
@@ -204,14 +202,13 @@ class Conv1d(Layer):
         for chunk, groups in self._chunks(batch, length):
             dy, cwin = dy_buf[: chunk.stop - chunk.start], win[chunk]
             unpool(g[chunk], arg[chunk], self.pool, dy)
-            if not self.frozen:
-                for group in groups:
-                    g_t = dy[group].transpose(0, 2, 1)
-                    gw2 += np.matmul(self._cols(cwin, group), g_t).sum(axis=0).T
-                # per sample, then in sample order: how dy.sum(axis=(0, 2))
-                # adds when Cout > 1
-                for sample_sum in dy.sum(axis=2):
-                    self.gb += sample_sum
+            for group in groups:
+                g_t = dy[group].transpose(0, 2, 1)
+                gw2 += np.matmul(self._cols(cwin, group), g_t).sum(axis=0).T
+            # per sample, then in sample order: how dy.sum(axis=(0, 2)) adds
+            # when Cout > 1
+            for sample_sum in dy.sum(axis=2):
+                self.gb += sample_sum
             if compute_input_grad:
                 dst_chunk = dxp[chunk]
                 for group in groups:
@@ -281,12 +278,8 @@ class Dense(Layer):
     def backward(self, grad_out, compute_input_grad=True):
         x = self._cached()
         g = np.ascontiguousarray(grad_out, dtype=self.w.dtype)
-        if self.frozen:
-            self.gw[...] = 0.0
-            self.gb[...] = 0.0
-        else:
-            self.gw[...] = x.T @ g
-            self.gb[...] = g.sum(axis=0)
+        self.gw[...] = x.T @ g
+        self.gb[...] = g.sum(axis=0)
         if not compute_input_grad:
             return None
         return g @ self.w.T

@@ -103,8 +103,8 @@ class ModelGraph:
         self.n_out = None
 
     def freeze_encoder(self) -> None:
-        for layer in self.encoder_layers:
-            layer.frozen = True
+        """From now on the encoder only runs forward: `backward` raises and
+        the trainable parameters are the head's."""
         self.encoder_frozen = True
 
     # -- execution ----------------------------------------------------------
@@ -138,7 +138,10 @@ class ModelGraph:
         return out
 
     def backward(self, grad_out) -> None:
-        """Gradients of every layer; frozen layers report zeros."""
+        """Gradients of every layer of an unfrozen graph."""
+        if self.encoder_frozen:
+            raise StateError("backward through a frozen encoder; train the head with "
+                             "head_backward")
         grad = self.head_backward(grad_out)
         grad = grad.reshape(grad.shape[0], *self.encoder_cfg.feature_shape())
         for i in range(len(self.encoder_layers) - 1, -1, -1):
@@ -171,17 +174,17 @@ class ModelGraph:
 
     # -- parameter access ---------------------------------------------------
 
-    def _layer_items(self):
+    def _layer_items(self, encoder=True):
         # block i is named for its conv's index in a conv/pool/ReLU layer
         # stack, so checkpoints written before the blocks were fused load
-        for i, layer in enumerate(self.encoder_layers):
+        for i, layer in enumerate(self.encoder_layers if encoder else ()):
             yield f"enc{3 * i}", layer
         for i, layer in enumerate(self.head_layers):
             yield f"head{i}", layer
 
     def _named(self, kind: str, trainable_only: bool) -> list[tuple[str, np.ndarray]]:
-        return [(f"{name}.{key}", arr) for name, layer in self._layer_items()
-                if not (trainable_only and layer.frozen)
+        items = self._layer_items(encoder=not (trainable_only and self.encoder_frozen))
+        return [(f"{name}.{key}", arr) for name, layer in items
                 for key, arr in getattr(layer, kind)().items()]
 
     def named_params(self, trainable_only=False) -> list[tuple[str, np.ndarray]]:

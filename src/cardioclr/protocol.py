@@ -13,7 +13,7 @@ import io
 import math
 import os
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -35,16 +35,11 @@ from .nn import build_ssl_graph, load_checkpoint, save_checkpoint
 from .nn.optim import best_val_loss
 from .signal_io import LABELED_TAGS, UNLABELED_TAGS, read_window_store, split_indices
 
-LEDGER_HEADER = (
-    "experiment_id,ssl_set,policy,downstream,task,eval_dataset,eval_kind,"
-    "accuracy,micro_f1,macro_f1,seed,checkpoint,status"
-)
-LEDGER_COLUMNS = LEDGER_HEADER.split(",")
-
 IN_DISTRIBUTION = "in_distribution"
 OOD = "ood"
 BASELINE_POLICY = "baseline"
 STATUSES = ("ok", "failed")
+METRICS = ("accuracy", "micro_f1", "macro_f1")
 
 
 @dataclass
@@ -64,15 +59,9 @@ class LedgerRow:
     status: str = "ok"
 
     def to_csv_fields(self) -> list[str]:
-        def num(v):
-            return "" if v is None else f"{v:.6f}"
-
-        return [
-            self.experiment_id, self.ssl_set, self.policy, self.downstream,
-            self.task, self.eval_dataset, self.eval_kind,
-            num(self.accuracy), num(self.micro_f1), num(self.macro_f1),
-            str(self.seed), self.checkpoint, self.status,
-        ]
+        values = [(name, getattr(self, name)) for name in LEDGER_COLUMNS]
+        return ["" if v is None else f"{v:.6f}" if name in METRICS else str(v)
+                for name, v in values]
 
     @classmethod
     def from_csv_fields(cls, fields: Sequence[str]) -> "LedgerRow":
@@ -98,16 +87,14 @@ class LedgerRow:
             if named[name] not in allowed:
                 raise FormatError(f"{name} must be one of {', '.join(allowed)}, got {named[name]!r}")
         try:
-            seed = int(named["seed"])
+            named["seed"] = int(named["seed"])
         except ValueError:
             raise FormatError(f"seed must be an integer, got {named['seed']!r}") from None
-        return cls(
-            experiment_id=fields[0], ssl_set=fields[1], policy=fields[2],
-            downstream=fields[3], task=fields[4], eval_dataset=fields[5],
-            eval_kind=fields[6], accuracy=metric("accuracy"), micro_f1=metric("micro_f1"),
-            macro_f1=metric("macro_f1"), seed=seed, checkpoint=fields[11],
-            status=fields[12],
-        )
+        return cls(**{**named, **{name: metric(name) for name in METRICS}})
+
+
+LEDGER_COLUMNS = [f.name for f in dataclass_fields(LedgerRow)]
+LEDGER_HEADER = ",".join(LEDGER_COLUMNS)
 
 
 def write_ledger(path, rows: Sequence[LedgerRow]) -> None:
@@ -383,23 +370,28 @@ def model_metadata(cfg_hash: str, policy_text: str, task: TaskSpec, seed: int,
             **encoder}
 
 
-def _model_rows(graph, task, tasks, test_features, cfg, seed, ssl_set, policy_text, out_dir,
-                encoder=None) -> list[LedgerRow]:
-    """Checkpoint one trained model and evaluate it in-distribution and OOD.
-
-    `test_features(tag)` gives the `(features, metas)` of a dataset's test
-    split under the model's encoder. OOD evaluation reuses the trained head
-    on the other labeled datasets, which is only label-compatible for
-    1-logit (binary) heads; wider `all` heads are evaluated in-distribution
-    only. With `graph=None` (training failed) the same rows come back with
-    status=failed and no metrics, so sweep statistics keep the full
-    denominator.
-    """
-    cfg_hash = config_hash(cfg)
-    exp_id = experiment_id(cfg_hash, ssl_set, policy_text, task.dataset_tag, task.task_type, seed)
+def _evals(task: TaskSpec, tasks: Sequence[TaskSpec]) -> list[tuple[str, str]]:
+    """`(eval_dataset, eval_kind)` of a model trained for `task`: its own
+    dataset in-distribution, and OOD every other task's dataset. OOD reuses
+    the trained head, which is only label-compatible for 1-logit (binary)
+    heads; wider `all` heads are evaluated in-distribution only."""
     evals = [(task.dataset_tag, IN_DISTRIBUTION)]
     if task.n_out == 1:
         evals += [(t.dataset_tag, OOD) for t in tasks if t.dataset_tag != task.dataset_tag]
+    return evals
+
+
+def _model_rows(graph, task, tasks, test_features, cfg, seed, ssl_set, policy_text, out_dir,
+                encoder=None) -> list[LedgerRow]:
+    """Checkpoint one trained model and evaluate it on `_evals(task, tasks)`.
+
+    `test_features(tag)` gives the `(features, metas)` of a dataset's test
+    split under the model's encoder. With `graph=None` (training failed) the
+    same rows come back with status=failed and no metrics, so sweep
+    statistics keep the full denominator.
+    """
+    cfg_hash = config_hash(cfg)
+    exp_id = experiment_id(cfg_hash, ssl_set, policy_text, task.dataset_tag, task.task_type, seed)
     checkpoint = ""
     if graph is not None:
         # ledger and metadata keep paths relative to the sweep root, so
@@ -408,7 +400,7 @@ def _model_rows(graph, task, tasks, test_features, cfg, seed, ssl_set, policy_te
         save_checkpoint(Path(out_dir) / checkpoint, graph,
                         extra=model_metadata(cfg_hash, policy_text, task, seed, **(encoder or {})))
     rows = []
-    for eval_tag, kind in evals:
+    for eval_tag, kind in _evals(task, tasks):
         accuracy = micro_f1 = macro_f1 = None
         if graph is not None:
             eval_task = task if kind == IN_DISTRIBUTION else TaskSpec(eval_tag, "binary")
@@ -570,15 +562,16 @@ def _item_rows(pending, args, jobs):
                                  f"finish: {unfinished}") from None
 
 
-def _check_splits(pending, tasks, stores, cfg) -> None:
-    """Raise `DataError` if a pending item would train a head on an empty
-    train split or score one on an empty test split."""
+def check_splits(items, tasks, stores, cfg) -> None:
+    """Raise `DataError` if a work item would train a head on an empty train
+    split or score one on an empty test split. An SSL entry `(ssl_set,
+    policy, seed)` trains a head per task, a `(task, seed)` item one."""
     needs: dict[tuple[str, int], set] = {}  # (tag, seed) -> parts that must not be empty
-    for item in pending:
+    for item in items:
         for task in [item[0]] if isinstance(item[0], TaskSpec) else tasks:
-            needs.setdefault((task.dataset_tag, item[-1]), set()).update((TRAIN, TEST))
-            for other in tasks if task.n_out == 1 else ():  # OOD evaluations
-                needs.setdefault((other.dataset_tag, item[-1]), set()).add(TEST)
+            needs.setdefault((task.dataset_tag, item[-1]), set()).add(TRAIN)
+            for tag, _ in _evals(task, tasks):
+                needs.setdefault((tag, item[-1]), set()).add(TEST)
     for (tag, seed), parts in needs.items():
         metas = stores.load(tag)[1]
         sizes = [len(idx) for idx in downstream_splits(metas, seed, tag, cfg.split_granularity)]
@@ -631,7 +624,7 @@ def run_plan(
     # check loads every store an item trains a head on or evaluates on
     for tag in tags:
         stores.load(tag)
-    _check_splits(pending, plan.tasks, stores, cfg)
+    check_splits(pending, plan.tasks, stores, cfg)
     with closing(_item_rows(pending, (plan.tasks, stores, cfg, out_dir), jobs)) as results:
         for new_rows in results:
             rows.extend(new_rows)

@@ -23,8 +23,7 @@ from .errors import (CardioclrError, FormatError, LabelError, ParameterError,
                      UnsupportedFormatError, parse_text_file)
 
 TARGET_RATE = 2000
-WINDOW_SECONDS = 5.0
-WINDOW_SAMPLES = 10000
+WINDOW_SAMPLES = 10000  # 5 s at TARGET_RATE
 TRIM_SECONDS = 2.0
 
 DATASET_TAGS = (
@@ -337,32 +336,23 @@ def assign_labels(dataset_tag: str, original_label: Optional[str]):
     return original_label, binary
 
 
-def extract_windows(
-    rec: RawRecording,
-    window_s: float = WINDOW_SECONDS,
-    overlap: float = 0.5,
-) -> list[LabeledWindow]:
-    """Cut a homogenized recording into overlapping fixed-length windows."""
+def extract_windows(rec: RawRecording) -> list[LabeledWindow]:
+    """Cut a homogenized recording into `WINDOW_SAMPLES` windows with 50%
+    overlap."""
     if rec.sample_rate != TARGET_RATE:
         raise ParameterError(
             f"windows are extracted at {TARGET_RATE} Hz; resample first "
             f"(got {rec.sample_rate} Hz)"
         )
-    if not 0.0 <= overlap < 1.0:
-        raise ParameterError("overlap must lie in [0, 1)")
-    win_n = int(round(window_s * rec.sample_rate))
-    step_n = int(round(win_n * (1.0 - overlap)))
-    if step_n <= 0:
-        raise ParameterError("window step must be positive")
     n = rec.samples.size
-    if n < win_n:
+    if n < WINDOW_SAMPLES:
         return []
     original, binary = assign_labels(rec.dataset_tag, rec.original_label)
     windows = []
-    for idx, start in enumerate(range(0, n - win_n + 1, step_n)):
+    for idx, start in enumerate(range(0, n - WINDOW_SAMPLES + 1, WINDOW_SAMPLES // 2)):
         windows.append(
             LabeledWindow(
-                samples=rec.samples[start : start + win_n].astype(np.float32),
+                samples=rec.samples[start : start + WINDOW_SAMPLES].astype(np.float32),
                 record_id=rec.record_id,
                 dataset_tag=rec.dataset_tag,
                 window_index=idx,

@@ -24,7 +24,8 @@ from cardioclr.config import (
     resolved_text,
 )
 from cardioclr.errors import ConfigError
-from cardioclr.nn import load_checkpoint
+from cardioclr.nn import EncoderConfig, build_ssl_graph, load_checkpoint, save_checkpoint
+from cardioclr.nn.model import ModelGraph
 from cardioclr import protocol
 from cardioclr.protocol import LedgerRow, downstream_splits, read_ledger, write_ledger
 
@@ -297,6 +298,16 @@ class TestCliBasics:
         assert code == 1
         assert err.startswith(f"error: ConfigError: {plan}: plan line {lineno}: ")
 
+    def test_malformed_plan_policy_is_a_parameter_error(self, tmp_path, capsys):
+        plan = tmp_path / "p.plan"
+        plan.write_text("[ssl_sets]\nephnogram\n[policies]\nflip(1)|none\n"
+                        "[tasks]\npascal:binary\n[seeds]\n0\n")
+        code = cli.main(["sweep", "--plan", str(plan), "--windows", str(tmp_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: ParameterError: {plan}: flip ")
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_plan_entries_are_a_config_error(self, tmp_path, capsys):
         plan = tmp_path / "p.plan"
         plan.write_text("[ssl_sets]\nephnogram\n[policies]\nnone|flip(0.5)\nnone|flip(0.5)\n"
@@ -381,6 +392,32 @@ class TestCliPipeline:
         assert payload["windows"]["synthetic"] > 0
         assert (tmp_path / "stores" / "synthetic" / "windows.f32").exists()
         assert (tmp_path / "stores" / "synthetic" / "windows.json").exists()
+
+    def test_finetune_checks_the_split_before_embedding(self, tmp_path, capsys, monkeypatch):
+        """Twelve recordings split into an empty test part at seed 0, so
+        `finetune` fails with the sweep's message before it embeds a window
+        or trains a head, and writes no model."""
+        raw, stores = tmp_path / "raw", tmp_path / "stores"
+        assert cli.main(["--quiet", "synth", "--out", str(raw), "--seed", "3",
+                         "--n-recordings", "12"]) == 0
+        assert cli.main(["--quiet", "prepare", "--manifest", str(raw / "manifest.tsv"),
+                         "--out", str(stores)]) == 0
+        cfg = EncoderConfig(channels=(2,) * 5, kernels=(4,) * 5, projection_dim=8)
+        save_checkpoint(tmp_path / "enc.ckpt", build_ssl_graph(cfg, seed=0))
+
+        def never(*args, **kwargs):
+            raise AssertionError("finetune embedded or trained before checking its split")
+
+        monkeypatch.setattr(ModelGraph, "embed", never)
+        monkeypatch.setattr(protocol, "train_head", never)
+        capsys.readouterr()
+        assert cli.main(["--quiet", "finetune", "--ckpt", str(tmp_path / "enc.ckpt"),
+                         "--dataset", "synthetic", "--windows", str(stores),
+                         "--out", str(tmp_path / "model.ckpt")]) == 1
+        assert capsys.readouterr().err == (
+            "error: DataError: dataset 'synthetic' at seed 0 splits into train/val/test sizes "
+            "[43, 12, 0]; heads need a non-empty train and test split\n")
+        assert not (tmp_path / "model.ckpt").exists()
 
     def test_history_and_evaluate_json_are_written_atomically(self, tmp_path, capsys, monkeypatch):
         raw, stores, run = tmp_path / "raw", tmp_path / "stores", tmp_path / "run"
