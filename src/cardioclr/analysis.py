@@ -4,15 +4,15 @@ For each transform variant the ledger is split into matched pairs: an
 experiment using the variant, and the experiment whose policy is identical
 except that the variant is deleted from its chain (`noise|inv` pairs with
 `none|inv`). Cohen's d of the two groups measures that variant's effect on
-the chosen metric. Occurrence counting tallies how often each variant shows
-up among the top-k experiments of every downstream task.
+the chosen metric. Occurrence counts over each task's top-k experiments and
+`select_best`'s pick per task share one ranking rule (`_ranked`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -169,6 +169,24 @@ def effect_size_report(
     return report
 
 
+def _ranked(rows: Sequence[LedgerRow], eval_kind: str, metric: str, group) -> dict:
+    """The `ok`, non-baseline rows of one eval kind by `group(row)`, in key order,
+    each ranked by one rule: higher `metric`, then smaller policy, then eval dataset."""
+    groups: dict = {}
+    for row in rows:
+        if row.status == "ok" and row.eval_kind == eval_kind and row.policy != BASELINE_POLICY:
+            groups.setdefault(group(row), []).append(row)
+    return {key: sorted(groups[key], key=lambda r: (-_metric(r, metric), r.policy, r.eval_dataset))
+            for key in sorted(groups)}
+
+
+def select_best(rows: Sequence[LedgerRow], metric: str = "micro_f1") -> list[LedgerRow]:
+    """Per (ssl_set, downstream, task), the in-distribution row that ranks
+    first: the best policy for that task and SSL set."""
+    groups = _ranked(rows, IN_DISTRIBUTION, metric, lambda r: (r.ssl_set, r.downstream, r.task))
+    return [ranked[0] for ranked in groups.values()]
+
+
 @dataclass
 class OccurrenceReport:
     eval_kind: str
@@ -191,24 +209,16 @@ def top_k_occurrences(
         raise ParameterError(f"k must be at least 1, got {k}")
     if eval_kind not in (IN_DISTRIBUTION, OOD):
         raise DataError(f"unknown eval kind {eval_kind!r}")
-    tasks: dict[str, list[LedgerRow]] = {}
-    for row in rows:
-        if row.status != "ok" or row.eval_kind != eval_kind or row.policy == BASELINE_POLICY:
-            continue
-        tasks.setdefault(f"{row.downstream}:{row.task}", []).append(row)
+    tasks = _ranked(rows, eval_kind, metric, lambda r: f"{r.downstream}:{r.task}")
     if not tasks:
         raise DataError("no usable rows for occurrence counting")
 
     counts: dict[str, int] = {}
     per_task: dict[str, dict[str, int]] = {}
     n_selected = 0
-    for task_key in sorted(tasks):
-        candidates = tasks[task_key]
-        if len(candidates) < k:
-            raise DataError(
-                f"task {task_key} has {len(candidates)} rows, need at least k={k}"
-            )
-        ranked = sorted(candidates, key=lambda r: (-_metric(r, metric), r.policy, r.eval_dataset))
+    for task_key, ranked in tasks.items():
+        if len(ranked) < k:
+            raise DataError(f"task {task_key} has {len(ranked)} rows, need at least k={k}")
         task_counts: dict[str, int] = {}
         for row in ranked[:k]:
             for atom in parse_policy(row.policy).atoms():
@@ -251,8 +261,10 @@ def _occurrence_csv(reports: Sequence[OccurrenceReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_json(effects: Sequence[EffectSizeRow], occurrences: Sequence[OccurrenceReport]) -> str:
+def report_to_json(effects: Sequence[EffectSizeRow], occurrences: Sequence[OccurrenceReport],
+                   best: Sequence[LedgerRow] = ()) -> str:
     payload = {
+        "best_policies": [asdict(r) for r in best],
         "effect_sizes": [
             {
                 "augmentation": r.atom, "d": r.d, "n1": r.n1, "n2": r.n2,
@@ -279,9 +291,10 @@ def emit_report(
     out_dir,
     effects: Sequence[EffectSizeRow],
     occurrences: Sequence[OccurrenceReport],
+    best: Sequence[LedgerRow] = (),
 ) -> dict[str, str]:
-    """Write effect_sizes.csv, occurrences.csv and report.json; deterministic
-    bytes for a given input."""
+    """Write effect_sizes.csv, occurrences.csv and report.json, which lists
+    `best` (`select_best`'s rows) as `best_policies`; deterministic bytes."""
     out_dir = Path(out_dir)
     paths = {
         "effect_sizes": out_dir / "effect_sizes.csv",
@@ -290,5 +303,5 @@ def emit_report(
     }
     write_atomic(paths["effect_sizes"], _effect_csv(effects).encode("utf-8"))
     write_atomic(paths["occurrences"], _occurrence_csv(occurrences).encode("utf-8"))
-    write_atomic(paths["report"], report_to_json(effects, occurrences).encode("utf-8"))
+    write_atomic(paths["report"], report_to_json(effects, occurrences, best).encode("utf-8"))
     return {k: str(v) for k, v in paths.items()}

@@ -302,13 +302,12 @@ def default_atom_grid() -> list[Atom]:
     )]
 
 
-def enumerate_policies(case_tag: str, atom_grid: Sequence[Atom]) -> list[AugmentationPolicy]:
-    """The policies of one composition case: 0vs1 gives one policy per grid
-    atom, 1vs1 every unordered pair of distinct atoms."""
-    if not atom_grid:
-        raise ParameterError("atom grid must be non-empty")
+def enumerate_policies(case_tag: str) -> list[AugmentationPolicy]:
+    """The policies of one case over `default_atom_grid()`: 0vs1 gives one
+    policy per atom (17), 1vs1 every unordered pair of distinct atoms (136)."""
+    grid = default_atom_grid()
     if case_tag == "0vs1":
-        return [AugmentationPolicy((), (a,)) for a in atom_grid]
+        return [AugmentationPolicy((), (a,)) for a in grid]
     if case_tag == "1vs1":
-        return [AugmentationPolicy((a,), (b,)) for a, b in combinations(atom_grid, 2)]
+        return [AugmentationPolicy((a,), (b,)) for a, b in combinations(grid, 2)]
     raise ParameterError(f"case tag must be 0vs1 or 1vs1, got {case_tag!r}")

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import analysis, protocol
@@ -52,14 +53,18 @@ def _setup_logging(args) -> None:
     logging.basicConfig(level=level, handlers=[handler], force=True)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(minimum: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+_positive_int = partial(_int_at_least, 1)
+_seed = partial(_int_at_least, 0)  # every --seed, and CARDIOCLR_SEED
 
 
 def _load_config(args) -> RunConfig:
@@ -67,9 +72,9 @@ def _load_config(args) -> RunConfig:
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
         try:
-            cfg.seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV}={env_seed!r} is not an integer") from None
+            cfg.seed = _seed(env_seed)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"{SEED_ENV}={env_seed!r}: {exc}") from None
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     return cfg
@@ -216,13 +221,13 @@ def cmd_analyze(args) -> int:
             occurrences.append(analysis.top_k_occurrences(rows, k=args.k, eval_kind=k, metric=metric))
         except CardioclrError as exc:
             log.warning("occurrence counting for %s skipped: %s", k, exc)
-    paths = analysis.emit_report(args.out, effects, occurrences)
+    paths = analysis.emit_report(args.out, effects, occurrences, analysis.select_best(rows, metric))
     print(json.dumps({"effect_rows": len(effects), **paths}))
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    report = run_gradient_suite(seed=args.seed or 0, trials_per_check=args.trials)
+    report = run_gradient_suite(seed=args.seed, trials_per_check=args.trials)
     worst = max(report.values())
     for name, err in report.items():
         print(f"{name:>16s}  max_rel_err={err:.3e}")
@@ -246,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset + manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n-recordings", type=int, default=24)
     p.add_argument("--rate", type=int, default=2000)
     p.add_argument("--murmur-low", type=float, default=150.0)
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--history")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="train a classification head on a frozen encoder")
@@ -278,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="evaluate a trained model on a dataset")
@@ -289,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=["test", "all"], default="test")
     p.add_argument("--json")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="run an experiment plan into a ledger")
@@ -298,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("analyze", help="effect sizes and occurrence counts from a ledger")
@@ -309,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=6)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--trials", type=_positive_int, default=6)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -73,6 +73,8 @@ def _check(cfg) -> None:
             _stage(cfg, section)
         except ConfigError as exc:
             raise ConfigError(f"[{section}] {exc}") from None
+    if cfg.seed < 0:
+        raise ConfigError(f"[run] seed must be non-negative, got {cfg.seed}")
     if cfg.split_granularity not in SPLIT_GRANULARITIES:
         raise ConfigError(f"unknown split granularity {cfg.split_granularity!r}")
 

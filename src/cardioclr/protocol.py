@@ -1,7 +1,7 @@
 """Experiment orchestration: pretrain once per (SSL set, policy, seed), then
-round-robin the frozen encoder over every downstream dataset, evaluating each
-trained head in-distribution and on the other labeled datasets (OOD). Every
-result lands in an append-only CSV ledger keyed by a stable experiment id, so
+train a head on the frozen encoder for every downstream dataset and evaluate
+it in-distribution and on the other labeled datasets (OOD). Every result
+lands in an append-only CSV ledger keyed by a stable experiment id, so
 interrupted sweeps resume without repeating work.
 """
 
@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._atomic import write_atomic
-from .augment import parse_policy
+from .augment import enumerate_policies, parse_policy
 from .config import (
     RunConfig,
     config_hash,
@@ -30,10 +30,11 @@ from .config import (
 )
 from .contrastive import freeze_encoder, pretrain
 from .downstream import TaskSpec, evaluate, train_baseline, train_head
-from .errors import CardioclrError, ConfigError, DataError, FormatError, parse_text_file
+from .errors import (CardioclrError, ConfigError, DataError, FormatError, ParameterError,
+                     parse_text_file)
 from .nn import build_ssl_graph, load_checkpoint, save_checkpoint
 from .nn.optim import best_val_loss
-from .signal_io import LABELED_TAGS, UNLABELED_TAGS, read_window_store, split_indices
+from .signal_io import DATASET_TAGS, LABELED_TAGS, UNLABELED_TAGS, read_window_store, split_indices
 
 IN_DISTRIBUTION = "in_distribution"
 OOD = "ood"
@@ -150,6 +151,8 @@ class ExperimentPlan:
             raise ConfigError("plan needs at least one seed")
         if self.baseline_runs < 0:
             raise ConfigError(f"baseline_runs must be non-negative, got {self.baseline_runs}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         # policies that parse alike would train one encoder under two ids
         for what, keys in (("SSL set", ["+".join(s) for s in self.ssl_sets]),
                            ("policy", [str(parse_policy(p)) for p in self.policies]),
@@ -194,7 +197,20 @@ def parse_plan_text(text: str) -> ExperimentPlan:
         if not sections.get(required):
             raise ConfigError(f"plan is missing a non-empty [{required}] section")
 
-    ssl_sets = [tuple(tok.strip() for tok in line.split("+")) for _, line in sections["ssl_sets"]]
+    ssl_sets, policies = [], []  # plan lines, with the paper's SSL sets and grids expanded
+    for lineno, line in sections["ssl_sets"]:
+        ssl_set = tuple(tok.strip() for tok in line.split("+"))
+        unknown = [tag for tag in ssl_set if tag not in DATASET_TAGS]
+        if unknown and line != "leave-one-out":
+            raise ConfigError(f"plan line {lineno}: unknown dataset tag {unknown[0]!r} in {line!r}")
+        ssl_sets += leave_dataset_out_cycles() if line == "leave-one-out" else [ssl_set]
+    for lineno, line in sections["policies"]:
+        word, _, case_tag = line.partition(" ")
+        try:
+            policies += ([str(p) for p in enumerate_policies(case_tag.strip())]
+                         if word == "grid" else [line])
+        except ParameterError as exc:  # a grid other than 0vs1 or 1vs1
+            raise ConfigError(f"plan line {lineno}: {line!r}: {exc}") from None
     tasks = []
     for _, line in sections["tasks"]:
         tag, _, task_type = line.partition(":")
@@ -210,7 +226,7 @@ def parse_plan_text(text: str) -> ExperimentPlan:
             raise ConfigError(f"plan line {lineno}: unknown plan option {key!r}")
     return ExperimentPlan(
         ssl_sets=ssl_sets,
-        policies=[line for _, line in sections["policies"]],
+        policies=policies,
         tasks=tasks,
         seeds=seeds,
         baseline_runs=baseline_runs,
@@ -242,17 +258,11 @@ def derived_seed(*parts) -> int:
     return int(stable_hash(*parts), 16) & 0x7FFFFFFF
 
 
-def leave_dataset_out_cycles(
-    labeled: Sequence[str] = LABELED_TAGS,
-    unlabeled: Sequence[str] = UNLABELED_TAGS,
-) -> list[tuple[str, ...]]:
+def leave_dataset_out_cycles() -> list[tuple[str, ...]]:
     """The full-set cycle plus one cycle per left-out labeled dataset. The
     unlabeled pretraining corpora are always included."""
-    everything = tuple(unlabeled) + tuple(labeled)
-    cycles = [everything]
-    for omit in labeled:
-        cycles.append(tuple(tag for tag in everything if tag != omit))
-    return cycles
+    everything = UNLABELED_TAGS + LABELED_TAGS
+    return [everything] + [tuple(t for t in everything if t != omit) for omit in LABELED_TAGS]
 
 
 # ---------------------------------------------------------------------------
@@ -630,24 +640,3 @@ def run_plan(
             rows.extend(new_rows)
             write_ledger(ledger_path, rows)
     return rows
-
-
-def select_best(rows: Sequence[LedgerRow], metric: str = "micro_f1") -> list[LedgerRow]:
-    """Per (ssl_set, downstream, task) group, the policy whose in-distribution
-    metric is highest; ties break toward the lexicographically smaller policy."""
-    if not rows:
-        raise DataError("no records to select from")
-    groups: dict[tuple, LedgerRow] = {}
-    for row in rows:
-        if row.eval_kind != IN_DISTRIBUTION or row.status != "ok":
-            continue
-        key = (row.ssl_set, row.downstream, row.task)
-        value = getattr(row, metric)
-        incumbent = groups.get(key)
-        if incumbent is None:
-            groups[key] = row
-            continue
-        best_value = getattr(incumbent, metric)
-        if value > best_value or (value == best_value and row.policy < incumbent.policy):
-            groups[key] = row
-    return [groups[key] for key in sorted(groups)]

@@ -175,6 +175,8 @@ def decode_wav(
     audio_format, channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if channels != 1:
         raise UnsupportedFormatError(f"expected mono audio, got {channels} channels")
+    if sample_rate > 192_000:  # the resampler's filter length and time grow with the rate
+        raise UnsupportedFormatError(f"sample rate {sample_rate} Hz is above 192 kHz")
     if audio_format == _WAVE_FORMAT_PCM and bits == 16:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
         samples = raw.astype(np.float64)

@@ -227,7 +227,7 @@ class TestPolicies:
         # stays parseable (analysis must count e.g. lp|lp per chain)
         pol = aug.parse_policy("rev|rev")
         assert pol.case_tag == "1vs1"
-        for enumerated in aug.enumerate_policies("1vs1", aug.default_atom_grid()):
+        for enumerated in aug.enumerate_policies("1vs1"):
             assert enumerated.left != enumerated.right
 
     @pytest.mark.parametrize("text", [
@@ -279,21 +279,14 @@ class TestEnumeration:
         assert len(set(map(str, grid))) == 17
 
     def test_0vs1_count(self):
-        assert len(aug.enumerate_policies("0vs1", aug.default_atom_grid())) == 17
+        assert len(aug.enumerate_policies("0vs1")) == 17
 
     def test_1vs1_count(self):
-        policies = aug.enumerate_policies("1vs1", aug.default_atom_grid())
+        policies = aug.enumerate_policies("1vs1")
         assert len(policies) == math.comb(17, 2) == 136
         assert len({str(p) for p in policies}) == 136
-
-    def test_1vs1_single_atom_empty(self):
-        assert aug.enumerate_policies("1vs1", [aug.parse_atom("rev")]) == []
 
     @pytest.mark.parametrize("case_tag", ["1vs2", "2vs2", "3vs3"])
     def test_only_0vs1_and_1vs1_are_enumerated(self, case_tag):
         with pytest.raises(ParameterError):
-            aug.enumerate_policies(case_tag, aug.default_atom_grid())
-
-    def test_empty_grid_raises(self):
-        with pytest.raises(ParameterError):
-            aug.enumerate_policies("0vs1", [])
+            aug.enumerate_policies(case_tag)

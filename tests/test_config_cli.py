@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from cardioclr import cli
-from cardioclr.analysis import cohens_d
+from cardioclr.analysis import cohens_d, match_paired_experiments
+from cardioclr.augment import default_atom_grid
 from cardioclr.config import (
     SCHEMA,
     RunConfig,
@@ -179,6 +181,7 @@ class TestConfig:
         ("[pretrain]\n\nval_fraction = -inf", "line 3: bad value for val_fraction"),
         ("[downstream]\nadam_lr = NaN", "line 2: bad value for adam_lr"),
         ("[downstream]\ndropout = infinity", "line 2: bad value for dropout"),
+        ("[run]\nseed = -1", "[run] seed must be non-negative, got -1"),
     ])
     def test_out_of_range_values_name_their_place(self, text, message):
         with pytest.raises(ConfigError) as info:
@@ -264,6 +267,43 @@ class TestCliBasics:
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and cli.SEED_ENV in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["pretrain", "--datasets", "synthetic", "--policy", "none|rev", "--out", "enc.ckpt",
+         "--windows", "."],
+        ["finetune", "--ckpt", "enc.ckpt", "--dataset", "synthetic", "--out", "model.ckpt",
+         "--windows", "."],
+        ["evaluate", "--model", "model.ckpt", "--dataset", "synthetic", "--windows", "."],
+        ["sweep", "--plan", "p.plan", "--out", "out", "--windows", "."],
+        ["synth", "--out", "raw"],
+        ["gradcheck"],
+    ], ids=lambda c: c[0])
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*command, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be at least 0, got -1" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["pretrain", "--datasets", "synthetic", "--policy", "none|rev", "--out", "enc.ckpt"],
+        ["sweep", "--plan", "p.plan", "--out", "out"],
+    ], ids=lambda c: c[0])
+    def test_negative_seed_env_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv(cli.SEED_ENV, "-3")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*command, "--windows", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: {cli.SEED_ENV}='-3': must be at least 0")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_config_seed_names_the_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text("[run]\nseed = -1\n")
+        assert cli.main(["pretrain", "--config", "bad.cfg", "--windows", ".", "--datasets",
+                         "synthetic", "--policy", "none|rev", "--out", "enc.ckpt"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: ConfigError: bad.cfg: [run] seed must be non-negative, got -1")
 
     @pytest.mark.parametrize("command", [
         ["pretrain", "--datasets", "synthetic", "--policy", "none|rev", "--out", "enc.ckpt"],
@@ -359,6 +399,14 @@ class TestCliBasics:
                          "--out", str(tmp_path / "out"), *flag])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-2", "two"])
+    def test_gradcheck_rejects_bad_trials(self, capsys, trials):
+        # zero trials would check nothing and report an overall error of 0
+        assert cli.main(["gradcheck", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "argument --trials" in captured.err
+        assert "overall" not in captured.out
 
     def test_gradcheck_exits_0(self, capsys):
         assert cli.main(["gradcheck", "--trials", "1"]) == 0
@@ -501,6 +549,44 @@ class TestCliPipeline:
                          "--dataset", "synthetic", "--split", "test"]) == 0
         printed = capsys.readouterr().out.splitlines()[-1].rsplit(",", 3)[1:]
         assert printed == [f"{v:.6f}" for v in (row.accuracy, row.micro_f1, row.macro_f1)]
+
+    def test_paper_grids_sweep_into_pairs_and_best_policies(self, tmp_path, capsys):
+        """`grid 0vs1` + `grid 1vs1` sweep all 153 policies of the paper's
+        grid: every atom finds matched pairs, and `analyze` reports the best
+        policy of the task."""
+        raw, stores, sweep, report = (tmp_path / d for d in ("raw", "stores", "sweep", "report"))
+        cfg = tmp_path / "smallest.cfg"
+        cfg.write_text(
+            "[pretrain]\nbatch_size = 4\nmax_epochs = 1\npatience = 0\nwarmup_epochs = 0\n"
+            "[downstream]\nmax_epochs = 1\npatience = 0\n"
+            "[model]\nchannels = 1\nkernels = 4\npool_widths = 100\nprojection_dim = 2\n"
+        )
+        plan = tmp_path / "paper.plan"
+        plan.write_text("[ssl_sets]\nsynthetic\n[policies]\ngrid 0vs1\ngrid 1vs1\n"
+                        "[tasks]\nsynthetic:binary\n[seeds]\n4\n[options]\nbaseline_runs = 0\n")
+        assert cli.main(["--quiet", "synth", "--out", str(raw), "--seed", "4",
+                         "--n-recordings", "20"]) == 0
+        assert cli.main(["--quiet", "prepare", "--manifest", str(raw / "manifest.tsv"),
+                         "--out", str(stores)]) == 0
+        start = time.monotonic()
+        assert cli.main(["--quiet", "sweep", "--config", str(cfg), "--windows", str(stores),
+                         "--plan", str(plan), "--out", str(sweep), "--jobs", "2"]) == 0
+        elapsed = time.monotonic() - start
+        rows = read_ledger(sweep / "ledger.csv")
+        assert len(rows) == 17 + 136 and all(r.status == "ok" for r in rows)
+        for atom in map(str, default_atom_grid()):
+            # `none|atom` has no counterpart; each of the atom's 16 pairs
+            # `atom|b` has `none|b`
+            with_atom, without = match_paired_experiments(rows, atom)
+            assert len(with_atom) == len(without) == 16, atom
+
+        assert cli.main(["--quiet", "analyze", "--ledger", str(sweep / "ledger.csv"),
+                         "--metric", "id_micro_f1", "--out", str(report)]) == 0
+        [best] = json.loads((report / "report.json").read_text())["best_policies"]
+        top = max(r.micro_f1 for r in rows)
+        assert best["micro_f1"] == top
+        assert best["policy"] == min(r.policy for r in rows if r.micro_f1 == top)
+        assert elapsed < 30, f"the 153-policy desk sweep took {elapsed:.1f} s"
 
     def test_analyze_reads_the_metric_it_names(self, tmp_path):
         # rev|inv pairs with none|inv; every (kind, metric) column holds

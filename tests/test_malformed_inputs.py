@@ -1,0 +1,170 @@
+"""A malformed-input corpus: every on-disk format, cut short and byte-flipped.
+
+Each reader gets a valid desk instance of its format, then the same file
+truncated at a stride of offsets and with single bytes flipped. Every case
+must load or raise a `CardioclrError` whose message names the file (a
+window store's errors name its directory); a raw exception fails the test.
+
+A flipped payload byte (a checkpoint's parameters, a store's samples, a
+WAV's PCM data) still loads: no format records a digest of its payload yet,
+so "a flipped payload byte must not load" waits for checkpoint and store
+digests.
+"""
+
+import numpy as np
+import pytest
+
+from cardioclr import protocol
+from cardioclr import signal_io as sio
+from cardioclr.config import parse_config
+from cardioclr.errors import CardioclrError
+from cardioclr.nn import EncoderConfig, build_ssl_graph, load_checkpoint, save_checkpoint
+
+DESK_CONFIG = """[run]
+seed = 7
+
+[pretrain]
+batch_size = 16        # paper-scale default is 256
+max_epochs = 4
+patience = 2
+warmup_epochs = 2
+peak_lr = 0.02
+
+[downstream]
+adam_lr = 0.001
+max_epochs = 10
+patience = 5
+
+[model]
+channels = 4,8,8       # full-size default is 8,16,32,64,128
+kernels = 16,8,8
+pool_widths = 10,10,10
+projection_dim = 32
+"""
+
+DESK_PLAN = """# the paper's grids over its leave-one-dataset-out SSL sets
+[ssl_sets]
+leave-one-out
+ephnogram+fpcgdb
+[policies]
+grid 0vs1
+lp(500,450)|flip(0.5)
+[tasks]
+pascal:binary
+physionet2016:all
+[seeds]
+7
+[options]
+baseline_runs = 2
+"""
+
+DESK_MANIFEST = ("# cardioclr manifest v1\n"
+                 "synth_0000.wav\tsynth_0000\tsynthetic\tnormal\n"
+                 "e1.wav\te1\tephnogram\t\n"
+                 "p1.wav\tp1\tpascal\tMurmur\n")
+
+
+# past their first 64 bytes a WAV holds only PCM samples and windows.f32 only
+# floats; every other format is damaged at each byte of its first KiB, which
+# covers the text formats whole and a checkpoint's header and metadata
+SAMPLE_FORMATS = ("wav", "windows.f32")
+
+
+def _damaged(data: bytes, head: int):
+    """(label, bytes) of each damaged copy: the file cut at every offset of
+    its first `head` bytes and at about 48 more, and the byte at each of
+    those offsets XORed with 0x01 and with 0xFF."""
+    offsets = sorted({*range(min(len(data), head)),
+                      *range(head, len(data), max(1, len(data) // 48))})
+    for i in offsets:
+        yield f"cut at {i}", data[:i]
+        for mask in (0x01, 0xFF):
+            yield f"byte {i} ^ {mask:#04x}", data[:i] + bytes([data[i] ^ mask]) + data[i + 1:]
+
+
+def _store_windows(n):
+    rng = np.random.default_rng(3)
+    return [sio.LabeledWindow(samples=rng.uniform(-0.5, 0.5, sio.WINDOW_SAMPLES),
+                              record_id=f"p{i}", dataset_tag="pascal", window_index=i,
+                              original_label="Murmur", binary_label="abnormal")
+            for i in range(n - 1)] + [
+        sio.LabeledWindow(samples=np.zeros(sio.WINDOW_SAMPLES), record_id="e0",
+                          dataset_tag="ephnogram", window_index=0)]
+
+
+def _ledger_rows():
+    common = dict(ssl_set="ephnogram+fpcgdb", policy="lp(500,450)|flip(0.5)",
+                  downstream="pascal", task="binary", seed=7)
+    return [
+        protocol.LedgerRow(experiment_id="a1", eval_dataset="pascal",
+                           eval_kind="in_distribution", accuracy=0.75, micro_f1=0.75,
+                           macro_f1=0.5, checkpoint="models/a1.ckpt", **common),
+        protocol.LedgerRow(experiment_id="a1", eval_dataset="physionet2016", eval_kind="ood",
+                           accuracy=0.5, micro_f1=0.5, macro_f1=0.25,
+                           checkpoint="models/a1.ckpt", **common),
+        protocol.LedgerRow(experiment_id="b2", eval_dataset="pascal",
+                           eval_kind="in_distribution", accuracy=None, micro_f1=None,
+                           macro_f1=None, checkpoint="", status="failed", **common),
+    ]
+
+
+@pytest.fixture(scope="module")
+def desk_files(tmp_path_factory):
+    """format -> (file to damage, its loader, the path its errors must name)."""
+    root = tmp_path_factory.mktemp("desk")
+    raw = root / "raw"
+    profile = sio.SynthProfile(sample_rate=4000, min_seconds=9.5, max_seconds=9.5)
+    sio.generate_synthetic_manifest(raw, seed=1, n_recordings=1, profile=profile)
+    wav = raw / "synth_0000.wav"
+
+    manifest, config, plan = root / "manifest.tsv", root / "desk.cfg", root / "desk.plan"
+    manifest.write_text(DESK_MANIFEST)
+    config.write_text(DESK_CONFIG)
+    plan.write_text(DESK_PLAN)
+
+    store = root / "stores" / "pascal"
+    sio.write_window_store(store, _store_windows(3))
+
+    checkpoint = root / "model.ckpt"
+    graph = build_ssl_graph(EncoderConfig(channels=(2,), kernels=(4,), pool_widths=(100,),
+                                          projection_dim=4), seed=0)
+    graph.freeze_encoder()
+    graph.set_classifier_head(1, np.random.default_rng(0), 0.5)
+    save_checkpoint(checkpoint, graph, extra={"policy": "none|rev", "task": "pascal:binary",
+                                              "seed": 7})
+    ledger = root / "ledger.csv"
+    protocol.write_ledger(ledger, _ledger_rows())
+
+    return {
+        "wav": (wav, lambda: sio.prepare_manifest(raw / "manifest.tsv", root / "prepared"), wav),
+        "manifest": (manifest, lambda: sio.read_manifest(manifest), manifest),
+        "ini": (config, lambda: parse_config(config), config),
+        "plan": (plan, lambda: protocol.parse_plan(plan), plan),
+        "windows.json": (store / "windows.json", lambda: sio.read_window_store(store), store),
+        "windows.f32": (store / "windows.f32", lambda: sio.read_window_store(store), store),
+        "checkpoint": (checkpoint, lambda: load_checkpoint(checkpoint), checkpoint),
+        "ledger": (ledger, lambda: protocol.read_ledger(ledger), ledger),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["wav", "manifest", "ini", "plan", "windows.json",
+                                 "windows.f32", "checkpoint", "ledger"])
+def test_damaged_file_loads_or_names_itself(desk_files, fmt):
+    path, load, named = desk_files[fmt]
+    intact = path.read_bytes()
+    load()
+    unnamed, raw = [], []
+    try:
+        for label, data in _damaged(intact, 64 if fmt in SAMPLE_FORMATS else 1024):
+            path.write_bytes(data)
+            try:
+                load()
+            except CardioclrError as exc:
+                if str(named) not in str(exc):
+                    unnamed.append(f"{label}: {type(exc).__name__}: {exc}")
+            except Exception as exc:  # noqa: BLE001 - any other exception is the failure
+                raw.append(f"{label}: {exc!r}")
+    finally:
+        path.write_bytes(intact)
+    assert raw == [], f"{len(raw)} raw exceptions"
+    assert unnamed == [], f"{len(unnamed)} errors that do not name {named}"

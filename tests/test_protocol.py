@@ -12,6 +12,8 @@ import pytest
 
 from cardioclr import protocol
 from cardioclr import signal_io as sio
+from cardioclr.analysis import select_best
+from cardioclr.augment import enumerate_policies
 from cardioclr.config import RunConfig
 from cardioclr.downstream import TaskSpec
 from cardioclr.errors import CardioclrError, ConfigError, DataError, FormatError, NumericError
@@ -27,7 +29,6 @@ from cardioclr.protocol import (
     read_ledger,
     run_experiment,
     run_plan,
-    select_best,
     write_ledger,
 )
 from cardioclr.signal_io import LabeledWindow, write_window_store
@@ -300,6 +301,13 @@ class TestRunExperiment:
         assert "baseline replicate (pascal:binary, seed 9) failed: DataError" in caplog.text
 
 
+def _plan_text(section, lines):
+    """A one-entry plan whose `[section]` holds `lines` instead."""
+    parts = {"ssl_sets": ["ephnogram"], "policies": ["none|rev"],
+             "tasks": ["pascal:binary"], "seeds": ["1"], section: lines}
+    return "".join(f"[{name}]\n" + "\n".join(body) + "\n" for name, body in parts.items())
+
+
 def _tree_bytes(root):
     """Bytes of the ledger and of every checkpoint under a sweep directory."""
     files = [root / "ledger.csv", *sorted(root.glob("encoders/*")), *sorted(root.glob("models/*"))]
@@ -546,11 +554,49 @@ class TestRunPlan:
         ("seeds", ["0", "1", "0"], "duplicate seed 0"),
     ], ids=["ssl_set", "policy", "same_parsed_policy", "seed"])
     def test_duplicate_plan_entries_rejected(self, section, lines, message):
-        parts = {"ssl_sets": ["ephnogram"], "policies": ["none|rev"],
-                 "tasks": ["pascal:binary"], "seeds": ["1"], section: lines}
-        text = "".join(f"[{name}]\n" + "\n".join(body) + "\n" for name, body in parts.items())
         with pytest.raises(ConfigError, match=re.escape(message)):
-            parse_plan_text(text)
+            parse_plan_text(_plan_text(section, lines))
+
+    def test_grid_lines_expand_in_file_order(self):
+        plan = parse_plan_text("[ssl_sets]\nephnogram\n[policies]\nrev|inv+scale(1,2)\n"
+                               "grid 1vs1\ngrid  0vs1\n[tasks]\npascal:binary\n[seeds]\n1\n")
+        grid = [str(p) for case in ("1vs1", "0vs1") for p in enumerate_policies(case)]
+        assert plan.policies == ["rev|inv+scale(1,2)", *grid]
+        assert len(grid) == 136 + 17 and grid[-1] == "none|flip(0.7)"
+
+    def test_leave_one_out_line_expands_to_the_four_cycles(self):
+        plan = parse_plan_text("[ssl_sets]\nfpcgdb\nleave-one-out\n[policies]\nnone|rev\n"
+                               "[tasks]\npascal:binary\n[seeds]\n1\n")
+        assert plan.ssl_sets == [("fpcgdb",), *leave_dataset_out_cycles()]
+        assert len(plan.ssl_sets) == 5
+
+    @pytest.mark.parametrize("section,lines,message", [
+        ("policies", ["grid 1vs2"], "plan line 4: 'grid 1vs2': case tag must be 0vs1 or 1vs1"),
+        ("policies", ["none|rev", "grid"], "plan line 5: 'grid': case tag"),
+        ("policies", ["grid 0vs1 1vs1"], "plan line 4: 'grid 0vs1 1vs1': case tag"),
+        ("ssl_sets", ["fpcgdb+"], "plan line 2: unknown dataset tag '' in 'fpcgdb+'"),
+        ("ssl_sets", ["ephnogram", "circor+fpcgdb"],
+         "plan line 3: unknown dataset tag 'circor' in 'circor+fpcgdb'"),
+        ("ssl_sets", ["leave-one-out", "ephnogram+fpcgdb+pascal+physionet2016+physionet2022"],
+         "duplicate SSL set 'ephnogram+fpcgdb+pascal+physionet2016+physionet2022'"),
+        ("policies", ["grid 0vs1", "none|rev"], "duplicate policy 'none|rev'"),
+        ("seeds", ["2", "-1"], "seeds must be non-negative, got -1"),
+    ], ids=["grid_1vs2", "bare_grid", "two_grids", "empty_tag", "unknown_tag",
+            "expanded_ssl_set", "expanded_policy", "negative_seed"])
+    def test_bad_plan_lines_are_config_errors(self, section, lines, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_plan_text(_plan_text(section, lines))
+
+    def test_grid_plan_writes_the_ledger_of_its_written_out_plan(self, stores_root, tmp_path):
+        head = "[ssl_sets]\nephnogram\n[tasks]\npascal:binary\n[seeds]\n2\n" \
+               "[options]\nbaseline_runs = 0\n[policies]\n"
+        written_out = "\n".join(str(p) for p in enumerate_policies("0vs1"))
+        for name, policies in (("grid", "grid 0vs1"), ("lines", written_out)):
+            plan = parse_plan_text(head + policies + "\n")
+            run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path / name, jobs=2)
+        ledger = (tmp_path / "grid" / "ledger.csv").read_bytes()
+        assert ledger.count(b"\n") == 1 + 17
+        assert _tree_bytes(tmp_path / "grid") == _tree_bytes(tmp_path / "lines")
 
     def test_negative_baseline_runs_rejected(self):
         with pytest.raises(ConfigError, match="baseline_runs"):
@@ -679,9 +725,18 @@ class TestLedgerAndSelect:
             self._row("none|rev", micro=0.6),
             self._row("none|inv", kind="ood", micro=0.99),
             self._row("none|flip(0.5)", micro=0.9, status="failed"),
+            self._row(protocol.BASELINE_POLICY, micro=0.95),
         ]
-        assert select_best(rows)[0].policy == "none|rev"
+        assert select_best(rows) == [rows[0]]
 
-    def test_select_best_empty_raises(self):
-        with pytest.raises(DataError):
-            select_best([])
+    def test_select_best_of_no_usable_rows_is_empty(self):
+        assert select_best([]) == []
+        assert select_best([self._row("none|rev", status="failed")]) == []
+
+    def test_select_best_picks_per_ssl_set_and_task(self):
+        rows = [self._row("none|rev", micro=0.6), self._row("none|inv", micro=0.7),
+                self._row("none|rev", ssl_set="ephnogram", micro=0.9),
+                self._row("none|inv", ssl_set="ephnogram", micro=0.2),
+                self._row("none|rev", downstream="physionet2016", micro=0.4)]
+        assert [r.micro_f1 for r in select_best(rows)] == [0.9, 0.7, 0.4]
+        assert [r.micro_f1 for r in select_best(rows, "accuracy")] == [0.9, 0.7, 0.4]

@@ -486,7 +486,10 @@ class TestWindowStore:
         (lambda data: data[:60], FormatError),
         (lambda data: b"ID3" + data[3:], FormatError),
         (lambda data: data[:22] + struct.pack("<H", 2) + data[24:], UnsupportedFormatError),
-    ], ids=["truncated", "not_riff", "stereo"])
+        # one flipped bit of the rate: 2000 Hz becomes 16.8 MHz, whose
+        # resampling filter alone would take some 800 MiB
+        (lambda data: data[:27] + b"\x01" + data[28:], UnsupportedFormatError),
+    ], ids=["truncated", "not_riff", "stereo", "rate_above_192_khz"])
     def test_prepare_names_the_bad_wav(self, tmp_path, corrupt, error):
         src = tmp_path / "raw"
         manifest = sio.generate_synthetic_manifest(src, seed=6, n_recordings=3)

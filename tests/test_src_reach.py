@@ -7,11 +7,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cardioclr"
 
-# No caller in src/ yet: ROADMAP item 6's plan expansions (the paper's
-# 0vs1 + 1vs1 grids and the leave-one-dataset-out cycles) and its report
-# will call these.
-AWAITING_CALLERS = {"enumerate_policies", "leave_dataset_out_cycles", "select_best"}
-
 
 def _referenced_names() -> set[str]:
     """Every identifier src/ and perfbench/ use: names, attributes, imports,
@@ -48,12 +43,6 @@ def _definitions():
 
 
 def test_every_src_definition_has_a_caller_outside_the_tests():
-    used = _referenced_names() | AWAITING_CALLERS
+    used = _referenced_names()
     unused = [qualified for qualified, name in _definitions() if name not in used]
     assert unused == [], "only tests reach these; delete them or move them into the tests"
-
-
-def test_allow_list_holds_no_stale_names():
-    defined = {name for _, name in _definitions()}
-    assert AWAITING_CALLERS <= defined
-    assert not AWAITING_CALLERS & _referenced_names()
