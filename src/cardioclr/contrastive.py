@@ -163,8 +163,8 @@ def pretrain(
         if not batches and len(val_idx) >= 2:
             batches = [val_idx]
         for batch in batches:
-            views = _make_views(x_all[batch], batch, policy, config.seed, "val", 0)
-            z = graph.forward(views, training=False)
+            z = graph.forward(_make_views(x_all[batch], batch, policy, config.seed, "val", 0))
+            graph.clear_caches()  # nothing backpropagates through the validation loss
             losses.append(nt_xent_grad(z, config.temperature)[0])
         return float(np.mean(losses)) if losses else float("nan")
 
@@ -174,8 +174,9 @@ def pretrain(
         order = train_idx[epoch_rng.permutation(len(train_idx))]
         batch_losses = []
         for batch in _epoch_batches(order, config.batch_size):
-            views = _make_views(x_all[batch], batch, policy, config.seed, "train", epoch)
-            z = graph.forward(views, training=True)
+            # the views die once the forward returns: every block caches its own copy
+            z = graph.forward(_make_views(x_all[batch], batch, policy, config.seed, "train", epoch),
+                              training=True)
             loss, _, dz = nt_xent_grad(z, config.temperature)
             graph.backward(dz.astype(graph.dtype))
             optimizer.step(graph.named_grads(trainable_only=True), lr)

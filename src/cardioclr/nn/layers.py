@@ -9,6 +9,9 @@ forward is an error.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -49,6 +52,49 @@ class Layer:
 # chunk holds. Short-L layers take several samples per GEMM call; a sample
 # whose im2col alone exceeds this goes alone.
 IM2COL_BUDGET = 1 << 20
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads an encoder block splits its chunks over: every CPU of the process.
+# `protocol.run_plan`'s forked workers divide the CPUs among themselves.
+THREADS = cpu_count()
+
+# Conv FLOPs per sample below which a block runs on one thread. Its numpy
+# calls are then too short for a second thread to win back the GIL hand-offs
+# between them: every desk-scale block is below (at most 1.3 MFLOP), every
+# full-size block above (at least 5.1 MFLOP).
+THREAD_MIN_FLOPS = 4e6
+
+
+def in_threads(work, runs):
+    """`work(*run)` for every run: the first in this thread, each other one
+    in a helper thread started for this call (so a forked child never
+    inherits a pool whose threads did not survive the fork). A helper's
+    error is raised here once every helper has joined."""
+    errors = []
+
+    def helper(run):
+        try:
+            work(*run)
+        except BaseException as err:  # raised by the caller after the join
+            errors.append(err)
+
+    helpers = [threading.Thread(target=helper, args=(run,)) for run in runs[1:]]
+    for thread in helpers:
+        thread.start()
+    try:
+        work(*runs[0])
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def max_pool(x, width, out, arg, floor=False):
@@ -107,10 +153,20 @@ class Conv1d(Layer):
     Backward, per chunk: `unpool` into a chunk-sized gradient, the weight
     gradient per group as the im2col times the transposed gradient,
     cols · gᵀ (BLAS runs this orientation faster than g · colsᵀ), summed
-    over the group and added transposed, the bias gradient per sample, and
-    the input gradient as the transposed weights times the gradient, folded
-    back onto the padded input by K shifted adds. Only the padded input
-    and the pool's argmax are cached.
+    over the group, the bias gradient per sample, and the input gradient as
+    the transposed weights times the gradient (into the group's im2col
+    buffer, which the weight gradient has read), folded by K shifted adds
+    into the group's rows of the cached padded input, zeroed first: no
+    input-sized gradient buffer is allocated. Only the padded input and the
+    pool's argmax are cached.
+
+    The chunks split into `THREADS` contiguous runs of whole chunks, one
+    per thread (`in_threads`), where a sample's conv takes at least
+    `THREAD_MIN_FLOPS`. Each run writes its own rows of the output,
+    the argmax and the input gradient, into work buffers allocated by the
+    calling thread. The weight-gradient group sums and per-sample bias sums
+    are added after the join, in chunk order, as one thread adds them, so
+    every thread count gives the same bytes.
     """
 
     def __init__(self, in_channels, out_channels, kernel, pool, rng, dtype=np.float32):
@@ -150,19 +206,41 @@ class Conv1d(Layer):
             m = min(size, batch - start)
             yield slice(start, start + m), [slice(s, min(s + n, m)) for s in range(0, m, n)]
 
+    def _runs(self, batch, length):
+        """The chunks as contiguous runs of whole chunks, one per thread:
+        at most `THREADS`, and one below `THREAD_MIN_FLOPS`."""
+        chunks = list(self._chunks(batch, length))
+        flops = 2 * self.out_channels * self.in_channels * self.kernel * length
+        threads = THREADS if flops >= THREAD_MIN_FLOPS else 1
+        n = max(1, min(threads, len(chunks)))  # an empty batch is one empty run
+        return [chunks[len(chunks) * i // n : len(chunks) * (i + 1) // n] for i in range(n)]
+
     @staticmethod
-    def _cols(win, group):
-        """(n, Cin*K, L) contiguous im2col of a group of the window view."""
-        cols = np.ascontiguousarray(win[group])
+    def _cols(win, group, buf):
+        """(n, Cin*K, L) im2col of a group of the window view, copied into
+        the front of `buf`."""
+        cols = buf[: group.stop - group.start]
+        cols[...] = win[group]
         return cols.reshape(len(cols), -1, cols.shape[3])
 
-    def _buffer(self, batch, length):
-        """Chunk-sized (n, Cout, L) work buffer for conv outputs or their
-        gradient, whose columns past the last whole pool window are 0."""
-        rows = min(batch, self.chunk_size(length))
+    def _buffers(self, batch, length, chunks=None):
+        """A run's work buffers, allocated by the calling thread (memory a
+        helper thread allocates stays in its own malloc arena): the
+        chunk-sized (n, Cout, L) buffer for conv outputs or their gradient,
+        whose columns past the last whole pool window are 0, the group-sized
+        (n, Cin, K, L) im2col and, for a backward run over `chunks`, a
+        group's stacked (n, Cin*K, Cout) weight-gradient products and their
+        sum for each group of the run."""
+        rows, n = min(batch, self.chunk_size(length)), min(batch, self.group_size(length))
         buf = np.empty((rows, self.out_channels, length), dtype=self.w.dtype)
         buf[:, :, length - length % self.pool :] = 0.0
-        return buf
+        cols = np.empty((n, self.in_channels, self.kernel, length), dtype=self.w.dtype)
+        if chunks is None:
+            return buf, cols
+        shape = (self.in_channels * self.kernel, self.out_channels)
+        groups = sum(len(chunk_groups) for _, chunk_groups in chunks)
+        return (buf, cols, np.empty((n, *shape), dtype=self.w.dtype),
+                np.empty((groups, *shape), dtype=self.w.dtype))
 
     def forward(self, x, training=False, rng=None):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
@@ -177,13 +255,17 @@ class Conv1d(Layer):
         out = np.empty((batch, self.out_channels, length // self.pool), dtype=self.w.dtype)
         arg = np.empty(out.shape, dtype=np.min_scalar_type(self.pool))
         win = sliding_window_view(xp, length, axis=2)
-        conv = self._buffer(batch, length)
-        for chunk, groups in self._chunks(batch, length):
-            y, cwin = conv[: chunk.stop - chunk.start], win[chunk]
-            for group in groups:
-                np.matmul(w2, self._cols(cwin, group), out=y[group])
-            y += self.b[:, None]
-            max_pool(y, self.pool, out[chunk], arg[chunk], floor=True)
+
+        def run(chunks, conv, cols_buf):
+            for chunk, groups in chunks:
+                y, cwin = conv[: chunk.stop - chunk.start], win[chunk]
+                for group in groups:
+                    np.matmul(w2, self._cols(cwin, group, cols_buf), out=y[group])
+                y += self.b[:, None]
+                max_pool(y, self.pool, out[chunk], arg[chunk], floor=True)
+
+        in_threads(run, [(chunks, *self._buffers(batch, length))
+                         for chunks in self._runs(batch, length)])
         self._cache = (xp, arg)
         return out
 
@@ -192,31 +274,43 @@ class Conv1d(Layer):
         g = np.asarray(grad_out, dtype=self.w.dtype)
         k = self.kernel
         batch, length = g.shape[0], xp.shape[2] - k + 1
-        self.gw[...] = 0.0
-        self.gb[...] = 0.0
-        gw2 = self.gw.reshape(self.out_channels, -1)
         w2t = self.w.reshape(self.out_channels, -1).T
         win = sliding_window_view(xp, length, axis=2)
-        dxp = np.zeros_like(xp) if compute_input_grad else None
-        dy_buf = self._buffer(batch, length)  # unpool leaves the remainder 0
-        for chunk, groups in self._chunks(batch, length):
-            dy, cwin = dy_buf[: chunk.stop - chunk.start], win[chunk]
-            unpool(g[chunk], arg[chunk], self.pool, dy)
-            for group in groups:
-                g_t = dy[group].transpose(0, 2, 1)
-                gw2 += np.matmul(self._cols(cwin, group), g_t).sum(axis=0).T
-            # per sample, then in sample order: how dy.sum(axis=(0, 2)) adds
-            # when Cout > 1
-            for sample_sum in dy.sum(axis=2):
-                self.gb += sample_sum
-            if compute_input_grad:
-                dst_chunk = dxp[chunk]
+        gb_rows = np.empty((batch, self.out_channels), dtype=self.w.dtype)
+
+        def run(chunks, dy_buf, cols_buf, prod_buf, gw_parts):
+            parts = iter(gw_parts)
+            for chunk, groups in chunks:
+                dy, cwin, dxp = dy_buf[: chunk.stop - chunk.start], win[chunk], xp[chunk]
+                unpool(g[chunk], arg[chunk], self.pool, dy)  # the remainder stays 0
+                dy.sum(axis=2, out=gb_rows[chunk])
                 for group in groups:
-                    dcols = np.matmul(w2t, dy[group]).reshape(-1, self.in_channels, k, length)
-                    dst = dst_chunk[group]
-                    for j in range(k):
-                        dst[:, :, j : j + length] += dcols[:, :, j]
-        return None if dxp is None else dxp[:, :, k // 2 : k // 2 + length]
+                    cols = self._cols(cwin, group, cols_buf)
+                    prod = np.matmul(cols, dy[group].transpose(0, 2, 1), out=prod_buf[: len(cols)])
+                    prod.sum(axis=0, out=next(parts))
+                    if compute_input_grad:
+                        # the group's im2col and padded input are read: reuse both
+                        dcols = np.matmul(w2t, dy[group], out=cols)
+                        dcols = dcols.reshape(-1, self.in_channels, k, length)
+                        dst = dxp[group]
+                        dst[...] = 0.0
+                        for j in range(k):
+                            dst[:, :, j : j + length] += dcols[:, :, j]
+
+        runs = [(chunks, *self._buffers(batch, length, chunks))
+                for chunks in self._runs(batch, length)]
+        in_threads(run, runs)
+        gw2 = self.gw.reshape(self.out_channels, -1)
+        gw2[...] = 0.0
+        for *_, gw_parts in runs:
+            for part in gw_parts:
+                gw2 += part.T
+        # per sample, then in sample order: how dy.sum(axis=(0, 2)) adds
+        # when Cout > 1
+        self.gb[...] = 0.0
+        for sample_sum in gb_rows:
+            self.gb += sample_sum
+        return xp[:, :, k // 2 : k // 2 + length] if compute_input_grad else None
 
 
 class ReLU(Layer):

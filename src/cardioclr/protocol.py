@@ -32,7 +32,7 @@ from .contrastive import freeze_encoder, pretrain
 from .downstream import TaskSpec, evaluate, train_baseline, train_head
 from .errors import (CardioclrError, ConfigError, DataError, FormatError, ParameterError,
                      parse_text_file)
-from .nn import build_ssl_graph, load_checkpoint, save_checkpoint
+from .nn import build_ssl_graph, layers, load_checkpoint, save_checkpoint
 from .nn.optim import best_val_loss
 from .signal_io import DATASET_TAGS, LABELED_TAGS, UNLABELED_TAGS, read_window_store, split_indices
 
@@ -536,8 +536,9 @@ def _run_item(item, tasks, stores, cfg, out_dir) -> list[LedgerRow]:
 _worker_args: tuple = ()
 
 
-def _init_worker(*args) -> None:
+def _init_worker(threads, *args) -> None:
     global _worker_args
+    layers.THREADS = threads
     _worker_args = args
 
 
@@ -557,11 +558,12 @@ def _item_rows(pending, args, jobs):
     from concurrent.futures.process import BrokenProcessPool
 
     # fork, not spawn: workers inherit the loaded window stores instead of
-    # unpickling a copy each; only work items and ledger rows are pickled
-    done = 0
-    with ProcessPoolExecutor(min(jobs, len(pending)),
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_worker, initargs=args) as pool:
+    # unpickling a copy each; only work items and ledger rows are pickled.
+    # The workers split the CPUs between their encoder blocks' threads.
+    done, workers = 0, min(jobs, len(pending))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker,
+                             initargs=(max(1, layers.cpu_count() // workers), *args)) as pool:
         try:
             for rows in pool.map(_run_in_worker, pending):
                 yield rows

@@ -621,7 +621,10 @@ def read_window_store(store_dir) -> tuple[np.ndarray, list[LabeledWindow]]:
             f"{store_dir}: windows.f32 holds {matrix.size} samples, not {count} x {width}"
         )
     matrix = matrix.reshape(count, width)
-    windows = [LabeledWindow(samples=matrix[i], **kw) for i, kw in enumerate(labels)]
+    try:
+        windows = [LabeledWindow(samples=matrix[i], **kw) for i, kw in enumerate(labels)]
+    except (CardioclrError, TypeError, ValueError) as err:
+        raise FormatError(f"{store_dir}: bad window ({err})") from err
     return matrix, windows
 
 

@@ -1,7 +1,9 @@
 """Tests for layers, losses, optimizers, schedule, and the checkpoint format."""
 
+import hashlib
 import json
 import math
+import multiprocessing
 import os
 import struct
 import tracemalloc
@@ -24,6 +26,7 @@ from cardioclr.nn import (
     ReLU,
     attach_classifier,
     build_ssl_graph,
+    layers,
     load_checkpoint,
     save_checkpoint,
 )
@@ -436,13 +439,16 @@ class TestConvBlock:
         np.testing.assert_array_equal(dx, [[[0, 0, 0, 0, 0, -7.0, 0, 0]]])
         assert not np.signbit(dx[0, 0, :4]).any()
 
-    def test_full_size_step_holds_no_full_resolution_activation(self):
-        """One forward+backward of the full-size block stack at B=32 under
-        tracemalloc. The unfused layers peak at 21.4 MiB here: block 0's
-        (32, 8, 10000) conv output and then its gradient are 9.8 MiB each.
-        The fused blocks hold one chunk of either at a time, and each
-        block's backward drops its cached input and argmax once it has read
-        them (14.4 MiB)."""
+    def test_full_size_step_holds_no_full_resolution_activation(self, monkeypatch):
+        """One forward+backward of the full-size block stack at B=32 on two
+        threads under tracemalloc. The unfused layers peak at 21.4 MiB here:
+        block 0's (32, 8, 10000) conv output and then its gradient are 9.8
+        MiB each. The fused blocks hold one chunk of either per thread, each
+        block's backward folds its input gradient into its cached input and
+        drops its cache once it has read it. The peak, 15.2 MiB, is in the
+        forward, with two runs' chunk and im2col buffers (13.3 MiB on one
+        thread, in the backward)."""
+        monkeypatch.setattr(layers, "THREADS", 2)
         graph = ModelGraph(EncoderConfig())
         graph.build_encoder(np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((32, 10000)).astype(np.float32)
@@ -454,6 +460,113 @@ class TestConvBlock:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak / 2**20
+
+
+def threaded_cases():
+    """Each `KERNEL_SHAPES` shape at one sample (one chunk, fewer than the
+    threads) and at two chunks and a partial one (whose last GEMM group is
+    partial too where groups hold several samples)."""
+    for cin, cout, k, length, width in KERNEL_SHAPES:
+        block = make_block(cin, cout, k, width, 0)
+        batch = 2 * block.chunk_size(length) + max(1, block.group_size(length) // 2)
+        for b in (1, batch):
+            yield pytest.param(cin, cout, k, length, width, b, id=f"{cin}-{cout}-{k}-{length}-B{b}")
+
+
+def block_digest(cin, cout, k, width, x, g):
+    """sha256 of a fresh seeded block's output and gradients."""
+    got = run_layers([make_block(cin, cout, k, width, 3)], x, g)
+    return hashlib.sha256(b"".join(a.tobytes() for a in got)).hexdigest()
+
+
+def _digest_in_child(conn, args):
+    conn.send((layers.THREADS, block_digest(*args)))
+    conn.close()
+
+
+class TestThreads:
+    """Encoder blocks split their chunks into one run per thread and add
+    the gradient partials in chunk order: the same bytes at any thread
+    count."""
+
+    @pytest.mark.parametrize("cin,cout,k,length,width,batch", threaded_cases())
+    def test_same_bytes_at_every_thread_count(self, monkeypatch, cin, cout, k, length, width, batch):
+        monkeypatch.setattr(layers, "THREAD_MIN_FLOPS", 0)
+        block = make_block(cin, cout, k, width, k * length + 1)
+        x, g = block_inputs(cin, cout, length, batch, width, cin * 1000 + k * 10 + length + 1)
+        chunks = len(list(block._chunks(batch, length)))
+        for compute_input_grad in (True, False):
+            previous = run_layers(unfused(block), x, g, compute_input_grad)
+            monkeypatch.setattr(layers, "THREADS", 1)
+            one = run_layers([block], x, g, compute_input_grad)
+            assert_same_bytes(one, previous)
+            for threads in (2, 3):
+                monkeypatch.setattr(layers, "THREADS", threads)
+                assert len(block._runs(batch, length)) == min(threads, chunks)
+                got = run_layers([block], x, g, compute_input_grad)
+                assert_same_bytes(got, one)
+                assert_same_bytes(got, previous)
+
+    def test_runs_are_contiguous_runs_of_whole_chunks(self, monkeypatch):
+        block = make_block(1, 8, 64, 4, 0)
+        chunks = list(block._chunks(11 * block.chunk_size(10000) - 1, 10000))
+        for threads in (1, 2, 3, 20):
+            monkeypatch.setattr(layers, "THREADS", threads)
+            runs = block._runs(11 * block.chunk_size(10000) - 1, 10000)
+            assert len(runs) == min(threads, 11) and all(runs)
+            assert [c for run in runs for c in run] == chunks
+
+    def test_only_blocks_above_the_flop_floor_split(self, monkeypatch):
+        """Every full-size block splits its chunks over two threads, and
+        every desk block runs on one."""
+        monkeypatch.setattr(layers, "THREADS", 2)
+        for cfg, runs in ((EncoderConfig(), 2), (DESK_ENCODER, 1)):
+            for cin, cout, k, length, width in block_shapes(cfg):
+                block = make_block(cin, cout, k, width, 0)
+                assert len(block._runs(2 * block.chunk_size(length), length)) == runs
+
+    def test_empty_batch_gives_empty_outputs(self, monkeypatch):
+        monkeypatch.setattr(layers, "THREADS", 2)
+        block = make_block(1, 8, 64, 4, 0)
+        x, g = block_inputs(1, 8, 10000, 0, 4, 0)
+        out, dx, gw, gb = run_layers([block], x, g)
+        assert out.shape == (0, 8, 2500) and dx.shape == x.shape
+        assert not gw.any() and not gb.any()
+
+    def test_a_helper_threads_error_reaches_the_caller(self):
+        seen = []
+
+        def work(i):
+            seen.append(i)
+            if i == 2:
+                raise ValueError("helper failed")
+
+        with pytest.raises(ValueError, match="helper failed"):
+            layers.in_threads(work, [(0,), (1,), (2,)])
+        assert sorted(seen) == [0, 1, 2]
+
+    def test_forked_child_runs_threaded_blocks(self, monkeypatch):
+        """A child forked after the parent ran threaded blocks runs them
+        too, with the parent's bytes (a pool of helper threads created
+        before the fork would hang it)."""
+        monkeypatch.setattr(layers, "THREADS", 2)
+        cin, cout, k, length, width = 1, 8, 64, 10000, 4
+        x, g = block_inputs(cin, cout, length, 7, width, 11)
+        args = (cin, cout, k, width, x, g)
+        want = block_digest(*args)
+        ctx = multiprocessing.get_context("fork")
+        parent_end, child_end = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_digest_in_child, args=(child_end, args))
+        child.start()
+        child_end.close()
+        try:
+            assert parent_end.poll(60), "the forked child's threaded block did not finish in 60 s"
+            assert parent_end.recv() == (2, want)
+        finally:
+            child.join(5)
+            if child.is_alive():
+                child.kill()
+                child.join()
 
 
 class TestEmbed:

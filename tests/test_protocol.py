@@ -17,7 +17,7 @@ from cardioclr.augment import enumerate_policies
 from cardioclr.config import RunConfig
 from cardioclr.downstream import TaskSpec
 from cardioclr.errors import CardioclrError, ConfigError, DataError, FormatError, NumericError
-from cardioclr.nn import ModelGraph, load_checkpoint
+from cardioclr.nn import ModelGraph, layers, load_checkpoint
 from cardioclr.protocol import (
     ExperimentPlan,
     LedgerRow,
@@ -474,6 +474,21 @@ class TestRunPlan:
                 "dataset 'synthetic' at seed 4 splits into train/val/test sizes [26, 9, 0]")):
             run_plan(plan, WindowStores(stores), TEST_CFG, out, jobs=2)
         assert not out.exists()
+
+    @pytest.mark.parametrize("cpus,jobs,items,threads", [
+        (2, 2, 3, 1), (4, 2, 3, 2), (3, 2, 3, 1), (1, 2, 3, 1), (8, 8, 3, 2),
+    ])
+    def test_workers_split_the_cpus_between_block_threads(self, monkeypatch, cpus, jobs, items,
+                                                         threads):
+        """Each of the min(jobs, items) forked workers runs its encoder
+        blocks on cpus // workers threads; the parent keeps its own."""
+        parent_threads = layers.THREADS
+        monkeypatch.setattr(layers, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(protocol, "_run_item", lambda item: (item, layers.THREADS, os.getpid()))
+        rows = list(protocol._item_rows(list(range(items)), (), jobs))
+        assert [(item, n) for item, n, _ in rows] == [(i, threads) for i in range(items)]
+        assert os.getpid() not in {pid for *_, pid in rows}
+        assert layers.THREADS == parent_threads
 
     def test_killed_worker_is_an_error_naming_the_unfinished_items(self, stores_root, tmp_path,
                                                                    monkeypatch):

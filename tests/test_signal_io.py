@@ -473,6 +473,30 @@ class TestWindowStore:
         with pytest.raises(FormatError, match=rf"windows\.json.*{key}"):
             sio.read_window_store(tmp_path / "s")
 
+    def _edit_entry(self, tmp_path, key, value):
+        path = self._store(tmp_path) / "windows.json"
+        meta = json.loads(path.read_text())
+        meta["entries"][1][key] = value
+        path.write_text(json.dumps(meta))
+
+    def test_non_finite_sample_raises_format_error_naming_the_store(self, tmp_path):
+        path = self._store(tmp_path) / "windows.f32"
+        samples = np.fromfile(path, dtype="<f4")
+        samples[10003] = np.nan
+        samples.tofile(path)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path.parent))}: .*non-finite"):
+            sio.read_window_store(path.parent)
+
+    def test_negative_window_index_raises_format_error_naming_the_store(self, tmp_path):
+        self._edit_entry(tmp_path, "window_index", -1)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(tmp_path / 's'))}: .*window_index"):
+            sio.read_window_store(tmp_path / "s")
+
+    def test_string_window_index_raises_format_error_naming_the_store(self, tmp_path):
+        self._edit_entry(tmp_path, "window_index", "0")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(tmp_path / 's'))}: "):
+            sio.read_window_store(tmp_path / "s")
+
     def test_entry_count_mismatch_raises_format_error(self, tmp_path):
         sio.write_window_store(tmp_path / "s", _dummy_windows({"a": 1}))
         path = tmp_path / "s" / "windows.json"
