@@ -189,18 +189,18 @@ def add_noise(x: np.ndarray, lo: float, hi: float, distribution: str, rng) -> np
 
 
 @lru_cache(maxsize=64)
-def design_fir(kind: str, edge_a: float, edge_b: float, fs: int = TARGET_RATE) -> np.ndarray:
+def design_fir(kind: str, edge_a: float, edge_b: float) -> np.ndarray:
     """Linear-phase windowed-sinc (Hamming) taps for one cutoff filter.
 
     The (edge_a, edge_b) pair spans the transition band; the -6 dB cutoff sits
     at its midpoint. Tap count follows the 3.3*fs/width heuristic, rounded up
-    to odd so the group delay is an integer.
+    to odd so the group delay is an integer. Edges are in Hz at TARGET_RATE.
     """
     width = abs(edge_a - edge_b)
-    num_taps = int(np.ceil(3.3 * fs / width))
+    num_taps = int(np.ceil(3.3 * TARGET_RATE / width))
     if num_taps % 2 == 0:
         num_taps += 1
-    cutoff = (edge_a + edge_b) / 2.0 / fs
+    cutoff = (edge_a + edge_b) / 2.0 / TARGET_RATE
     if kind == "lp":
         taps = lowpass_taps(num_taps, cutoff)
     else:

@@ -17,17 +17,23 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import analysis, protocol
-from . import signal_io as sio
-from ._atomic import write_atomic
-from .augment import default_atom_grid, parse_policy
-from .config import RunConfig, config_hash, parse_config
-from .contrastive import freeze_encoder
-from .downstream import TaskSpec, evaluate
-from .errors import CardioclrError, ConfigError
-from .nn import load_checkpoint, save_checkpoint
-from .nn.gradcheck import TOLERANCE, run_gradient_suite
-from .nn.optim import history_to_csv
+# BLAS/OpenMP get one thread unless the user sets one, before numpy loads: encoder
+# blocks run threads of their own, and BLAS's thread count changes checkpoint bytes.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from . import analysis, protocol  # noqa: E402
+from . import signal_io as sio  # noqa: E402
+from ._atomic import write_atomic  # noqa: E402
+from .augment import default_atom_grid, parse_policy  # noqa: E402
+from .config import RunConfig, config_hash, parse_config  # noqa: E402
+from .contrastive import freeze_encoder  # noqa: E402
+from .downstream import TaskSpec, evaluate  # noqa: E402
+from .errors import CardioclrError, ConfigError  # noqa: E402
+from .nn import load_checkpoint, save_checkpoint  # noqa: E402
+from .nn.gradcheck import TOLERANCE, run_gradient_suite  # noqa: E402
+from .nn.optim import history_to_csv  # noqa: E402
 
 log = logging.getLogger("cardioclr")
 
@@ -134,7 +140,7 @@ def cmd_finetune(args) -> int:
     enc_id = encoder.get("encoder_id", "")
     task = TaskSpec(args.dataset, args.task)
     stores = protocol.WindowStores(args.windows)
-    protocol.check_splits([(task, cfg.seed)], [task], stores, cfg)
+    protocol.check_splits([(cfg.seed, [task])], [task], stores, cfg)
     x, metas = stores.load(args.dataset)
     graph = freeze_encoder(graph)
     features = graph.embed(x)

@@ -23,16 +23,6 @@ from .nn.model import CLASSIFIER, EVAL_CHUNK, ModelGraph, attach_classifier
 from .nn.optim import Adam, EpochStats, check_stopping, early_stopping
 from .signal_io import LABEL_SETS, ABNORMAL, NORMAL
 
-BINARY_CLASSES = (NORMAL, ABNORMAL)
-
-_ALL_TASK_CLASSES = {
-    "pascal": LABEL_SETS["pascal"],
-    "physionet2022": LABEL_SETS["physionet2022"],
-    # these datasets are binary to begin with; `all` coincides with `binary`
-    "physionet2016": BINARY_CLASSES,
-    "synthetic": BINARY_CLASSES,
-}
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -42,14 +32,13 @@ class TaskSpec:
     def __post_init__(self):
         if self.task_type not in ("all", "binary"):
             raise ConfigError(f"unknown task type {self.task_type!r}")
-        if self.dataset_tag not in _ALL_TASK_CLASSES:
+        if self.dataset_tag not in LABEL_SETS:
             raise ConfigError(f"dataset {self.dataset_tag!r} has no labels")
 
     @property
     def class_names(self) -> tuple[str, ...]:
-        if self.task_type == "binary":
-            return BINARY_CLASSES
-        return tuple(_ALL_TASK_CLASSES[self.dataset_tag])
+        # every two-class label set is (normal, abnormal): `all` is `binary` there
+        return (NORMAL, ABNORMAL) if self.task_type == "binary" else LABEL_SETS[self.dataset_tag]
 
     @property
     def n_out(self) -> int:
@@ -66,8 +55,6 @@ class TaskSpec:
         lookup = {name: i for i, name in enumerate(self.class_names)}
         for i, meta in enumerate(metas):
             label = meta.binary_label if self.task_type == "binary" else meta.original_label
-            if self.task_type == "all" and self.n_out == 1:
-                label = meta.binary_label
             if label is None or label not in lookup:
                 raise ConfigError(
                     f"window {meta.record_id}/{meta.window_index} has label {label!r}, "

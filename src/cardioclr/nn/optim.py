@@ -27,17 +27,16 @@ class Lars:
     """Layer-wise adaptive rate scaling with momentum.
 
     Per parameter tensor: trust ratio lambda = trust * ||w|| / (||g|| +
-    weight_decay * ||w|| + eps); the momentum buffer accumulates
+    weight_decay * ||w|| + 1e-9); the momentum buffer accumulates
     lambda * lr * (g + weight_decay * w). Tensors with zero norm, and 1-D
     parameters (biases), fall back to the plain momentum-SGD update.
     """
 
-    def __init__(self, params, trust=0.001, momentum=0.9, weight_decay=0.0, eps=1e-9):
+    def __init__(self, params, trust=0.001, momentum=0.9, weight_decay=0.0):
         self.params = list(params)
         self.trust = trust
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.eps = eps
         self.step_count = 0
         self._velocity = {name: np.zeros_like(arr) for name, arr in self.params}
 
@@ -52,9 +51,7 @@ class Lars:
                 w_norm = float(np.linalg.norm(w))
                 if w_norm > 0.0:
                     g_norm = float(np.linalg.norm(g))
-                    ratio = self.trust * w_norm / (
-                        g_norm + self.weight_decay * w_norm + self.eps
-                    )
+                    ratio = self.trust * w_norm / (g_norm + self.weight_decay * w_norm + 1e-9)
                     local_lr = ratio * lr
             v = self._velocity[name]
             v *= self.momentum
@@ -64,14 +61,13 @@ class Lars:
 
 
 class Adam:
-    """Bias-corrected Adam (beta1=0.9, beta2=0.999, eps=1e-8, lr=1e-4)."""
+    """Bias-corrected Adam (lr=1e-4 by default)."""
 
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {name: np.zeros(arr.shape, dtype=np.float64) for name, arr in self.params}
         self._v = {name: np.zeros(arr.shape, dtype=np.float64) for name, arr in self.params}

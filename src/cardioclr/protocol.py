@@ -39,6 +39,7 @@ from .signal_io import DATASET_TAGS, LABELED_TAGS, UNLABELED_TAGS, read_window_s
 IN_DISTRIBUTION = "in_distribution"
 OOD = "ood"
 BASELINE_POLICY = "baseline"
+NO_SSL = ("none",)  # the SSL set of a baseline replicate
 STATUSES = ("ok", "failed")
 METRICS = ("accuracy", "micro_f1", "macro_f1")
 
@@ -254,6 +255,12 @@ def experiment_id(cfg_hash: str, ssl_set: Sequence[str], policy: str, downstream
     return stable_hash(cfg_hash, "+".join(ssl_set), policy, downstream, task_type, seed)
 
 
+def _experiment_ids(cfg_hash, ssl_set, policy, seed, tasks) -> list[str]:
+    """The experiment id of each model a work item trains, one per task."""
+    return [experiment_id(cfg_hash, ssl_set, policy, t.dataset_tag, t.task_type, seed)
+            for t in tasks]
+
+
 def derived_seed(*parts) -> int:
     return int(stable_hash(*parts), 16) & 0x7FFFFFFF
 
@@ -401,7 +408,7 @@ def _model_rows(graph, task, tasks, test_features, cfg, seed, ssl_set, policy_te
     statistics keep the full denominator.
     """
     cfg_hash = config_hash(cfg)
-    exp_id = experiment_id(cfg_hash, ssl_set, policy_text, task.dataset_tag, task.task_type, seed)
+    exp_id, = _experiment_ids(cfg_hash, ssl_set, policy_text, seed, [task])
     checkpoint = ""
     if graph is not None:
         # ledger and metadata keep paths relative to the sweep root, so
@@ -434,18 +441,12 @@ def _warn(fmt: str, *args) -> None:
     logging.getLogger(__name__).warning(fmt, *args)
 
 
-def _item_label(item) -> str:
-    """How logs and errors name a work item: an SSL entry `(ssl_set, policy,
-    seed)` or a baseline replicate `(task, rep_seed)`."""
-    if isinstance(item[0], TaskSpec):
-        return f"baseline replicate ({item[0]}, seed {item[1]})"
-    ssl_set, policy_text, seed = item
+def _item_label(ssl_set, policy_text: str, seed: int, tasks) -> str:
+    """How logs and errors name the work item `(ssl_set, policy, seed,
+    tasks)`: an SSL entry, or a baseline replicate of its one task."""
+    if policy_text == BASELINE_POLICY:
+        return f"baseline replicate ({tasks[0]}, seed {seed})"
     return f"SSL entry ({'+'.join(ssl_set)}, {policy_text!r}, seed {seed})"
-
-
-def _log_failure(item, exc: CardioclrError) -> None:
-    """Warn that a work item failed and its rows are marked failed."""
-    _warn("%s failed: %s: %s", _item_label(item), type(exc).__name__, exc)
 
 
 def run_experiment(
@@ -483,7 +484,8 @@ def run_experiment(
                                 policy_text, out_dir, encoder)
             done += 1
     except CardioclrError as exc:
-        _log_failure((ssl_set, policy_text, seed), exc)
+        _warn("%s failed: %s: %s", _item_label(ssl_set, policy_text, seed, tasks),
+              type(exc).__name__, exc)
         for task in tasks[done:]:
             rows += _model_rows(None, task, tasks, None, cfg, seed, ssl_set, policy_text, out_dir)
     return rows
@@ -514,21 +516,20 @@ def run_baseline(
     try:
         train_val = _train_val(*stores.load(task.dataset_tag), task, seed, cfg)
         graph, _ = train_baseline(graph, task, *train_val, ds_cfg)
-        return _model_rows(graph, task, tasks, test_features, cfg, seed, ("none",),
+        return _model_rows(graph, task, tasks, test_features, cfg, seed, NO_SSL,
                            BASELINE_POLICY, out_dir)
     except CardioclrError as exc:
-        _log_failure((task, seed), exc)
-        return _model_rows(None, task, tasks, None, cfg, seed, ("none",), BASELINE_POLICY,
-                           out_dir)
+        _warn("%s failed: %s: %s", _item_label(NO_SSL, BASELINE_POLICY, seed, [task]),
+              type(exc).__name__, exc)
+        return _model_rows(None, task, tasks, None, cfg, seed, NO_SSL, BASELINE_POLICY, out_dir)
 
 
 def _run_item(item, tasks, stores, cfg, out_dir) -> list[LedgerRow]:
-    """Ledger rows of one pending work item: an SSL entry `(ssl_set, policy,
-    seed)` or a baseline replicate `(task, rep_seed)`."""
-    if isinstance(item[0], TaskSpec):
-        task, rep_seed = item
-        return run_baseline(task, rep_seed, tasks, stores, cfg, out_dir)
-    ssl_set, policy, seed = item
+    """Ledger rows of one work item `(ssl_set, policy, seed, tasks it trains a
+    model for)`: an SSL entry, or a baseline replicate of its one task."""
+    ssl_set, policy, seed, own = item
+    if policy == BASELINE_POLICY:
+        return run_baseline(own[0], seed, tasks, stores, cfg, out_dir)
     return run_experiment(ssl_set, policy, seed, tasks, stores, cfg, out_dir)
 
 
@@ -569,21 +570,21 @@ def _item_rows(pending, args, jobs):
                 yield rows
                 done += 1
         except BrokenProcessPool:  # a worker was killed: out of memory, a signal
-            unfinished = "; ".join(_item_label(item) for item in pending[done:])
+            unfinished = "; ".join(_item_label(*item) for item in pending[done:])
             raise CardioclrError("a sweep worker process died; these plan items did not "
                                  f"finish: {unfinished}") from None
 
 
 def check_splits(items, tasks, stores, cfg) -> None:
     """Raise `DataError` if a work item would train a head on an empty train
-    split or score one on an empty test split. An SSL entry `(ssl_set,
-    policy, seed)` trains a head per task, a `(task, seed)` item one."""
+    split or score one on an empty test split. `items` are `(seed, tasks it
+    trains a model for)` pairs; every model is scored on `_evals(task, tasks)`."""
     needs: dict[tuple[str, int], set] = {}  # (tag, seed) -> parts that must not be empty
-    for item in items:
-        for task in [item[0]] if isinstance(item[0], TaskSpec) else tasks:
-            needs.setdefault((task.dataset_tag, item[-1]), set()).add(TRAIN)
+    for seed, own in items:
+        for task in own:
+            needs.setdefault((task.dataset_tag, seed), set()).add(TRAIN)
             for tag, _ in _evals(task, tasks):
-                needs.setdefault((tag, item[-1]), set()).add(TEST)
+                needs.setdefault((tag, seed), set()).add(TEST)
     for (tag, seed), parts in needs.items():
         metas = stores.load(tag)[1]
         sizes = [len(idx) for idx in downstream_splits(metas, seed, tag, cfg.split_granularity)]
@@ -612,31 +613,20 @@ def run_plan(
     rows = read_ledger(ledger_path)
     existing = {row.experiment_id for row in rows}
 
+    tasks = tuple(plan.tasks)  # work items: (ssl_set, policy, seed, tasks it trains for)
+    items = [(*entry, tasks) for entry in plan.entries()]
+    items += [(NO_SSL, BASELINE_POLICY, derived_seed("baseline-rep", plan.seeds[0], str(task), rep),
+               (task,)) for task in tasks for rep in range(plan.baseline_runs)]
     cfg_hash = config_hash(cfg)
-    pending: list[tuple] = []
-    tags: list[str] = []  # SSL stores the pending items pretrain on
-    for ssl_set, policy, seed in plan.entries():
-        ids = {
-            experiment_id(cfg_hash, ssl_set, policy, t.dataset_tag, t.task_type, seed)
-            for t in plan.tasks
-        }
-        if not ids <= existing:
-            pending.append((ssl_set, policy, seed))
-            tags.extend(ssl_set)
-    for task in plan.tasks:
-        for rep in range(plan.baseline_runs):
-            rep_seed = derived_seed("baseline-rep", plan.seeds[0], str(task), rep)
-            exp_id = experiment_id(cfg_hash, ("none",), BASELINE_POLICY,
-                                   task.dataset_tag, task.task_type, rep_seed)
-            if exp_id not in existing:
-                pending.append((task, rep_seed))
+    pending = [item for item in items if not set(_experiment_ids(cfg_hash, *item)) <= existing]
 
     # loaded up front, so a missing store or an empty split fails before any
     # training starts, and forked workers inherit every store; the split
     # check loads every store an item trains a head on or evaluates on
-    for tag in tags:
-        stores.load(tag)
-    check_splits(pending, plan.tasks, stores, cfg)
+    for ssl_set, policy, _, _ in pending:
+        for tag in ssl_set if policy != BASELINE_POLICY else ():
+            stores.load(tag)
+    check_splits([(seed, own) for _, _, seed, own in pending], plan.tasks, stores, cfg)
     with closing(_item_rows(pending, (plan.tasks, stores, cfg, out_dir), jobs)) as results:
         for new_rows in results:
             rows.extend(new_rows)

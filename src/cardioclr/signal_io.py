@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._atomic import replace_dir_atomic
+from ._atomic import replace_dir_atomic, write_atomic
 from ._dsp import highpass_taps, lowpass_taps
 from .errors import (CardioclrError, FormatError, LabelError, ParameterError,
                      UnsupportedFormatError, parse_text_file)
@@ -119,7 +119,6 @@ class ManifestEntry:
 @dataclass
 class DatasetManifest:
     entries: list[ManifestEntry] = field(default_factory=list)
-    format_version: int = 1
 
     def __post_init__(self):
         ids = [e.record_id for e in self.entries]
@@ -310,9 +309,9 @@ def resample(rec: RawRecording, target_hz: int = TARGET_RATE) -> RawRecording:
 # ---------------------------------------------------------------------------
 
 
-def trim_edges(rec: RawRecording, seconds: float = TRIM_SECONDS) -> RawRecording:
-    """Drop `seconds` from each end; an empty result is valid."""
-    n = int(round(seconds * rec.sample_rate))
+def trim_edges(rec: RawRecording) -> RawRecording:
+    """Drop TRIM_SECONDS from each end; an empty result is valid."""
+    n = int(round(TRIM_SECONDS * rec.sample_rate))
     if rec.samples.size <= 2 * n:
         trimmed = rec.samples[:0]
     else:
@@ -430,9 +429,6 @@ class SynthProfile:
 
     sample_rate: int = TARGET_RATE
     beat_hz: float = 1.0
-    lub_hz: float = 40.0
-    dub_hz: float = 60.0
-    burst_amp: float = 0.6
     murmur_band: tuple[float, float] = (150.0, 400.0)
     murmur_amp: float = 0.12
     noise_floor: float = 0.002
@@ -448,7 +444,7 @@ class SynthProfile:
         if not 0 <= self.murmur_band[0] < self.murmur_band[1] < self.sample_rate / 2:
             raise ParameterError(f"murmur band {self.murmur_band} Hz must satisfy 0 <= low < high "
                                  f"< rate/2 = {self.sample_rate / 2}")
-        for name in ("burst_amp", "murmur_amp", "noise_floor"):
+        for name in ("murmur_amp", "noise_floor"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)}")
 
@@ -472,8 +468,9 @@ def _synth_recording(rng: np.random.Generator, abnormal: bool, prof: SynthProfil
         envelope = np.exp(-0.5 * ((phase - center) / width) ** 2)
         return envelope * np.sin(2 * np.pi * freq * t)
 
-    x = prof.burst_amp * burst(0.10 * period, prof.lub_hz, 0.030)
-    x += prof.burst_amp * 0.8 * burst(0.40 * period, prof.dub_hz, 0.025)
+    # "lub" at 40 Hz and amplitude 0.6, then "dub" at 60 Hz and 0.8 of that
+    x = 0.6 * burst(0.10 * period, 40.0, 0.030)
+    x += 0.6 * 0.8 * burst(0.40 * period, 60.0, 0.025)
     x += prof.noise_floor * rng.standard_normal(n)
 
     if abnormal:
@@ -540,11 +537,11 @@ def generate_synthetic_manifest(
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
-    lines = [f"# cardioclr manifest v{manifest.format_version}"]
+    lines = ["# cardioclr manifest v1"]
     for e in manifest.entries:
         label = e.original_label if e.original_label is not None else ""
         lines.append(f"{e.path}\t{e.record_id}\t{e.dataset_tag}\t{label}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_manifest(path) -> DatasetManifest:
@@ -643,7 +640,7 @@ def prepare_manifest(manifest_path, out_dir) -> dict[str, int]:
             rec = decode_wav(wav_path.read_bytes(), entry.record_id, entry.dataset_tag,
                              entry.original_label)
             rec = resample(rec, TARGET_RATE)
-            rec = trim_edges(rec, TRIM_SECONDS)
+            rec = trim_edges(rec)
             windows = extract_windows(rec)
         except CardioclrError as err:
             raise type(err)(f"{wav_path} ({manifest_path} line {entry.line}): {err}") from err

@@ -424,6 +424,43 @@ class TestCliBasics:
         assert proc.returncode == 0, proc.stderr
         assert "gradcheck" in proc.stdout
 
+    # sets nothing itself: records each BLAS variable as numpy is first
+    # imported, then runs `python -m cardioclr --help`
+    _BLAS_SPY = """
+import json, os, runpy, sys
+VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+        "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+seen = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append({var: os.environ.get(var) for var in VARS})
+
+sys.meta_path.insert(0, Spy())
+sys.argv = ["cardioclr", "--help"]
+try:
+    runpy.run_module("cardioclr", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(json.dumps(seen))
+"""
+
+    @pytest.mark.parametrize("user", [None, "2"])
+    def test_blas_runs_one_thread_unless_the_user_sets_it(self, user):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if user is not None:
+            env["OPENBLAS_NUM_THREADS"] = user
+        proc = subprocess.run([sys.executable, "-c", self._BLAS_SPY], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert seen == [{"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": user or "1",
+                         "MKL_NUM_THREADS": "1", "BLIS_NUM_THREADS": "1",
+                         "VECLIB_MAXIMUM_THREADS": "1", "NUMEXPR_NUM_THREADS": "1"}]
+
 
 class TestCliPipeline:
     def test_synth_prepare_round_trip(self, tmp_path, capsys):

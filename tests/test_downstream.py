@@ -18,7 +18,7 @@ from cardioclr.nn import EncoderConfig, attach_classifier, build_ssl_graph
 from cardioclr.nn.layers import Dense
 from cardioclr.nn.losses import decisions
 from cardioclr.nn.model import EVAL_CHUNK
-from cardioclr.signal_io import LabeledWindow
+from cardioclr.signal_io import LABEL_SETS, LabeledWindow, assign_labels
 
 CFG = EncoderConfig(
     channels=(4, 8), kernels=(16, 8), pool_widths=(10, 10),
@@ -63,6 +63,22 @@ class TestTaskSpec:
         task = TaskSpec("pascal", "all")
         with pytest.raises(ConfigError):
             task.encode(_metas(["normal"]))
+
+    @pytest.mark.parametrize("tag", sorted(LABEL_SETS))
+    def test_all_task_classes_are_the_datasets_label_set(self, tag):
+        assert TaskSpec(tag, "all").class_names == LABEL_SETS[tag]
+
+    @pytest.mark.parametrize("tag", [tag for tag, names in LABEL_SETS.items() if len(names) == 2])
+    def test_two_class_all_task_encodes_like_binary(self, tag):
+        metas = []
+        for i, label in enumerate([*LABEL_SETS[tag], *reversed(LABEL_SETS[tag])]):
+            original, binary = assign_labels(tag, label)
+            metas.append(LabeledWindow(samples=np.zeros(10000, dtype=np.float32),
+                                       record_id=f"r{i}", dataset_tag=tag, window_index=0,
+                                       original_label=original, binary_label=binary))
+        binary = TaskSpec(tag, "binary").encode(metas)
+        assert binary.tolist() == [0, 1, 1, 0]
+        np.testing.assert_array_equal(TaskSpec(tag, "all").encode(metas), binary)
 
 
 class TestMetrics:

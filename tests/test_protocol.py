@@ -416,6 +416,42 @@ class TestRunPlan:
         run_plan(plan, WindowStores(stores_root), TEST_CFG, out, jobs=jobs)
         assert (out / "ledger.csv").read_bytes() == (tmp_path / "whole" / "ledger.csv").read_bytes()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resume_reruns_exactly_the_items_missing_from_the_ledger(
+            self, stores_root, tmp_path, monkeypatch, jobs):
+        plan = ExperimentPlan(
+            ssl_sets=[("ephnogram",)],
+            policies=["none|rev", "none|inv", "rev|inv"],
+            tasks=THREE_TASKS[:2],
+            seeds=[3],
+            baseline_runs=2,
+        )
+        whole = run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path / "whole")
+        baseline_ids = list(dict.fromkeys(r.experiment_id for r in whole
+                                          if r.policy == protocol.BASELINE_POLICY))
+        assert len(baseline_ids) == 4  # 2 tasks x 2 replicates
+        entry = [r for r in whole if r.policy == "none|inv"]  # the middle SSL entry
+        replicate = [r for r in whole if r.experiment_id == baseline_ids[2]]
+        dropped = {r.experiment_id for r in entry + replicate}
+        kept = [r for r in whole if r.experiment_id not in dropped]
+        out = tmp_path / "resumed"
+        write_ledger(out / "ledger.csv", kept)
+
+        calls = []
+        for name in ("run_experiment", "run_baseline"):
+            def counted(*args, _real=getattr(protocol, name), _name=name):
+                calls.append((_name, *args[:3]))
+                return _real(*args)
+            monkeypatch.setattr(protocol, name, counted)
+        resumed = run_plan(plan, WindowStores(stores_root), TEST_CFG, out, jobs=jobs)
+        if jobs == 1:  # forked workers' calls do not reach this process
+            task = next(t for t in THREE_TASKS if str(t) == f"{replicate[0].downstream}:binary")
+            assert calls == [("run_experiment", ("ephnogram",), "none|inv", 3),
+                             ("run_baseline", task, replicate[0].seed, THREE_TASKS[:2])]
+        expected = [r.to_csv_fields() for r in kept + entry + replicate]
+        assert [r.to_csv_fields() for r in resumed] == expected
+        assert [r.to_csv_fields() for r in read_ledger(out / "ledger.csv")] == expected
+
     def test_too_small_ssl_set_fails_only_its_own_rows(self, stores_root, tmp_path, caplog):
         # fpcgdb here holds 2 recordings x 4 = 8 windows, fewer than the
         # 2N = 16 pretraining needs at batch size 8

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import struct
 import wave
@@ -378,7 +379,7 @@ class TestSynthetic:
     @pytest.mark.parametrize("knobs,message", [
         (dict(min_seconds=0.0), "need 0 < min_seconds <= max_seconds"),
         (dict(min_seconds=31.0), "need 0 < min_seconds <= max_seconds"),
-        (dict(burst_amp=-0.6), "burst_amp must be non-negative"),
+        (dict(murmur_amp=-0.1), "murmur_amp must be non-negative"),
         (dict(murmur_band=(150.0, 150.0)), "murmur band (150.0, 150.0) Hz"),
     ])
     def test_profile_rejects_bad_knobs(self, knobs, message):
@@ -398,6 +399,22 @@ class TestSynthetic:
         ])
         sio.write_manifest(manifest, tmp_path / "m.tsv")
         assert sio.read_manifest(tmp_path / "m.tsv").entries == manifest.entries
+
+    def test_failed_manifest_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "manifest.tsv"
+        entries = [sio.ManifestEntry("a.wav", "p1", "pascal", "Normal"),
+                   sio.ManifestEntry("b.wav", "p2", "pascal", "Murmur")]
+        sio.write_manifest(sio.DatasetManifest(entries=entries[:1]), path)
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            sio.write_manifest(sio.DatasetManifest(entries=entries), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.tsv"]
 
 
 class TestWindowStore:
