@@ -140,13 +140,13 @@ def cmd_finetune(args) -> int:
     enc_id = encoder.get("encoder_id", "")
     task = TaskSpec(args.dataset, args.task)
     stores = protocol.WindowStores(args.windows)
-    protocol.check_splits([(cfg.seed, [task])], [task], stores, cfg)
+    protocol.check_splits([task], [task], stores)
     x, metas = stores.load(args.dataset)
     graph = freeze_encoder(graph)
     features = graph.embed(x)
     graph, history = protocol.fit_head(graph, enc_id, task, cfg.seed, features, metas, cfg)
-    metrics = evaluate(graph, *protocol.split_rows(features, metas, args.dataset, cfg.seed, cfg,
-                                                   protocol.TEST), task)
+    metrics = evaluate(graph, *protocol.split_rows(features, metas, args.dataset, protocol.TEST),
+                       task)
     save_checkpoint(args.out, graph, extra=protocol.model_metadata(
         config_hash(cfg), encoder.get("policy", ""), task, cfg.seed,
         encoder_checkpoint=str(args.ckpt), encoder_id=enc_id))
@@ -161,7 +161,6 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
     graph, meta = load_checkpoint(args.model)
     task_type = args.task
     if task_type is None:
@@ -171,7 +170,7 @@ def cmd_evaluate(args) -> int:
     task = TaskSpec(args.dataset, task_type)
     x, metas = protocol.WindowStores(args.windows).load(args.dataset)
     if args.split == "test":
-        x, metas = protocol.split_rows(x, metas, args.dataset, cfg.seed, cfg, protocol.TEST)
+        x, metas = protocol.split_rows(x, metas, args.dataset, protocol.TEST)
     metrics = evaluate(graph, graph.embed(x), metas, task)
     payload = {
         "model": str(args.model),
@@ -299,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=["all", "binary"])
     p.add_argument("--split", choices=["test", "all"], default="test")
     p.add_argument("--json")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="run an experiment plan into a ledger")

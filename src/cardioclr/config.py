@@ -19,7 +19,6 @@ from .contrastive import PretrainConfig
 from .downstream import DownstreamConfig
 from .errors import ConfigError, parse_text_file
 from .nn.model import EncoderConfig
-from .signal_io import SPLIT_GRANULARITIES
 
 _STAGES = {"pretrain": PretrainConfig, "downstream": DownstreamConfig, "model": EncoderConfig}
 # Not settable per stage: each stage's seed derives from `[run] seed`, and
@@ -42,7 +41,7 @@ def _parse_finite_float(text: str) -> float:
     return value
 
 
-_PARSERS = {int: int, float: _parse_finite_float, str: str, tuple: _parse_int_tuple}
+_PARSERS = {int: int, float: _parse_finite_float, tuple: _parse_int_tuple}
 
 
 def _entries():
@@ -53,7 +52,6 @@ def _entries():
             if f.name not in _NOT_KEYS:
                 attr = _PREFIX[section] + f.name if f.name in _SHARED else f.name
                 yield section, f.name, attr, f.default
-    yield "data", "split_granularity", "split_granularity", SPLIT_GRANULARITIES[0]
 
 
 # section -> key -> (RunConfig attribute, parser)
@@ -75,8 +73,6 @@ def _check(cfg) -> None:
             raise ConfigError(f"[{section}] {exc}") from None
     if cfg.seed < 0:
         raise ConfigError(f"[run] seed must be non-negative, got {cfg.seed}")
-    if cfg.split_granularity not in SPLIT_GRANULARITIES:
-        raise ConfigError(f"unknown split granularity {cfg.split_granularity!r}")
 
 
 RunConfig = make_dataclass(

@@ -194,8 +194,7 @@ def check_two_block_model(rng) -> float:
     def objective():
         return cross_entropy_loss(graph.forward(x), labels)[0]
 
-    loss, dlogits = cross_entropy_loss(graph.forward(x), labels)
-    graph.backward(dlogits)
+    graph.backward(cross_entropy_loss(graph.forward(x), labels)[1])
     errs = []
     analytic = {name: g.copy() for name, g in graph.named_grads()}
     for name, param in graph.named_params():

@@ -34,7 +34,8 @@ from .errors import (CardioclrError, ConfigError, DataError, FormatError, Parame
                      parse_text_file)
 from .nn import build_ssl_graph, layers, load_checkpoint, save_checkpoint
 from .nn.optim import best_val_loss
-from .signal_io import DATASET_TAGS, LABELED_TAGS, UNLABELED_TAGS, read_window_store, split_indices
+from .signal_io import (DATASET_TAGS, LABEL_SETS, LABELED_TAGS, UNLABELED_TAGS, read_window_store,
+                        split_indices)
 
 IN_DISTRIBUTION = "in_distribution"
 OOD = "ood"
@@ -293,11 +294,15 @@ class WindowStores:
         return self._cache[tag]
 
 
-def downstream_splits(metas, plan_seed: int, tag: str, granularity: str):
-    """70/20/10 split indices; depends only on (seed, tag, granularity) so the
-    test split is identical for every policy and SSL set under one seed."""
-    seed = derived_seed("split", plan_seed, tag, granularity)
-    return split_indices(metas, (0.7, 0.2, 0.1), seed, granularity)
+# parts of a downstream split
+TRAIN, VAL, TEST = range(3)
+
+
+def downstream_splits(metas, tag: str):
+    """Train/val/test indices of a dataset's store. They depend on the store
+    and its tag alone, so every model of any seed, SSL or baseline, trains
+    and is scored on the same windows of it."""
+    return split_indices(metas, derived_seed("split", tag))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +319,13 @@ def train_encoder(ssl_set, policy_text, seed, stores, cfg):
     """
     cfg_hash = config_hash(cfg)
     enc_id = _encoder_id(cfg_hash, ssl_set, policy_text, seed)
-    windows = np.concatenate([stores.load(tag)[0] for tag in ssl_set], axis=0)
+    parts = []
+    for tag in ssl_set:
+        x, metas = stores.load(tag)
+        # heads are scored on a labeled store's test split: pretraining never sees it
+        parts.append(np.delete(x, downstream_splits(metas, tag)[TEST], axis=0)
+                     if tag in LABEL_SETS else x)
+    windows = np.concatenate(parts, axis=0)
     graph = build_ssl_graph(encoder_config(cfg), seed=derived_seed("init", enc_id))
     graph, history = pretrain(graph, windows, parse_policy(policy_text),
                               pretrain_config(cfg, seed=seed))
@@ -354,20 +365,16 @@ def _pretrain_encoder(ssl_set, policy_text, seed, stores, cfg, out_dir):
     return graph, enc_id
 
 
-# parts of a downstream split
-TRAIN, VAL, TEST = range(3)
-
-
-def split_rows(rows, metas, tag: str, seed: int, cfg: RunConfig, part: int):
+def split_rows(rows, metas, tag: str, part: int):
     """`(rows, metas)` of one part (TRAIN, VAL or TEST) of a dataset's store.
     `rows` are the store's windows or their features, which index alike."""
-    idx = downstream_splits(metas, seed, tag, cfg.split_granularity)[part]
+    idx = downstream_splits(metas, tag)[part]
     return rows[idx], [metas[i] for i in idx]
 
 
-def _train_val(rows, metas, task: TaskSpec, seed: int, cfg: RunConfig):
+def _train_val(rows, metas, task: TaskSpec):
     """`(rows, labels)` of the train and of the val part of a task's store."""
-    parts = (split_rows(rows, metas, task.dataset_tag, seed, cfg, part) for part in (TRAIN, VAL))
+    parts = (split_rows(rows, metas, task.dataset_tag, part) for part in (TRAIN, VAL))
     return [(part_rows, task.encode(part_metas)) for part_rows, part_metas in parts]
 
 
@@ -376,7 +383,7 @@ def fit_head(graph, enc_id: str, task: TaskSpec, seed: int, features, metas, cfg
     features (`graph.embed` of the whole store); returns `train_head`'s
     (graph, history). The head seed derives from (enc_id, task, seed)."""
     ds_cfg = downstream_config(cfg, seed=derived_seed("head", enc_id, str(task), seed))
-    return train_head(graph, task, *_train_val(features, metas, task, seed, cfg), ds_cfg)
+    return train_head(graph, task, *_train_val(features, metas, task), ds_cfg)
 
 
 def model_metadata(cfg_hash: str, policy_text: str, task: TaskSpec, seed: int,
@@ -476,7 +483,7 @@ def run_experiment(
             features[task.dataset_tag] = graph.embed(x), metas
 
         def test_features(tag):
-            return split_rows(*features[tag], tag, seed, cfg, TEST)
+            return split_rows(*features[tag], tag, TEST)
 
         for task in tasks:
             graph, _ = fit_head(graph, enc_id, task, seed, *features[task.dataset_tag], cfg)
@@ -510,11 +517,11 @@ def run_baseline(
     ds_cfg = downstream_config(cfg, seed=derived_seed("baseline-head", cfg_hash, str(task), seed))
 
     def test_features(tag):
-        x, metas = split_rows(*stores.load(tag), tag, seed, cfg, TEST)
+        x, metas = split_rows(*stores.load(tag), tag, TEST)
         return graph.embed(x), metas
 
     try:
-        train_val = _train_val(*stores.load(task.dataset_tag), task, seed, cfg)
+        train_val = _train_val(*stores.load(task.dataset_tag), task)
         graph, _ = train_baseline(graph, task, *train_val, ds_cfg)
         return _model_rows(graph, task, tasks, test_features, cfg, seed, NO_SSL,
                            BASELINE_POLICY, out_dir)
@@ -575,22 +582,20 @@ def _item_rows(pending, args, jobs):
                                  f"finish: {unfinished}") from None
 
 
-def check_splits(items, tasks, stores, cfg) -> None:
-    """Raise `DataError` if a work item would train a head on an empty train
-    split or score one on an empty test split. `items` are `(seed, tasks it
-    trains a model for)` pairs; every model is scored on `_evals(task, tasks)`."""
-    needs: dict[tuple[str, int], set] = {}  # (tag, seed) -> parts that must not be empty
-    for seed, own in items:
-        for task in own:
-            needs.setdefault((task.dataset_tag, seed), set()).add(TRAIN)
-            for tag, _ in _evals(task, tasks):
-                needs.setdefault((tag, seed), set()).add(TEST)
-    for (tag, seed), parts in needs.items():
-        metas = stores.load(tag)[1]
-        sizes = [len(idx) for idx in downstream_splits(metas, seed, tag, cfg.split_granularity)]
+def check_splits(trained_tasks, tasks, stores) -> None:
+    """Raise `DataError` if a model for one of `trained_tasks` would train on
+    an empty train split or be scored on an empty test split; every model is
+    scored on `_evals(task, tasks)`."""
+    needs: dict[str, set] = {}  # tag -> parts that must not be empty
+    for task in trained_tasks:
+        needs.setdefault(task.dataset_tag, set()).add(TRAIN)
+        for tag, _ in _evals(task, tasks):
+            needs.setdefault(tag, set()).add(TEST)
+    for tag, parts in needs.items():
+        sizes = [len(idx) for idx in downstream_splits(stores.load(tag)[1], tag)]
         if any(sizes[part] == 0 for part in parts):
-            raise DataError(f"dataset {tag!r} at seed {seed} splits into train/val/test sizes "
-                            f"{sizes}; heads need a non-empty train and test split")
+            raise DataError(f"dataset {tag!r} splits into train/val/test sizes {sizes}; "
+                            "heads need a non-empty train and test split")
 
 
 def run_plan(
@@ -626,7 +631,7 @@ def run_plan(
     for ssl_set, policy, _, _ in pending:
         for tag in ssl_set if policy != BASELINE_POLICY else ():
             stores.load(tag)
-    check_splits([(seed, own) for _, _, seed, own in pending], plan.tasks, stores, cfg)
+    check_splits([task for *_, own in pending for task in own], plan.tasks, stores)
     with closing(_item_rows(pending, (plan.tasks, stores, cfg, out_dir), jobs)) as results:
         for new_rows in results:
             rows.extend(new_rows)

@@ -36,8 +36,8 @@ DATASET_TAGS = (
 )
 UNLABELED_TAGS = ("ephnogram", "fpcgdb")
 LABELED_TAGS = ("pascal", "physionet2016", "physionet2022")
-# per_recording keeps every window of a recording in one split
-SPLIT_GRANULARITIES = ("per_recording", "per_window")
+# train/val/test shares of a dataset's windows
+SPLIT_RATIOS = (0.7, 0.2, 0.1)
 
 NORMAL = "normal"
 ABNORMAL = "abnormal"
@@ -369,48 +369,29 @@ def extract_windows(rec: RawRecording) -> list[LabeledWindow]:
 # ---------------------------------------------------------------------------
 
 
-def split_indices(
-    windows: Sequence,
-    ratios: Sequence[float],
-    seed: int,
-    granularity: str = "per_recording",
-) -> tuple[list[int], ...]:
-    """Deterministic index split. With per_recording granularity all windows
-    of one recording land in the same split (50% overlap would otherwise leak
-    audio between train and test)."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ParameterError(f"split ratios must sum to 1, got {ratios}")
-    if granularity not in SPLIT_GRANULARITIES:
-        raise ParameterError(f"unknown granularity {granularity!r}")
-    n = len(windows)
-    if n == 0:
-        return tuple([] for _ in ratios)
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(ratios)
-
-    if granularity == "per_window":
-        order = rng.permutation(n)
-        bounds = [int(round(c * n)) for c in cum]
-        out, start = [], 0
-        for b in bounds:
-            out.append(sorted(int(i) for i in order[start:b]))
-            start = b
-        return tuple(out)
-
+def split_indices(windows: Sequence, seed: int) -> tuple[list[int], ...]:
+    """Deterministic train/val/test index split in `SPLIT_RATIOS` shares of
+    the windows. All windows of one recording land in the same part (50%
+    overlap would otherwise leak audio between train and test), and each
+    part gets a recording while enough are left, so from 3 recordings on no
+    part is empty."""
     groups: dict[str, list[int]] = {}
     for i, w in enumerate(windows):
         groups.setdefault(w.record_id, []).append(i)
     keys = list(groups)
-    rng.shuffle(keys)
-    targets = [c * n for c in cum]
-    out = [[] for _ in ratios]
-    split, used = 0, 0
-    for key in keys:
-        out[split].extend(groups[key])
+    np.random.default_rng(seed).shuffle(keys)
+    targets = np.cumsum(SPLIT_RATIOS) * len(windows)
+    out = [[] for _ in SPLIT_RATIOS]
+    last = len(out) - 1
+    part, used = 0, 0
+    for done, key in enumerate(keys, 1):
+        out[part].extend(groups[key])
         used += len(groups[key])
-        while split < len(ratios) - 1 and used >= round(targets[split]):
-            split += 1
-    return tuple(sorted(part) for part in out)
+        # one part per recording at most; move on early when the recordings
+        # left are only enough for one each of the parts after this one
+        if part < last and (used >= round(targets[part]) or len(keys) - done == last - part):
+            part += 1
+    return tuple(sorted(p) for p in out)
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def test_c5_end_to_end_smoke(smoke_windows):
     x, metas = smoke_windows
     task = TaskSpec("synthetic", "binary")
     y = task.encode(metas)
-    tr, va, te = downstream_splits(metas, 0, "synthetic", "per_recording")
+    tr, va, te = downstream_splits(metas, "synthetic")
 
     graph = build_ssl_graph(DESK_ENCODER, seed=0)
     pc = PretrainConfig(
@@ -296,7 +296,7 @@ def test_c6_ood_robustness_direction(two_domains):
     (xa, ma), (xb, mb) = two_domains
     task = TaskSpec("synthetic", "binary")
     ya, yb = task.encode(ma), task.encode(mb)
-    tr, va, te = downstream_splits(ma, 0, "synthetic", "per_recording")
+    tr, va, te = downstream_splits(ma, "synthetic")
     pool = np.concatenate([xa, xb])
     policy = parse_policy("noise(u,-0.1,0.1)|lp(500,450)+scale(0.5,2)")
 

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,12 +28,7 @@ from cardioclr.errors import ConfigError
 from cardioclr.nn import EncoderConfig, build_ssl_graph, load_checkpoint, save_checkpoint
 from cardioclr.nn.model import ModelGraph
 from cardioclr import protocol
-from cardioclr.protocol import LedgerRow, downstream_splits, read_ledger, write_ledger
-
-# a non-default value for each string key; a new string key must be added
-STRING_ALTERNATIVES = {"split_granularity": "per_window"}
-
-_METAS = [SimpleNamespace(record_id=f"r{i // 3}") for i in range(30)]
+from cardioclr.protocol import LedgerRow, read_ledger, write_ledger
 
 
 def _other_value(key, default) -> str:
@@ -42,16 +36,14 @@ def _other_value(key, default) -> str:
         return ",".join(str(v + 1) for v in default)
     if isinstance(default, float):
         return repr(default / 2 if default else 0.25)
-    if isinstance(default, int):
-        return str(default + 1)
-    return STRING_ALTERNATIVES[key]
+    assert isinstance(default, int), f"no other value for {key} = {default!r}"
+    return str(default + 1)
 
 
 def _effects(cfg):
-    """Everything a run takes from its config: the stage configs and the
-    downstream split."""
-    split = downstream_splits(_METAS, cfg.seed, "pascal", cfg.split_granularity)
-    return pretrain_config(cfg), downstream_config(cfg), encoder_config(cfg), split
+    """Everything a run takes from its config: the stage configs. The
+    downstream split takes nothing from it."""
+    return pretrain_config(cfg), downstream_config(cfg), encoder_config(cfg)
 
 
 class TestSchema:
@@ -76,8 +68,7 @@ class TestSchema:
             "[downstream]\nadam_lr = 0.0001\nbatch_size = 32\nmax_epochs = 100\n"
             "patience = 20\ndropout = 0.5\n\n"
             "[model]\nchannels = 8,16,32,64,128\nkernels = 64,32,16,8,8\n"
-            "pool_widths = 4,4,4,4,4\nprojection_dim = 128\n\n"
-            "[data]\nsplit_granularity = per_recording\n"
+            "pool_widths = 4,4,4,4,4\nprojection_dim = 128\n"
         )
 
     def test_dead_noise_distribution_key_is_gone(self):
@@ -107,7 +98,6 @@ class TestSchema:
         "[model]\nkernels = 64,32,16,8",
         "[model]\npool_widths = 4,4,4,4,4,4",
         "[model]\nchannels = a,b",
-        "[data]\nsplit_granularity = x",
     ])
     def test_rejected_values(self, text):
         with pytest.raises(ConfigError):
@@ -257,7 +247,6 @@ class TestCliBasics:
     @pytest.mark.parametrize("command", [
         ["pretrain", "--datasets", "synthetic", "--policy", "none|rev", "--out", "enc.ckpt"],
         ["finetune", "--ckpt", "enc.ckpt", "--dataset", "synthetic", "--out", "model.ckpt"],
-        ["evaluate", "--model", "model.ckpt", "--dataset", "synthetic"],
         ["sweep", "--plan", "p.plan", "--out", "out"],
     ], ids=lambda c: c[0])
     def test_bad_seed_env_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
@@ -273,7 +262,6 @@ class TestCliBasics:
          "--windows", "."],
         ["finetune", "--ckpt", "enc.ckpt", "--dataset", "synthetic", "--out", "model.ckpt",
          "--windows", "."],
-        ["evaluate", "--model", "model.ckpt", "--dataset", "synthetic", "--windows", "."],
         ["sweep", "--plan", "p.plan", "--out", "out", "--windows", "."],
         ["synth", "--out", "raw"],
         ["gradcheck"],
@@ -400,6 +388,13 @@ class TestCliBasics:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--config", "run.cfg"], ["--seed", "1"]])
+    def test_evaluate_reads_no_config(self, tmp_path, capsys, flag):
+        # the split it scores on depends on the store alone
+        code = cli.main(["evaluate", "--model", str(tmp_path / "m.ckpt"), "--dataset", "synthetic",
+                         "--windows", str(tmp_path), *flag])
+        assert code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("trials", ["0", "-2", "two"])
     def test_gradcheck_rejects_bad_trials(self, capsys, trials):
         # zero trials would check nothing and report an overall error of 0
@@ -479,12 +474,12 @@ class TestCliPipeline:
         assert (tmp_path / "stores" / "synthetic" / "windows.json").exists()
 
     def test_finetune_checks_the_split_before_embedding(self, tmp_path, capsys, monkeypatch):
-        """Twelve recordings split into an empty test part at seed 0, so
-        `finetune` fails with the sweep's message before it embeds a window
-        or trains a head, and writes no model."""
+        """Two recordings leave the test part empty, so `finetune` fails with
+        the sweep's message before it embeds a window or trains a head, and
+        writes no model."""
         raw, stores = tmp_path / "raw", tmp_path / "stores"
         assert cli.main(["--quiet", "synth", "--out", str(raw), "--seed", "3",
-                         "--n-recordings", "12"]) == 0
+                         "--n-recordings", "2"]) == 0
         assert cli.main(["--quiet", "prepare", "--manifest", str(raw / "manifest.tsv"),
                          "--out", str(stores)]) == 0
         cfg = EncoderConfig(channels=(2,) * 5, kernels=(4,) * 5, projection_dim=8)
@@ -500,9 +495,50 @@ class TestCliPipeline:
                          "--dataset", "synthetic", "--windows", str(stores),
                          "--out", str(tmp_path / "model.ckpt")]) == 1
         assert capsys.readouterr().err == (
-            "error: DataError: dataset 'synthetic' at seed 0 splits into train/val/test sizes "
-            "[43, 12, 0]; heads need a non-empty train and test split\n")
+            "error: DataError: dataset 'synthetic' splits into train/val/test sizes "
+            "[5, 0, 0]; heads need a non-empty train and test split\n")
         assert not (tmp_path / "model.ckpt").exists()
+
+    def test_pretrain_leaves_out_the_test_split_and_finetune_scores_it_at_any_seed(
+            self, tmp_path, capsys, monkeypatch):
+        raw, stores, run = tmp_path / "raw", tmp_path / "stores", tmp_path / "run"
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            "[pretrain]\nbatch_size = 8\nmax_epochs = 1\npatience = 0\nwarmup_epochs = 0\n"
+            "[downstream]\nmax_epochs = 1\npatience = 0\n"
+            "[model]\nchannels = 2,2,2,2,2\nkernels = 4,4,4,4,4\nprojection_dim = 8\n"
+        )
+        common = ["--config", str(cfg), "--windows", str(stores)]
+        assert cli.main(["--quiet", "synth", "--out", str(raw), "--seed", "4",
+                         "--n-recordings", "6"]) == 0
+        assert cli.main(["--quiet", "prepare", "--manifest", str(raw / "manifest.tsv"),
+                         "--out", str(stores)]) == 0
+        x, metas = protocol.WindowStores(stores).load("synthetic")
+        train, val, test = protocol.downstream_splits(metas, "synthetic")
+        assert test
+        pretrained, scored = [], []
+        real_pretrain, real_evaluate = protocol.pretrain, cli.evaluate
+
+        def pretrain(graph, windows, *args):
+            pretrained.append(windows.copy())
+            return real_pretrain(graph, windows, *args)
+
+        def evaluate(graph, features, scored_metas, task):
+            scored.append([(m.record_id, m.window_index) for m in scored_metas])
+            return real_evaluate(graph, features, scored_metas, task)
+
+        monkeypatch.setattr(protocol, "pretrain", pretrain)
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        assert cli.main(["--quiet", "pretrain", *common, "--datasets", "synthetic",
+                         "--policy", "none|inv", "--out", str(run / "enc.ckpt")]) == 0
+        [windows] = pretrained
+        assert np.array_equal(windows, x[sorted(train + val)])
+        for seed in ("1", "2"):
+            assert cli.main(["--quiet", "finetune", *common, "--seed", seed,
+                             "--ckpt", str(run / "enc.ckpt"), "--dataset", "synthetic",
+                             "--out", str(run / f"model{seed}.ckpt")]) == 0
+        test_ids = [(metas[i].record_id, metas[i].window_index) for i in test]
+        assert scored == [test_ids, test_ids]
 
     def test_history_and_evaluate_json_are_written_atomically(self, tmp_path, capsys, monkeypatch):
         raw, stores, run = tmp_path / "raw", tmp_path / "stores", tmp_path / "run"
@@ -521,7 +557,7 @@ class TestCliPipeline:
                          "--history", str(run / "history.csv")]) == 0
         assert cli.main(["--quiet", "finetune", *common, "--ckpt", str(run / "enc.ckpt"),
                          "--dataset", "synthetic", "--out", str(run / "model.ckpt")]) == 0
-        evaluate = ["--quiet", "evaluate", *common, "--model", str(run / "model.ckpt"),
+        evaluate = ["--quiet", "evaluate", "--windows", str(stores), "--model", str(run / "model.ckpt"),
                     "--dataset", "synthetic", "--json", str(run / "eval.json")]
         capsys.readouterr()
         assert cli.main(evaluate) == 0
@@ -582,7 +618,8 @@ class TestCliPipeline:
         assert cli_meta == sweep_meta
 
         capsys.readouterr()
-        assert cli.main(["--quiet", "evaluate", *common, "--model", str(run / "model.ckpt"),
+        assert cli.main(["--quiet", "evaluate", "--windows", str(stores),
+                         "--model", str(run / "model.ckpt"),
                          "--dataset", "synthetic", "--split", "test"]) == 0
         printed = capsys.readouterr().out.splitlines()[-1].rsplit(",", 3)[1:]
         assert printed == [f"{v:.6f}" for v in (row.accuracy, row.micro_f1, row.macro_f1)]

@@ -143,13 +143,12 @@ class TestRoundRobin:
 
 
 class TestSplitsAndIds:
-    def test_split_depends_only_on_seed_tag_granularity(self, stores_root):
+    def test_split_depends_only_on_the_store_and_tag(self, stores_root):
         _, metas = WindowStores(stores_root).load("pascal")
-        a = downstream_splits(metas, 7, "pascal", "per_recording")
-        b = downstream_splits(metas, 7, "pascal", "per_recording")
-        c = downstream_splits(metas, 8, "pascal", "per_recording")
-        assert a == b
-        assert a != c
+        split = downstream_splits(metas, "pascal")
+        assert split == sio.split_indices(metas, protocol.derived_seed("split", "pascal"))
+        assert split == downstream_splits(metas, "pascal")
+        assert split != downstream_splits(metas, "physionet2016")
 
     def test_experiment_id_stability_and_separation(self):
         base = experiment_id("abc", ("ephnogram",), "none|rev", "pascal", "binary", 1)
@@ -194,8 +193,7 @@ class TestRunExperiment:
             if row.eval_kind != "ood":
                 continue
             _, ds_metas = stores.load(row.downstream)
-            tr, va, _ = downstream_splits(ds_metas, row.seed, row.downstream,
-                                          TEST_CFG.split_granularity)
+            tr, va, _ = downstream_splits(ds_metas, row.downstream)
             train_val_ids = {ds_metas[i].record_id for i in tr} | {
                 ds_metas[i].record_id for i in va
             }
@@ -373,8 +371,9 @@ class TestRunPlan:
         run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path / "whole")
         out = tmp_path / "cut"
         shutil.copytree(tmp_path / "whole", out)
-        # a crash before the data reached the disk leaves a truncated file
-        enc = sorted((out / "encoders").glob("*.ckpt"))[1]
+        # a crash before the data reached the disk leaves a truncated file;
+        # an entry may fail at its init and write none, so cut one that exists
+        enc = sorted((out / "encoders").glob("*.ckpt"))[-1]
         enc.write_bytes(enc.read_bytes()[:-7])
         (out / "ledger.csv").unlink()
         with caplog.at_level(logging.WARNING, logger="cardioclr.protocol"):
@@ -498,16 +497,16 @@ class TestRunPlan:
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_test_split_fails_before_any_training(self, tmp_path):
-        # 6 synthetic recordings at seed 4: the per-recording split leaves
-        # no recording for the 10% test share
+        # 2 synthetic recordings: the per-recording split has none left for
+        # the 10% test share
         raw, stores = tmp_path / "raw", tmp_path / "stores"
-        sio.generate_synthetic_manifest(raw, seed=4, n_recordings=6)
+        sio.generate_synthetic_manifest(raw, seed=4, n_recordings=2)
         sio.prepare_manifest(raw / "manifest.tsv", stores)
         plan = parse_plan_text("[ssl_sets]\nsynthetic\n[policies]\nnone|inv\n"
                                "[tasks]\nsynthetic:binary\n[seeds]\n4\n")
         out = tmp_path / "out"
         with pytest.raises(DataError, match=re.escape(
-                "dataset 'synthetic' at seed 4 splits into train/val/test sizes [26, 9, 0]")):
+                "dataset 'synthetic' splits into train/val/test sizes [17, 0, 0]")):
             run_plan(plan, WindowStores(stores), TEST_CFG, out, jobs=2)
         assert not out.exists()
 
@@ -657,6 +656,77 @@ class TestRunPlan:
     def test_bad_plan_policy_rejected(self):
         with pytest.raises(Exception):
             parse_plan_text("[ssl_sets]\nephnogram\n[policies]\nnot-a-policy!!\n[tasks]\npascal:binary\n[seeds]\n1\n")
+
+
+def _window_ids(metas):
+    return [(m.record_id, m.window_index) for m in metas]
+
+
+class TestOneSplit:
+    """Every model of a dataset, of any seed, SSL or baseline, is scored on
+    the same test windows, and pretraining never sees them."""
+
+    def test_every_model_is_scored_on_the_same_test_windows(self, stores_root, tmp_path,
+                                                             monkeypatch):
+        scored = {}  # eval dataset -> {model kind: [window ids of each evaluate call]}
+        model = []
+
+        def wrap(name):
+            real = getattr(protocol, name)
+
+            def wrapped(*args):
+                model.append("baseline" if name == "run_baseline" else f"SSL seed {args[2]}")
+                try:
+                    return real(*args)
+                finally:
+                    model.pop()
+            monkeypatch.setattr(protocol, name, wrapped)
+
+        real_evaluate = protocol.evaluate
+
+        def evaluate(graph, features, metas, task):
+            scored.setdefault(task.dataset_tag, {}).setdefault(model[-1], []).append(
+                _window_ids(metas))
+            return real_evaluate(graph, features, metas, task)
+
+        wrap("run_experiment")
+        wrap("run_baseline")
+        monkeypatch.setattr(protocol, "evaluate", evaluate)
+        plan = ExperimentPlan(ssl_sets=[("ephnogram",)], policies=["none|rev"],
+                              tasks=THREE_TASKS[:2], seeds=[1, 2], baseline_runs=1)
+        stores = WindowStores(stores_root)
+        rows = run_plan(plan, stores, TEST_CFG, tmp_path, jobs=1)
+        assert {r.seed for r in rows if r.policy != protocol.BASELINE_POLICY} == {1, 2}
+        assert all(r.status == "ok" for r in rows)
+        for task in THREE_TASKS[:2]:
+            tag = task.dataset_tag
+            test_ids = _window_ids(protocol.split_rows(*stores.load(tag), tag, protocol.TEST)[1])
+            assert set(scored[tag]) == {"SSL seed 1", "SSL seed 2", "baseline"}
+            # each model is scored once ID and once OOD on each dataset
+            assert [ids for calls in scored[tag].values() for ids in calls] == [test_ids] * 6
+
+    def test_pretraining_never_sees_a_labeled_test_window(self, stores_root, tmp_path,
+                                                          monkeypatch):
+        pretrained = []
+        real_pretrain = protocol.pretrain
+
+        def pretrain(graph, windows, *args):
+            pretrained.append(windows.copy())
+            return real_pretrain(graph, windows, *args)
+
+        monkeypatch.setattr(protocol, "pretrain", pretrain)
+        plan = ExperimentPlan(ssl_sets=[("ephnogram", "pascal")], policies=["none|rev"],
+                              tasks=THREE_TASKS[:1], seeds=[1], baseline_runs=0)
+        stores = WindowStores(stores_root)
+        run_plan(plan, stores, TEST_CFG, tmp_path)
+        [windows] = pretrained
+        unlabeled = stores.load("ephnogram")[0]
+        x, metas = stores.load("pascal")
+        train, val, test = downstream_splits(metas, "pascal")
+        assert test
+        assert np.array_equal(windows, np.concatenate([unlabeled, x[sorted(train + val)]]))
+        seen = {row.tobytes() for row in windows}
+        assert not seen & {row.tobytes() for row in x[test]}
 
 
 class TestLedgerAndSelect:

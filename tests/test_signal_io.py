@@ -313,41 +313,76 @@ def _dummy_windows(record_counts):
     return windows
 
 
+def _greedy_split(windows, seed):
+    """The per-recording split before parts got a recording each while
+    enough were left: fill each part up to its share, then move on."""
+    groups = {}
+    for i, w in enumerate(windows):
+        groups.setdefault(w.record_id, []).append(i)
+    keys = list(groups)
+    np.random.default_rng(seed).shuffle(keys)
+    targets = np.cumsum(sio.SPLIT_RATIOS) * len(windows)
+    out, part, used = [[], [], []], 0, 0
+    for key in keys:
+        out[part].extend(groups[key])
+        used += len(groups[key])
+        while part < 2 and used >= round(targets[part]):
+            part += 1
+    return tuple(sorted(p) for p in out)
+
+
+def _probe_windows(n_recordings, seed):
+    """3-8 windows in each of `n_recordings` recordings."""
+    sizes = np.random.default_rng(seed).integers(3, 9, n_recordings)
+    return _dummy_windows({f"r{i}": int(k) for i, k in enumerate(sizes)})
+
+
 class TestSplits:
     def test_equal_recordings_split_7_2_1(self):
         windows = _dummy_windows({f"r{i}": 4 for i in range(10)})
-        parts = sio.split_indices(windows, (0.7, 0.2, 0.1), seed=3)
+        parts = sio.split_indices(windows, seed=3)
         rec_counts = [len({windows[i].record_id for i in p}) for p in parts]
         assert rec_counts == [7, 2, 1]
 
     def test_determinism(self):
         windows = _dummy_windows({f"r{i}": i % 3 + 1 for i in range(12)})
-        a = sio.split_indices(windows, (0.8, 0.2), seed=11)
-        b = sio.split_indices(windows, (0.8, 0.2), seed=11)
-        assert a == b
+        assert sio.split_indices(windows, seed=11) == sio.split_indices(windows, seed=11)
 
     def test_per_recording_disjoint_many_seeds(self):
         windows = _dummy_windows({f"r{i}": (i * 7) % 5 + 1 for i in range(23)})
         for seed in range(25):
-            parts = sio.split_indices(windows, (0.7, 0.2, 0.1), seed=seed)
+            parts = sio.split_indices(windows, seed=seed)
             id_sets = [{windows[i].record_id for i in p} for p in parts]
             for i in range(len(id_sets)):
                 for j in range(i + 1, len(id_sets)):
                     assert not id_sets[i] & id_sets[j]
             assert sum(len(p) for p in parts) == len(windows)
 
-    def test_per_window_covers_everything(self):
-        windows = _dummy_windows({"a": 10, "b": 10})
-        parts = sio.split_indices(windows, (0.8, 0.2), seed=0, granularity="per_window")
-        assert sorted(parts[0] + parts[1]) == list(range(20))
-        assert len(parts[0]) == 16 and len(parts[1]) == 4
+    @pytest.mark.parametrize("n_recordings", [3, 4, 5, 10, 16])
+    def test_no_part_is_empty_from_three_recordings(self, n_recordings):
+        # the greedy fill left the test part empty at 10 recordings for a
+        # large share of seeds
+        for seed in range(200):
+            parts = sio.split_indices(_probe_windows(n_recordings, seed), seed=seed)
+            assert all(parts), (n_recordings, seed, [len(p) for p in parts])
 
-    def test_bad_ratios(self):
-        with pytest.raises(ParameterError):
-            sio.split_indices([], (0.5, 0.2), seed=0)
+    def test_splits_the_greedy_fill_got_right_are_unchanged(self):
+        same = 0
+        for n_recordings in (3, 6, 10, 16, 24, 40):
+            for seed in range(60):
+                windows = _probe_windows(n_recordings, seed)
+                greedy = _greedy_split(windows, seed)
+                if all(greedy):
+                    assert sio.split_indices(windows, seed=seed) == greedy
+                    same += 1
+        assert same > 200
+
+    def test_fewer_recordings_than_parts_fill_train_first(self):
+        windows = _dummy_windows({"a": 3, "b": 5})
+        assert sio.split_indices(windows, seed=0) == (list(range(8)), [], [])
 
     def test_empty_input(self):
-        assert sio.split_indices([], (0.8, 0.2), seed=0) == ([], [])
+        assert sio.split_indices([], seed=0) == ([], [], [])
 
 
 class TestSynthetic:

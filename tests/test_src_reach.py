@@ -46,3 +46,57 @@ def test_every_src_definition_has_a_caller_outside_the_tests():
     used = _referenced_names()
     unused = [qualified for qualified, name in _definitions() if name not in used]
     assert unused == [], "only tests reach these; delete them or move them into the tests"
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _own_scope(node):
+    """The nodes of a function's body that are in its own scope: nested
+    functions, classes, lambdas and comprehensions are left out."""
+    todo = list(node.body)
+    while todo:
+        child = todo.pop()
+        yield child
+        if not isinstance(child, _SCOPES):
+            todo.extend(ast.iter_child_nodes(child))
+
+
+def _functions():
+    """(qualified name, node, is module-level) of every function in src/."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
+        tree = ast.parse(path.read_text())
+        top = set(map(id, tree.body))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{module}.{node.name}:{node.lineno}", node, id(node) in top
+
+
+def _reads(node) -> set[str]:
+    """Names a function or anything nested in it reads."""
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
+
+def test_every_module_level_function_reads_each_of_its_parameters():
+    unread = []
+    for qualified, node, top in _functions():
+        if top:
+            a, reads = node.args, _reads(node)
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            unread += [f"{qualified}({p.arg})" for p in params if p.arg not in reads]
+    assert unread == [], "drop these parameters, or use them"
+
+
+def test_every_local_a_function_assigns_is_read():
+    unread = []
+    for qualified, node, _ in _functions():
+        shared = {name for n in _own_scope(node) if isinstance(n, (ast.Global, ast.Nonlocal))
+                  for name in n.names}
+        stored = {n.id for n in _own_scope(node)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        unread += [f"{qualified} {name}" for name in sorted(stored - shared - _reads(node))
+                   if not name.startswith("_")]  # `_x` names a value left unread on purpose
+    assert unread == [], "these locals are assigned and never read"
