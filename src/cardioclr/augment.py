@@ -7,7 +7,8 @@ compact grammar used in configs and result ledgers, e.g.
     hp(250,300)+flip(0.7)|inv+noise(u,-0.1,0.1)
 
 `|` separates the two chains, `+` composes transforms left-to-right, and a
-chain with no transforms is written `none`.
+chain with no transforms is written `none`; `none` is a whole chain, never
+one transform of a chain.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ._dsp import convolve_same_reflect, highpass_taps, lowpass_taps
 from .errors import ParameterError
 from .signal_io import TARGET_RATE
 
-_CHAIN_SHAPES = {(0, 1): "0vs1", (1, 1): "1vs1", (1, 2): "1vs2", (2, 2): "2vs2"}
+_CHAIN_SHAPES = {(0, 1), (1, 1), (1, 2), (2, 2)}  # 0vs1, 1vs1, 1vs2, 2vs2
 
 
 def _fmt(v: float) -> str:
@@ -99,7 +100,6 @@ _VALIDATORS = {
     "flip": _check_flip,
     "rev": _check_bare,
     "inv": _check_bare,
-    "none": _check_bare,
 }
 
 
@@ -114,10 +114,6 @@ class AugmentationPolicy:
             raise ParameterError(
                 f"chain lengths {shape} do not match any case (0vs1, 1vs1, 1vs2, 2vs2)"
             )
-
-    @property
-    def case_tag(self) -> str:
-        return _CHAIN_SHAPES[(len(self.left), len(self.right))]
 
     def __str__(self) -> str:
         return f"{chain_to_string(self.left)}|{chain_to_string(self.right)}"
@@ -252,9 +248,7 @@ def apply_atom(x: np.ndarray, atom: Atom, rng) -> np.ndarray:
         return reverse(x)
     if atom.kind == "inv":
         return invert(x)
-    if atom.kind == "flip":
-        return random_flip(x, atom.params[0], rng)
-    return x.copy()  # none
+    return random_flip(x, atom.params[0], rng)  # flip
 
 
 def apply_chain(x: np.ndarray, chain: Sequence[Atom], rng) -> np.ndarray:
@@ -302,12 +296,12 @@ def default_atom_grid() -> list[Atom]:
     )]
 
 
-def enumerate_policies(case_tag: str) -> list[AugmentationPolicy]:
+def enumerate_policies(case: str) -> list[AugmentationPolicy]:
     """The policies of one case over `default_atom_grid()`: 0vs1 gives one
     policy per atom (17), 1vs1 every unordered pair of distinct atoms (136)."""
     grid = default_atom_grid()
-    if case_tag == "0vs1":
+    if case == "0vs1":
         return [AugmentationPolicy((), (a,)) for a in grid]
-    if case_tag == "1vs1":
+    if case == "1vs1":
         return [AugmentationPolicy((a,), (b,)) for a, b in combinations(grid, 2)]
-    raise ParameterError(f"case tag must be 0vs1 or 1vs1, got {case_tag!r}")
+    raise ParameterError(f"case tag must be 0vs1 or 1vs1, got {case!r}")

@@ -28,16 +28,14 @@ from . import signal_io as sio  # noqa: E402
 from ._atomic import write_atomic  # noqa: E402
 from .augment import default_atom_grid, parse_policy  # noqa: E402
 from .config import RunConfig, config_hash, parse_config  # noqa: E402
-from .contrastive import freeze_encoder  # noqa: E402
 from .downstream import TaskSpec, evaluate  # noqa: E402
-from .errors import CardioclrError, ConfigError  # noqa: E402
+from .errors import CardioclrError  # noqa: E402
 from .nn import load_checkpoint, save_checkpoint  # noqa: E402
 from .nn.gradcheck import TOLERANCE, run_gradient_suite  # noqa: E402
 from .nn.optim import history_to_csv  # noqa: E402
 
 log = logging.getLogger("cardioclr")
 
-SEED_ENV = "CARDIOCLR_SEED"
 # `analyze --metric`: the eval kind, then a ledger metric column
 ANALYZE_METRICS = [f"{kind}_{metric}" for kind in ("id", "ood")
                    for metric in ("micro_f1", "macro_f1", "accuracy")]
@@ -70,18 +68,12 @@ def _int_at_least(minimum: int, text: str) -> int:
 
 
 _positive_int = partial(_int_at_least, 1)
-_seed = partial(_int_at_least, 0)  # every --seed, and CARDIOCLR_SEED
+_seed = partial(_int_at_least, 0)  # every --seed
 
 
 def _load_config(args) -> RunConfig:
-    cfg = parse_config(args.config) if getattr(args, "config", None) else RunConfig()
-    env_seed = os.environ.get(SEED_ENV)
-    if env_seed is not None:
-        try:
-            cfg.seed = _seed(env_seed)
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"{SEED_ENV}={env_seed!r}: {exc}") from None
-    if getattr(args, "seed", None) is not None:
+    cfg = parse_config(args.config) if args.config else RunConfig()
+    if args.seed is not None:
         cfg.seed = args.seed
     return cfg
 
@@ -118,7 +110,7 @@ def cmd_prepare(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
-    ssl_set = tuple(tag.strip() for tag in args.datasets.split("+"))
+    ssl_set = protocol.parse_ssl_set(args.datasets)
     graph, history, extra = protocol.train_encoder(
         ssl_set, args.policy, cfg.seed, protocol.WindowStores(args.windows), cfg)
     save_checkpoint(args.out, graph, extra=extra)
@@ -142,7 +134,7 @@ def cmd_finetune(args) -> int:
     stores = protocol.WindowStores(args.windows)
     protocol.check_splits([task], [task], stores)
     x, metas = stores.load(args.dataset)
-    graph = freeze_encoder(graph)
+    graph.freeze_encoder()
     features = graph.embed(x)
     graph, history = protocol.fit_head(graph, enc_id, task, cfg.seed, features, metas, cfg)
     metrics = evaluate(graph, *protocol.split_rows(features, metas, args.dataset, protocol.TEST),

@@ -29,6 +29,7 @@ def nt_xent_grad(views: np.ndarray, temperature: float):
 
     Log-sum-exp stabilized; the denominator for anchor i runs over every
     other view (positives and negatives alike), per the loss definition.
+    A zero view normalizes to 0 (similarity 0 to every view) and gets a zero gradient.
     """
     z = np.asarray(views, dtype=np.float64)
     if temperature <= 0.0:
@@ -39,8 +40,8 @@ def nt_xent_grad(views: np.ndarray, temperature: float):
         raise NumericError("non-finite projection vectors")
     two_n = z.shape[0]
     norms = np.linalg.norm(z, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise NumericError("zero-norm projection vector in batch")
+    zero = norms == 0.0
+    norms = np.where(zero, 1.0, norms)
     u = z / norms
     sim = u @ u.T
     logits = sim / temperature
@@ -62,6 +63,7 @@ def nt_xent_grad(views: np.ndarray, temperature: float):
     w = a + a.T
     row_dot = np.sum(w * sim, axis=1, keepdims=True)
     grad = (w @ u - row_dot * u) / norms
+    grad[zero[:, 0]] = 0.0
     return loss, per_pair, grad
 
 
@@ -187,10 +189,3 @@ def pretrain(
 
     history = early_stopping(graph, run_epoch, config.max_epochs, config.patience)
     return graph, history
-
-
-def freeze_encoder(graph: ModelGraph) -> ModelGraph:
-    """Freeze every encoder block and discard the projection head."""
-    graph.freeze_encoder()
-    graph.drop_head()
-    return graph

@@ -19,7 +19,7 @@ import numpy as np
 from .augment import window_rng
 from .errors import ConfigError, DataError, ShapeError
 from .nn.losses import decisions, task_loss
-from .nn.model import CLASSIFIER, EVAL_CHUNK, ModelGraph, attach_classifier
+from .nn.model import CLASSIFIER, EVAL_CHUNK, ModelGraph
 from .nn.optim import Adam, EpochStats, check_stopping, early_stopping
 from .signal_io import LABEL_SETS, ABNORMAL, NORMAL
 
@@ -199,7 +199,7 @@ def train_head(
     """
     if not graph.encoder_frozen:
         raise ConfigError("train_head expects a frozen encoder (freeze_encoder first)")
-    attach_classifier(graph, task.n_out, config.seed, config.dropout)
+    graph.set_classifier_head(task.n_out, config.seed, config.dropout)
     history = _training_loop(graph, graph.head_forward,
                              lambda dlogits: graph.head_backward(dlogits, compute_input_grad=False),
                              *train, *val, config)
@@ -213,10 +213,9 @@ def train_baseline(
     val: tuple[np.ndarray, np.ndarray],
     config: DownstreamConfig,
 ) -> tuple[ModelGraph, list[EpochStats]]:
-    """Fully supervised baseline: same architecture and regimen, nothing frozen."""
+    """Fully supervised baseline with a fresh head: same architecture and regimen, none frozen."""
     if graph.encoder_frozen:
         raise ConfigError("baseline training expects an unfrozen graph")
-    if graph.head_kind != CLASSIFIER or graph.n_out != task.n_out:
-        attach_classifier(graph, task.n_out, config.seed, config.dropout)
+    graph.set_classifier_head(task.n_out, config.seed, config.dropout)
     history = _training_loop(graph, graph.forward, graph.backward, *train, *val, config)
     return graph, history

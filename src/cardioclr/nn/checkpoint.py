@@ -84,14 +84,13 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
 def _graph_from_meta(meta: dict) -> ModelGraph:
     """The graph a checkpoint's metadata declares, with placeholder values."""
     arch = {f.name: meta["arch"][f.name] for f in fields(EncoderConfig)}
-    graph = ModelGraph(EncoderConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                        for k, v in arch.items()}))
     rng = np.random.default_rng(0)
-    graph.build_encoder(rng)
+    graph = ModelGraph(EncoderConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                        for k, v in arch.items()}), rng)
+    if meta["encoder_frozen"]:
+        graph.freeze_encoder()
     if meta["head"] == PROJECTION:
         graph.set_projection_head(rng)
     elif meta["head"] == CLASSIFIER:
-        graph.set_classifier_head(meta["n_out"], rng, meta["dropout"])
-    if meta["encoder_frozen"]:
-        graph.freeze_encoder()
+        graph.set_classifier_head(meta["n_out"], 0, meta["dropout"])
     return graph

@@ -177,8 +177,7 @@ def check_two_block_model(rng) -> float:
         channels=(2, 3), kernels=(3, 3), pool_widths=(2, 2),
         input_len=16, in_channels=1, projection_dim=4,
     )
-    graph = ModelGraph(cfg, dtype=np.float64)
-    graph.build_encoder(rng)
+    graph = ModelGraph(cfg, rng, dtype=np.float64)
     # same machinery as the full classifier head, desk-sized for FD speed
     graph.head_layers = [
         Dense(cfg.feature_dim(), 5, rng, np.float64),

@@ -55,10 +55,12 @@ class EncoderConfig:
 
 
 class ModelGraph:
-    def __init__(self, encoder_cfg: EncoderConfig, dtype=np.float32):
+    def __init__(self, encoder_cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32):
         self.encoder_cfg = encoder_cfg
         self.dtype = dtype
-        self.encoder_layers: list = []
+        in_channels = (encoder_cfg.in_channels,) + encoder_cfg.channels[:-1]
+        self.encoder_layers = [Conv1d(*shape, rng, dtype) for shape in zip(
+            in_channels, encoder_cfg.channels, encoder_cfg.kernels, encoder_cfg.pool_widths)]
         self.head_layers: list = []
         self.head_kind: str | None = None
         self.n_out: int | None = None
@@ -67,14 +69,6 @@ class ModelGraph:
 
     # -- construction -------------------------------------------------------
 
-    def build_encoder(self, rng: np.random.Generator) -> None:
-        cfg = self.encoder_cfg
-        self.encoder_layers = []
-        in_ch = cfg.in_channels
-        for out_ch, kernel, pool in zip(cfg.channels, cfg.kernels, cfg.pool_widths):
-            self.encoder_layers.append(Conv1d(in_ch, out_ch, kernel, pool, rng, self.dtype))
-            in_ch = out_ch
-
     def set_projection_head(self, rng: np.random.Generator) -> None:
         self.head_layers = [
             Dense(self.encoder_cfg.feature_dim(), self.encoder_cfg.projection_dim, rng, self.dtype)
@@ -82,7 +76,9 @@ class ModelGraph:
         self.head_kind = PROJECTION
         self.n_out = self.encoder_cfg.projection_dim
 
-    def set_classifier_head(self, n_out: int, rng: np.random.Generator, dropout: float = 0.5) -> None:
+    def set_classifier_head(self, n_out: int, seed: int, dropout: float = 0.5) -> None:
+        """A fresh classification head, drawn from `seed` alone, replaces any head."""
+        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xC)))
         feat = self.encoder_cfg.feature_dim()
         self.head_layers = [
             Dense(feat, 128, rng, self.dtype),
@@ -97,15 +93,11 @@ class ModelGraph:
         self.n_out = n_out
         self.dropout_rate = dropout
 
-    def drop_head(self) -> None:
-        self.head_layers = []
-        self.head_kind = None
-        self.n_out = None
-
     def freeze_encoder(self) -> None:
-        """From now on the encoder only runs forward: `backward` raises and
-        the trainable parameters are the head's."""
+        """From now on the encoder only runs forward: `backward` raises, the head
+        is dropped, and the trainable parameters are those of the head set next."""
         self.encoder_frozen = True
+        self.head_layers, self.head_kind, self.n_out = [], None, None
 
     # -- execution ----------------------------------------------------------
 
@@ -212,14 +204,6 @@ class ModelGraph:
 def build_ssl_graph(cfg: EncoderConfig, seed: int, dtype=np.float32) -> ModelGraph:
     """Encoder plus 128-D projection head, seeded init."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xE)))
-    graph = ModelGraph(cfg, dtype)
-    graph.build_encoder(rng)
+    graph = ModelGraph(cfg, rng, dtype)
     graph.set_projection_head(rng)
-    return graph
-
-
-def attach_classifier(graph: ModelGraph, n_out: int, seed: int, dropout: float = 0.5) -> ModelGraph:
-    """Replace the head with a freshly initialized classification head."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xC)))
-    graph.set_classifier_head(n_out, rng, dropout)
     return graph

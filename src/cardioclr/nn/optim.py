@@ -37,7 +37,6 @@ class Lars:
         self.trust = trust
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.step_count = 0
         self._velocity = {name: np.zeros_like(arr) for name, arr in self.params}
 
     def step(self, grads, lr: float) -> None:
@@ -57,7 +56,6 @@ class Lars:
             v *= self.momentum
             v += (local_lr * g_eff).astype(v.dtype)
             w -= v
-        self.step_count += 1
 
 
 class Adam:

@@ -28,7 +28,7 @@ from .config import (
     encoder_config,
     pretrain_config,
 )
-from .contrastive import freeze_encoder, pretrain
+from .contrastive import pretrain
 from .downstream import TaskSpec, evaluate, train_baseline, train_head
 from .errors import (CardioclrError, ConfigError, DataError, FormatError, ParameterError,
                      parse_text_file)
@@ -155,8 +155,8 @@ class ExperimentPlan:
             raise ConfigError(f"baseline_runs must be non-negative, got {self.baseline_runs}")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
-        # policies that parse alike would train one encoder under two ids
-        for what, keys in (("SSL set", ["+".join(s) for s in self.ssl_sets]),
+        # SSL sets of the same tags, or policies that parse alike, train one encoder twice
+        for what, keys in (("SSL set", ["+".join(sorted(s)) for s in self.ssl_sets]),
                            ("policy", [str(parse_policy(p)) for p in self.policies]),
                            ("seed", self.seeds),
                            ("downstream dataset", [t.dataset_tag for t in self.tasks])):
@@ -169,6 +169,19 @@ class ExperimentPlan:
             for policy in self.policies:
                 for seed in self.seeds:
                     yield ssl_set, policy, seed
+
+
+def parse_ssl_set(text: str) -> tuple[str, ...]:
+    """The dataset tags of an SSL set written `a+b`, as a plan line or
+    `pretrain --datasets` gives it; an unknown, empty or repeated tag is a
+    `ConfigError`."""
+    ssl_set = tuple(tag.strip() for tag in text.split("+"))
+    for i, tag in enumerate(ssl_set):
+        if tag not in DATASET_TAGS:
+            raise ConfigError(f"unknown dataset tag {tag!r} in {text!r}")
+        if tag in ssl_set[:i]:
+            raise ConfigError(f"repeated dataset tag {tag!r} in {text!r}")
+    return ssl_set
 
 
 def _plan_int(lineno: int, what: str, text: str) -> int:
@@ -201,15 +214,15 @@ def parse_plan_text(text: str) -> ExperimentPlan:
 
     ssl_sets, policies = [], []  # plan lines, with the paper's SSL sets and grids expanded
     for lineno, line in sections["ssl_sets"]:
-        ssl_set = tuple(tok.strip() for tok in line.split("+"))
-        unknown = [tag for tag in ssl_set if tag not in DATASET_TAGS]
-        if unknown and line != "leave-one-out":
-            raise ConfigError(f"plan line {lineno}: unknown dataset tag {unknown[0]!r} in {line!r}")
-        ssl_sets += leave_dataset_out_cycles() if line == "leave-one-out" else [ssl_set]
-    for lineno, line in sections["policies"]:
-        word, _, case_tag = line.partition(" ")
         try:
-            policies += ([str(p) for p in enumerate_policies(case_tag.strip())]
+            ssl_sets += (leave_dataset_out_cycles() if line == "leave-one-out"
+                         else [parse_ssl_set(line)])
+        except ConfigError as exc:
+            raise ConfigError(f"plan line {lineno}: {exc}") from None
+    for lineno, line in sections["policies"]:
+        word, _, case = line.partition(" ")
+        try:
+            policies += ([str(p) for p in enumerate_policies(case.strip())]
                          if word == "grid" else [line])
         except ParameterError as exc:  # a grid other than 0vs1 or 1vs1
             raise ConfigError(f"plan line {lineno}: {line!r}: {exc}") from None
@@ -338,7 +351,8 @@ def train_encoder(ssl_set, policy_text, seed, stores, cfg):
         "best_val_loss": best_val_loss(history),
         "encoder_id": enc_id,
     }
-    return freeze_encoder(graph), history, extra
+    graph.freeze_encoder()
+    return graph, history, extra
 
 
 def _encoder_id(cfg_hash: str, ssl_set, policy_text: str, seed: int) -> str:
@@ -513,7 +527,6 @@ def run_baseline(
     cfg_hash = config_hash(cfg)
     graph = build_ssl_graph(encoder_config(cfg),
                             seed=derived_seed("baseline-init", cfg_hash, str(task), seed))
-    graph.drop_head()
     ds_cfg = downstream_config(cfg, seed=derived_seed("baseline-head", cfg_hash, str(task), seed))
 
     def test_features(tag):

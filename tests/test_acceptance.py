@@ -20,7 +20,7 @@ from cardioclr.augment import (
     reverse,
 )
 from cardioclr.config import RunConfig
-from cardioclr.contrastive import PretrainConfig, freeze_encoder, pretrain
+from cardioclr.contrastive import PretrainConfig, pretrain
 from cardioclr.downstream import (
     DownstreamConfig,
     TaskSpec,
@@ -264,7 +264,7 @@ def test_c5_end_to_end_smoke(smoke_windows):
         warmup_epochs=5, peak_lr=0.05,
     )
     graph, history = pretrain(graph, x, parse_policy("lp(500,450)|flip(0.5)"), pc)
-    graph = freeze_encoder(graph)
+    graph.freeze_encoder()
     dc = DownstreamConfig(adam_lr=1e-3, max_epochs=60, patience=20, seed=0)
     f = graph.embed(x)
     graph, _ = train_head(graph, task, (f[tr], y[tr]), (f[va], y[va]), dc)
@@ -308,7 +308,7 @@ def test_c6_ood_robustness_direction(two_domains):
             warmup_epochs=4, peak_lr=0.05,
         )
         graph, _ = pretrain(graph, pool, policy, pc)
-        graph = freeze_encoder(graph)
+        graph.freeze_encoder()
         dc = DownstreamConfig(adam_lr=1e-3, max_epochs=60, patience=20, seed=seed)
         fa, fb = graph.embed(xa), graph.embed(xb)
         graph, _ = train_head(graph, task, (fa[tr], ya[tr]), (fa[va], ya[va]), dc)
@@ -317,7 +317,6 @@ def test_c6_ood_robustness_direction(two_domains):
         ssl_drops.append(ssl_id - ssl_ood)
 
         base = build_ssl_graph(DESK_ENCODER, seed=seed + 100)
-        base.drop_head()
         bc = DownstreamConfig(adam_lr=1e-3, max_epochs=25, patience=20, seed=seed)
         base, _ = train_baseline(base, task, (xa[tr], ya[tr]), (xa[va], ya[va]), bc)
         base_id = evaluate(base, base.embed(xa[te]), [ma[i] for i in te], task).accuracy

@@ -217,16 +217,18 @@ class TestPolicies:
         np.testing.assert_array_equal(out, [-2, -1])
 
     def test_case_tags(self):
-        assert aug.parse_policy("none|rev").case_tag == "0vs1"
-        assert aug.parse_policy("inv|rev").case_tag == "1vs1"
-        assert aug.parse_policy("inv|rev+scale(1,2)").case_tag == "1vs2"
-        assert aug.parse_policy("inv+flip(0.5)|rev+scale(1,2)").case_tag == "2vs2"
+        # the four chain shapes: 0vs1, 1vs1, 1vs2 and 2vs2
+        for text, shape in [("none|rev", (0, 1)), ("inv|rev", (1, 1)),
+                            ("inv|rev+scale(1,2)", (1, 2)),
+                            ("inv+flip(0.5)|rev+scale(1,2)", (2, 2))]:
+            pol = aug.parse_policy(text)
+            assert (len(pol.left), len(pol.right)) == shape
 
     def test_identical_atoms_representable_but_never_enumerated(self):
         # the 1vs1 sweep never pairs an atom with itself, but such a policy
         # stays parseable (analysis must count e.g. lp|lp per chain)
         pol = aug.parse_policy("rev|rev")
-        assert pol.case_tag == "1vs1"
+        assert (len(pol.left), len(pol.right)) == (1, 1)
         for enumerated in aug.enumerate_policies("1vs1"):
             assert enumerated.left != enumerated.right
 
@@ -237,6 +239,8 @@ class TestPolicies:
         "noise(u,0.1,-0.1)|none", "noise(x,0,1)|none", "noise(0.1)|none",
         "rev(1)|none", "blur|none", "lp(a,b)|none",
         "rev|inv+rev+scale(1,2)", "inv|rev|none", "none|none", "none",
+        # `none` is a whole chain, never an atom of one
+        "none+flip(0.5)|inv+rev", "inv|rev+none", "none+none|rev",
     ])
     def test_grammar_rejects_malformed_policies(self, text):
         # atoms are checked once, when parsed; the transforms trust them
@@ -286,7 +290,7 @@ class TestEnumeration:
         assert len(policies) == math.comb(17, 2) == 136
         assert len({str(p) for p in policies}) == 136
 
-    @pytest.mark.parametrize("case_tag", ["1vs2", "2vs2", "3vs3"])
-    def test_only_0vs1_and_1vs1_are_enumerated(self, case_tag):
+    @pytest.mark.parametrize("case", ["1vs2", "2vs2", "3vs3"])
+    def test_only_0vs1_and_1vs1_are_enumerated(self, case):
         with pytest.raises(ParameterError):
-            aug.enumerate_policies(case_tag)
+            aug.enumerate_policies(case)

@@ -245,19 +245,6 @@ class TestCliBasics:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [
-        ["pretrain", "--datasets", "synthetic", "--policy", "none|rev", "--out", "enc.ckpt"],
-        ["finetune", "--ckpt", "enc.ckpt", "--dataset", "synthetic", "--out", "model.ckpt"],
-        ["sweep", "--plan", "p.plan", "--out", "out"],
-    ], ids=lambda c: c[0])
-    def test_bad_seed_env_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setenv(cli.SEED_ENV, "abc")
-        monkeypatch.chdir(tmp_path)
-        assert cli.main([*command, "--windows", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ConfigError: ") and cli.SEED_ENV in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("command", [
         ["pretrain", "--datasets", "synthetic", "--policy", "none|rev", "--out", "enc.ckpt",
          "--windows", "."],
         ["finetune", "--ckpt", "enc.ckpt", "--dataset", "synthetic", "--out", "model.ckpt",
@@ -273,16 +260,17 @@ class TestCliBasics:
         assert "argument --seed: must be at least 0, got -1" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", [
-        ["pretrain", "--datasets", "synthetic", "--policy", "none|rev", "--out", "enc.ckpt"],
-        ["sweep", "--plan", "p.plan", "--out", "out"],
-    ], ids=lambda c: c[0])
-    def test_negative_seed_env_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setenv(cli.SEED_ENV, "-3")
+    @pytest.mark.parametrize("datasets,message", [
+        ("pascal+pascal", "repeated dataset tag 'pascal' in 'pascal+pascal'"),
+        ("synthetic+circor", "unknown dataset tag 'circor' in 'synthetic+circor'"),
+        ("synthetic+", "unknown dataset tag '' in 'synthetic+'"),
+    ], ids=["repeated", "unknown", "empty"])
+    def test_bad_pretrain_datasets_are_config_errors(self, tmp_path, capsys, monkeypatch,
+                                                     datasets, message):
         monkeypatch.chdir(tmp_path)
-        assert cli.main([*command, "--windows", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: ConfigError: {cli.SEED_ENV}='-3': must be at least 0")
+        assert cli.main(["pretrain", "--windows", ".", "--datasets", datasets, "--policy",
+                         "none|rev", "--out", "enc.ckpt"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: ConfigError: {message}")
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_config_seed_names_the_file(self, tmp_path, capsys, monkeypatch):
@@ -725,15 +713,3 @@ class TestCliPipeline:
         records = [json.loads(line) for line in lines]
         assert any(str(out) in r["msg"] for r in records)
         assert all(r["level"] == "INFO" for r in records)
-
-    def test_seed_env_override(self, tmp_path, capsys, monkeypatch):
-        class Args:
-            config = None
-            seed = None
-
-        monkeypatch.setenv(cli.SEED_ENV, "123")
-        cfg = cli._load_config(Args())
-        assert cfg.seed == 123
-        monkeypatch.delenv(cli.SEED_ENV)
-        cfg = cli._load_config(Args())
-        assert cfg.seed == 0

@@ -9,13 +9,13 @@ import pytest
 from cardioclr import augment as aug
 from cardioclr.contrastive import (
     PretrainConfig,
-    freeze_encoder,
     nt_xent_grad,
     pretrain,
 )
 from cardioclr.downstream import DownstreamConfig, TaskSpec, train_baseline, train_head
 from cardioclr.errors import ConfigError, NumericError, ParameterError
-from cardioclr.nn import EncoderConfig, attach_classifier, build_ssl_graph, layers
+from cardioclr.nn import EncoderConfig, build_ssl_graph, layers
+from cardioclr.nn.gradcheck import numeric_gradient, relative_error
 from cardioclr.nn.optim import history_to_csv
 
 
@@ -105,9 +105,26 @@ class TestNtXent:
         with pytest.raises(ParameterError):
             nt_xent_loss(np.zeros((3, 4)), 0.1)
         with pytest.raises(NumericError):
-            nt_xent_loss(np.zeros((4, 2)), 0.1)
+            nt_xent_loss(np.full((4, 2), np.nan), 0.1)
         with pytest.raises(ParameterError):
             nt_xent_loss(np.ones((4, 2)), -0.5)
+
+    def test_zero_row_has_no_direction_and_no_gradient(self):
+        rng = np.random.default_rng(11)
+        z = rng.uniform(-1, 1, (8, 5))
+        z[2] = 0.0
+        loss, per_pair, grad = nt_xent_grad(z, 0.1)
+        assert math.isfinite(loss) and np.all(np.isfinite(per_pair))
+        np.testing.assert_array_equal(grad[2], np.zeros(5))
+        others = np.arange(8) != 2
+        numeric = numeric_gradient(lambda: nt_xent_grad(z, 0.1)[0], z)
+        assert relative_error(grad[others], numeric[others]) < 1e-6
+
+    def test_all_zero_batch_is_chance(self):
+        # every similarity is 0, so each anchor picks its positive among 2N-1 equals
+        loss, _, grad = nt_xent_grad(np.zeros((6, 3)), 0.1)
+        assert abs(loss - math.log(5)) < 1e-12
+        np.testing.assert_array_equal(grad, np.zeros((6, 3)))
 
     def test_grad_shrinks_loss(self):
         rng = np.random.default_rng(5)
@@ -241,7 +258,8 @@ class TestNoCachesAfterTraining:
 
     def test_train_head(self):
         x, labels = _toy_windows(24, seed=8)
-        graph = freeze_encoder(build_ssl_graph(TINY_CFG, seed=0))
+        graph = build_ssl_graph(TINY_CFG, seed=0)
+        graph.freeze_encoder()
         f = graph.embed(x)
         cfg = DownstreamConfig(max_epochs=2, patience=1, seed=0)
         graph, _ = train_head(graph, TaskSpec("synthetic", "binary"), (f[:16], labels[:16]),
@@ -251,7 +269,6 @@ class TestNoCachesAfterTraining:
     def test_train_baseline(self):
         x, labels = _toy_windows(24, seed=9)
         graph = build_ssl_graph(TINY_CFG, seed=0)
-        graph.drop_head()
         cfg = DownstreamConfig(max_epochs=2, patience=1, seed=0)
         graph, _ = train_baseline(graph, TaskSpec("synthetic", "binary"),
                                   (x[:16], labels[:16]), (x[16:], labels[16:]), cfg)
@@ -264,7 +281,7 @@ class TestFreeze:
         graph = build_ssl_graph(TINY_CFG, seed=1)
         policy = aug.parse_policy("none|rev")
         graph, _ = pretrain(graph, x, policy, tiny_pretrain_config(max_epochs=2, patience=1))
-        graph = freeze_encoder(graph)
+        graph.freeze_encoder()
         assert graph.head_kind is None
         assert all(name.startswith("enc") for name, _ in graph.named_params())
         before = graph.encoder_bytes()
@@ -277,9 +294,9 @@ class TestFreeze:
 
     def test_classifier_inits_differ_across_seeds(self):
         graph = build_ssl_graph(TINY_CFG, seed=1)
-        graph = freeze_encoder(graph)
-        attach_classifier(graph, 1, seed=10)
+        graph.freeze_encoder()
+        graph.set_classifier_head(1, seed=10)
         w10 = [arr.copy() for _, arr in graph.named_params(trainable_only=True)]
-        attach_classifier(graph, 1, seed=11)
+        graph.set_classifier_head(1, seed=11)
         w11 = [arr for _, arr in graph.named_params(trainable_only=True)]
         assert any(not np.array_equal(a, b) for a, b in zip(w10, w11))

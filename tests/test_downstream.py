@@ -14,7 +14,7 @@ from cardioclr.downstream import (
     train_head,
 )
 from cardioclr.errors import ConfigError, DataError, ShapeError
-from cardioclr.nn import EncoderConfig, attach_classifier, build_ssl_graph
+from cardioclr.nn import EncoderConfig, build_ssl_graph
 from cardioclr.nn.layers import Dense
 from cardioclr.nn.losses import decisions
 from cardioclr.nn.model import EVAL_CHUNK
@@ -117,8 +117,7 @@ class TestEvaluate:
     def _trained_graph(self, n_out=1):
         graph = build_ssl_graph(CFG, seed=0)
         graph.freeze_encoder()
-        graph.drop_head()
-        attach_classifier(graph, n_out, seed=1, dropout=0.0)
+        graph.set_classifier_head(n_out, seed=1, dropout=0.0)
         return graph
 
     def test_empty_windows_rejected(self):
@@ -192,7 +191,6 @@ class TestTrainHead:
         x, y = _separable_windows(64, seed=1)
         graph = build_ssl_graph(CFG, seed=0)
         graph.freeze_encoder()
-        graph.drop_head()
         cfg = DownstreamConfig(adam_lr=3e-3, max_epochs=100, patience=99, seed=0, dropout=0.0)
         f = graph.embed(x)
         graph, _ = train_head(graph, TaskSpec("synthetic", "binary"), (f, y), (f[:16], y[:16]), cfg)
@@ -207,7 +205,6 @@ class TestTrainHead:
         x, y = _separable_windows(32, seed=2)
         graph = build_ssl_graph(CFG, seed=1)
         graph.freeze_encoder()
-        graph.drop_head()
         before = graph.encoder_bytes()
         cfg = DownstreamConfig(max_epochs=4, patience=3, seed=0)
         f = graph.embed(x)
@@ -218,7 +215,6 @@ class TestTrainHead:
         x, y = _separable_windows(32, seed=3)
         graph = build_ssl_graph(CFG, seed=1)
         graph.freeze_encoder()
-        graph.drop_head()
         cfg = DownstreamConfig(adam_lr=0.0, max_epochs=100, patience=20, seed=0)
         f = graph.embed(x)
         _, history = train_head(graph, TaskSpec("synthetic", "binary"), (f, y), (f[:8], y[:8]), cfg)
@@ -240,8 +236,7 @@ class TestTrainBaseline:
     def test_every_layer_moves_after_one_step(self):
         x, y = _separable_windows(8, seed=4)
         graph = build_ssl_graph(CFG, seed=2)
-        graph.drop_head()
-        attach_classifier(graph, 1, seed=3, dropout=0.0)
+        graph.set_classifier_head(1, seed=0, dropout=0.0)  # the head train_baseline sets
         before = {name: arr.copy() for name, arr in graph.named_params()}
         cfg = DownstreamConfig(adam_lr=1e-3, max_epochs=2, patience=1, batch_size=8, seed=0, dropout=0.0)
         train_baseline(graph, TaskSpec("synthetic", "binary"), (x, y), (x, y), cfg)
@@ -254,7 +249,6 @@ class TestTrainBaseline:
 
         def run():
             graph = build_ssl_graph(CFG, seed=4)
-            graph.drop_head()
             cfg = DownstreamConfig(adam_lr=1e-3, max_epochs=3, patience=2, seed=7)
             train_baseline(graph, TaskSpec("synthetic", "binary"), (x, y), (x[:4], y[:4]), cfg)
             return [arr.copy() for _, arr in graph.named_params()]

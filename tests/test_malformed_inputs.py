@@ -129,7 +129,7 @@ def desk_files(tmp_path_factory):
     graph = build_ssl_graph(EncoderConfig(channels=(2,), kernels=(4,), pool_widths=(100,),
                                           projection_dim=4), seed=0)
     graph.freeze_encoder()
-    graph.set_classifier_head(1, np.random.default_rng(0), 0.5)
+    graph.set_classifier_head(1, 0, 0.5)
     save_checkpoint(checkpoint, graph, extra={"policy": "none|rev", "task": "pascal:binary",
                                               "seed": 7})
     ledger = root / "ledger.csv"

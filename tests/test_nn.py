@@ -24,7 +24,6 @@ from cardioclr.nn import (
     LrSchedule,
     MaxPool1d,
     ReLU,
-    attach_classifier,
     build_ssl_graph,
     layers,
     load_checkpoint,
@@ -449,8 +448,7 @@ class TestConvBlock:
         forward, with two runs' chunk and im2col buffers (13.3 MiB on one
         thread, in the backward)."""
         monkeypatch.setattr(layers, "THREADS", 2)
-        graph = ModelGraph(EncoderConfig())
-        graph.build_encoder(np.random.default_rng(0))
+        graph = ModelGraph(EncoderConfig(), np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((32, 10000)).astype(np.float32)
         tracemalloc.start()
         try:
@@ -751,7 +749,7 @@ class TestGradientSuite:
                             input_len=16, projection_dim=4)
         graph = build_ssl_graph(cfg, seed=0)
         graph.freeze_encoder()
-        attach_classifier(graph, 2, seed=1, dropout=0.0)
+        graph.set_classifier_head(2, seed=1, dropout=0.0)
         for kind in ("params", "grads"):
             head = [id(arr) for layer in graph.head_layers
                     for arr in getattr(layer, kind)().values()]
@@ -921,7 +919,7 @@ class TestEarlyStopping:
 class TestCaches:
     def test_restore_drops_every_cache(self):
         graph = build_ssl_graph(DESK_ENCODER, seed=1)
-        attach_classifier(graph, 1, seed=2)
+        graph.set_classifier_head(1, seed=2)
         snap = graph.snapshot()
         x = np.random.default_rng(3).standard_normal((4, DESK_ENCODER.input_len))
         graph.forward(x, training=True, rng=np.random.default_rng(4))
@@ -935,7 +933,7 @@ class TestCaches:
         """A cache lives from its forward to its backward: none is left after
         `backward`, so a second backward raises."""
         graph = build_ssl_graph(DESK_ENCODER, seed=1)
-        attach_classifier(graph, 1, seed=2)
+        graph.set_classifier_head(1, seed=2)
         x = np.random.default_rng(3).standard_normal((4, DESK_ENCODER.input_len))
         graph.forward(x, training=True, rng=np.random.default_rng(4))
         graph.backward(np.ones((4, 1), dtype=np.float32))
@@ -990,7 +988,7 @@ class TestCheckpoint:
                             input_len=16, projection_dim=4)
         graph = build_ssl_graph(cfg, seed=2)
         graph.freeze_encoder()
-        attach_classifier(graph, 3, seed=3)
+        graph.set_classifier_head(3, seed=3)
         path = tmp_path / "cls.ckpt"
         save_checkpoint(path, graph)
         loaded, meta = load_checkpoint(path)

@@ -358,6 +358,15 @@ class TestRunPlan:
         assert {r.policy for r in serial} == {"none|rev", protocol.BASELINE_POLICY}
         assert _tree_bytes(tmp_path / "serial") == _tree_bytes(tmp_path / "jobs2")
 
+    def test_zero_projection_row_does_not_fail_an_entry(self, stores_root, tmp_path):
+        """The `fpcgdb` entry at seed 5 meets a projection row of all zeros
+        (`TEST_CFG` is a 2-channel encoder); it trains like any other."""
+        plan = ExperimentPlan(ssl_sets=[("ephnogram",), ("fpcgdb",)], policies=["none|rev"],
+                              tasks=THREE_TASKS[:2], seeds=[5], baseline_runs=1)
+        rows = run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path)
+        assert len(list((tmp_path / "encoders").glob("*.ckpt"))) == 2
+        assert [r.experiment_id for r in rows if r.status == "failed"] == []
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_corrupt_encoder_is_moved_aside_and_retrained(self, stores_root, tmp_path, caplog,
                                                            jobs):
@@ -614,6 +623,11 @@ class TestRunPlan:
         assert plan.policies == ["rev|inv+scale(1,2)", *grid]
         assert len(grid) == 136 + 17 and grid[-1] == "none|flip(0.7)"
 
+    def test_ssl_set_keeps_its_written_order(self):
+        # the order names the encoder id, so a plan valid before keeps its ids
+        plan = parse_plan_text(_plan_text("ssl_sets", ["pascal+ephnogram", "fpcgdb"]))
+        assert plan.ssl_sets == [("pascal", "ephnogram"), ("fpcgdb",)]
+
     def test_leave_one_out_line_expands_to_the_four_cycles(self):
         plan = parse_plan_text("[ssl_sets]\nfpcgdb\nleave-one-out\n[policies]\nnone|rev\n"
                                "[tasks]\npascal:binary\n[seeds]\n1\n")
@@ -631,8 +645,15 @@ class TestRunPlan:
          "duplicate SSL set 'ephnogram+fpcgdb+pascal+physionet2016+physionet2022'"),
         ("policies", ["grid 0vs1", "none|rev"], "duplicate policy 'none|rev'"),
         ("seeds", ["2", "-1"], "seeds must be non-negative, got -1"),
+        ("ssl_sets", ["pascal+pascal"],
+         "plan line 2: repeated dataset tag 'pascal' in 'pascal+pascal'"),
+        ("ssl_sets", ["ephnogram+pascal", "pascal+ephnogram"],
+         "duplicate SSL set 'ephnogram+pascal'"),
+        ("ssl_sets", ["leave-one-out", "physionet2022+physionet2016+pascal+fpcgdb+ephnogram"],
+         "duplicate SSL set 'ephnogram+fpcgdb+pascal+physionet2016+physionet2022'"),
     ], ids=["grid_1vs2", "bare_grid", "two_grids", "empty_tag", "unknown_tag",
-            "expanded_ssl_set", "expanded_policy", "negative_seed"])
+            "expanded_ssl_set", "expanded_policy", "negative_seed", "repeated_tag",
+            "reordered_ssl_set", "reordered_expanded_ssl_set"])
     def test_bad_plan_lines_are_config_errors(self, section, lines, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_plan_text(_plan_text(section, lines))

@@ -8,43 +8,47 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cardioclr"
 
 
-def _referenced_names() -> set[str]:
-    """Every identifier src/ and perfbench/ use: names, attributes, imports,
-    and words of string constants (perfbench wraps functions by attribute
-    name, and `__all__` lists the public ones), plus pyproject.toml's words
-    (the console entry point)."""
+def _referenced_names() -> tuple[set[str], set[str]]:
+    """Identifiers src/ and perfbench/ use, as two sets. The first holds
+    every name, attribute, import and word of a string constant (perfbench
+    wraps functions by attribute name, and `__all__` lists the public ones),
+    plus pyproject.toml's words (the console entry point). The second holds
+    only the attributes and string words, the ways a method is reached: a
+    local or a parameter of a method's name does not call it."""
     names = set(re.findall(r"\w+", (ROOT / "pyproject.toml").read_text()))
+    members = set()
     for path in [*PACKAGE.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                members.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rpartition(".")[2])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.update(re.findall(r"\w+", node.value))
-    return names
+                members.update(re.findall(r"\w+", node.value))
+    return names | members, members
 
 
 def _definitions():
-    """(qualified name, name) of every module-level function and class in
-    src/, and of every public method of those classes. A definition is not
-    a reference to itself."""
+    """(qualified name, name, is a method) of every module-level function
+    and class in src/, and of every public method or property of those
+    classes. A definition is not a reference to itself."""
     for path in sorted(PACKAGE.rglob("*.py")):
         module = path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield f"{module}.{node.name}", node.name
+                yield f"{module}.{node.name}", node.name, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{module}.{node.name}.{item.name}", item.name
+                        yield f"{module}.{node.name}.{item.name}", item.name, True
 
 
 def test_every_src_definition_has_a_caller_outside_the_tests():
-    used = _referenced_names()
-    unused = [qualified for qualified, name in _definitions() if name not in used]
+    names, members = _referenced_names()
+    unused = [qualified for qualified, name, method in _definitions()
+              if name not in (members if method else names)]
     assert unused == [], "only tests reach these; delete them or move them into the tests"
 
 
