@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import shutil
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -27,16 +28,19 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
-def replace_dir_atomic(path, fill) -> None:
-    """Make directory `path` hold just what `fill(tmp)` writes into a temp
-    sibling `tmp`, renamed into place once complete; an old `path` is moved
-    aside first and removed after. On error `tmp` is removed and the old
-    directory stays, so readers never see a mix of old and new files."""
+@contextmanager
+def replace_dir_atomic(path):
+    """Make directory `path` hold just what the `with` block writes into the
+    temp sibling it yields, renamed into place once the block exits cleanly;
+    an old `path` is moved aside first and removed after. On error the temp
+    directory is removed and the old directory stays, so readers never see a
+    mix of old and new files. Several may be open at once: each replaces its
+    directory only when its own block exits."""
     path = Path(path)
     tmp, old = _tmp_sibling(path, "tmp"), _tmp_sibling(path, "old")
     try:
         tmp.mkdir(parents=True)
-        fill(tmp)
+        yield tmp
         if path.exists():
             os.rename(path, old)
         os.rename(tmp, path)

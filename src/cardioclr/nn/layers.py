@@ -9,6 +9,7 @@ forward is an error.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 
@@ -64,6 +65,12 @@ def cpu_count() -> int:
 # Threads an encoder block splits its chunks over: every CPU of the process.
 # `protocol.run_plan`'s forked workers divide the CPUs among themselves.
 THREADS = cpu_count()
+
+# Bytes of work buffers (chunk buffer and im2col) that the runs of one
+# encoder-block call hold together. Two runs of the full-size first blocks
+# (3.4 MiB each) fit, so a 2-CPU box keeps both its threads there, and more
+# CPUs add no buffers where a run is that large.
+RUN_BUDGET = 8 << 20
 
 # Conv FLOPs per sample below which a block runs on one thread. Its numpy
 # calls are then too short for a second thread to win back the GIL hand-offs
@@ -162,7 +169,8 @@ class Conv1d(Layer):
 
     The chunks split into `THREADS` contiguous runs of whole chunks, one
     per thread (`in_threads`), where a sample's conv takes at least
-    `THREAD_MIN_FLOPS`. Each run writes its own rows of the output,
+    `THREAD_MIN_FLOPS`, and no more runs than `RUN_BUDGET` holds the work
+    buffers of. Each run writes its own rows of the output,
     the argmax and the input gradient, into work buffers allocated by the
     calling thread. The weight-gradient group sums and per-sample bias sums
     are added after the join, in chunk order, as one thread adds them, so
@@ -206,13 +214,21 @@ class Conv1d(Layer):
             m = min(size, batch - start)
             yield slice(start, start + m), [slice(s, min(s + n, m)) for s in range(0, m, n)]
 
+    def _buffer_shapes(self, batch, length):
+        """Shapes of a run's chunk buffer and im2col (see `_buffers`)."""
+        rows, n = min(batch, self.chunk_size(length)), min(batch, self.group_size(length))
+        return (rows, self.out_channels, length), (n, self.in_channels, self.kernel, length)
+
     def _runs(self, batch, length):
         """The chunks as contiguous runs of whole chunks, one per thread:
-        at most `THREADS`, and one below `THREAD_MIN_FLOPS`."""
+        at most `THREADS`, as many as `RUN_BUDGET` holds the work buffers
+        of, and one below `THREAD_MIN_FLOPS`."""
         chunks = list(self._chunks(batch, length))
         flops = 2 * self.out_channels * self.in_channels * self.kernel * length
         threads = THREADS if flops >= THREAD_MIN_FLOPS else 1
-        n = max(1, min(threads, len(chunks)))  # an empty batch is one empty run
+        run_bytes = self.w.itemsize * sum(map(math.prod, self._buffer_shapes(batch, length)))
+        # an empty batch is one empty run
+        n = max(1, min(threads, len(chunks), RUN_BUDGET // max(1, run_bytes)))
         return [chunks[len(chunks) * i // n : len(chunks) * (i + 1) // n] for i in range(n)]
 
     @staticmethod
@@ -231,15 +247,15 @@ class Conv1d(Layer):
         (n, Cin, K, L) im2col and, for a backward run over `chunks`, a
         group's stacked (n, Cin*K, Cout) weight-gradient products and their
         sum for each group of the run."""
-        rows, n = min(batch, self.chunk_size(length)), min(batch, self.group_size(length))
-        buf = np.empty((rows, self.out_channels, length), dtype=self.w.dtype)
+        buf_shape, cols_shape = self._buffer_shapes(batch, length)
+        buf = np.empty(buf_shape, dtype=self.w.dtype)
         buf[:, :, length - length % self.pool :] = 0.0
-        cols = np.empty((n, self.in_channels, self.kernel, length), dtype=self.w.dtype)
+        cols = np.empty(cols_shape, dtype=self.w.dtype)
         if chunks is None:
             return buf, cols
         shape = (self.in_channels * self.kernel, self.out_channels)
         groups = sum(len(chunk_groups) for _, chunk_groups in chunks)
-        return (buf, cols, np.empty((n, *shape), dtype=self.w.dtype),
+        return (buf, cols, np.empty((len(cols), *shape), dtype=self.w.dtype),
                 np.empty((groups, *shape), dtype=self.w.dtype))
 
     def forward(self, x, training=False, rng=None):
@@ -250,7 +266,10 @@ class Conv1d(Layer):
         batch, _, length = x.shape
         k = self.kernel
         pl = k // 2
-        xp = np.pad(np.asarray(x, dtype=self.w.dtype), ((0, 0), (0, 0), (pl, k - 1 - pl)))
+        xp = np.empty((batch, self.in_channels, length + k - 1), dtype=self.w.dtype)
+        xp[:, :, :pl] = 0.0
+        xp[:, :, pl + length :] = 0.0
+        xp[:, :, pl : pl + length] = x
         w2 = self.w.reshape(self.out_channels, -1)
         out = np.empty((batch, self.out_channels, length // self.pool), dtype=self.w.dtype)
         arg = np.empty(out.shape, dtype=np.min_scalar_type(self.pool))

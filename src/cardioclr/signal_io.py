@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
 import struct
-from dataclasses import dataclass, field, replace
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -83,15 +86,28 @@ class RawRecording:
 
 
 @dataclass
-class LabeledWindow:
-    """A 5 s window at 2 kHz carrying original and binary labels."""
+class WindowMeta:
+    """Where a 5 s window comes from and its original and binary labels:
+    what a window store keeps of each window next to its samples."""
 
-    samples: np.ndarray
     record_id: str
     dataset_tag: str
     window_index: int
     original_label: Optional[str] = None
     binary_label: Optional[str] = None
+
+    def __post_init__(self):
+        if self.original_label is not None and self.binary_label is None:
+            raise ParameterError("binary_label must be set whenever original_label is set")
+        if self.window_index < 0:
+            raise ParameterError("window_index must be non-negative")
+
+
+@dataclass
+class LabeledWindow(WindowMeta):
+    """A 5 s window at 2 kHz carrying original and binary labels."""
+
+    samples: np.ndarray = field(kw_only=True)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float32)
@@ -101,10 +117,7 @@ class LabeledWindow:
             )
         if not np.all(np.isfinite(self.samples)):
             raise FormatError(f"window {self.record_id}/{self.window_index} is non-finite")
-        if self.original_label is not None and self.binary_label is None:
-            raise ParameterError("binary_label must be set whenever original_label is set")
-        if self.window_index < 0:
-            raise ParameterError("window_index must be non-negative")
+        super().__post_init__()
 
 
 @dataclass
@@ -236,11 +249,12 @@ def _polyphase_resample(x: np.ndarray, up: int, down: int) -> np.ndarray:
     branch is normalized to unit DC gain so constants pass through exactly.
     Edges are replicated before filtering to avoid boundary droop.
 
-    The padded input is split once into its `down` polyphase components
-    (`xpz[c::down]`, each contiguous). Outputs `up` apart share a branch and
-    their inputs step by `down`, so each tap reads one contiguous slice of
-    one component, with no gather. Each output sums the same float64
-    products in the same tap order as the per-sample definition: same bytes.
+    The padded input `xpz` is written straight into its `down` polyphase
+    components (`comps[c] = xpz[c::down]`, each contiguous), and is held
+    only that way. Outputs `up` apart share a branch and their inputs step
+    by `down`, so each tap reads one contiguous slice of one component, with
+    no gather. Each output sums the same float64 products in the same tap
+    order as the per-sample definition: same bytes.
     """
     n_in = x.size
     n_out = _resampled_length(n_in, up, down)
@@ -257,14 +271,20 @@ def _polyphase_resample(x: np.ndarray, up: int, down: int) -> np.ndarray:
     pad = down * math.ceil((half / up + 1) / down)
     shift = pad * up // down
 
-    # zero margin keeps every q - i inside xpz; its length is a multiple of `down`
-    margin = num_taps // up + 2
-    xpz = np.zeros(-(-(n_in + 2 * (pad + margin)) // down) * down)
-    xpz[margin : margin + pad] = x[0]
-    xpz[margin + pad : margin + pad + n_in] = x
-    xpz[margin + pad + n_in : margin + 2 * pad + n_in] = x[-1]
-    # comps[c] is xpz[c::down], copied contiguous
-    comps = xpz.reshape(-1, down).T.copy()
+    # xpz is margin zeros, pad copies of x[0], x, pad copies of x[-1], then
+    # at least margin zeros. The zero margin keeps every q - i inside xpz;
+    # margin, pad and the length of xpz are whole multiples of `down`.
+    margin = down * -(-(num_taps // up + 2) // down)
+    comps = np.zeros((down, (2 * (margin + pad) + n_in) // down + 1))
+    # xpz[r * down + c] is rows[r, c]: xpz in rows of `down` samples
+    rows = comps.T
+    r0, whole = (margin + pad) // down, n_in // down
+    rows[margin // down : r0] = x[0]
+    end = r0 + whole  # the row where x ends and its x[-1] copies start
+    rows[end : end + pad // down + 1] = x[-1]
+    rows[r0:end] = x[: whole * down].reshape(whole, down)
+    rows[end, : n_in - whole * down] = x[whole * down :]
+    rows[end + pad // down, n_in - whole * down :] = 0.0
 
     out = np.empty(n_out, dtype=np.float64)
     # Per output sample n (group-delay compensated):
@@ -554,34 +574,63 @@ def _parse_manifest(text: str) -> DatasetManifest:
 
 
 # per-window metadata a window store keeps in windows.json
-_STORE_ENTRY_FIELDS = ("record_id", "dataset_tag", "window_index", "original_label", "binary_label")
+_STORE_ENTRY_FIELDS = tuple(f.name for f in fields(WindowMeta))
+# windows `read_window_store` checks per read: about 1 MiB of samples
+_CHECK_ROWS = (1 << 20) // (4 * WINDOW_SAMPLES)
+
+
+class _StoreFile:
+    """The windows.f32 of a store being written, filled in window order,
+    and the windows.json entry of each window written."""
+
+    def __init__(self, fh):
+        self.fh, self.entries = fh, []
+
+    def append(self, windows: Sequence[LabeledWindow]) -> None:
+        for w in windows:
+            self.fh.write(np.ascontiguousarray(w.samples, dtype="<f4"))
+            self.entries.append({k: getattr(w, k) for k in _STORE_ENTRY_FIELDS})
+
+
+@contextmanager
+def _new_store(out_dir):
+    """A `_StoreFile` to fill in the `with` block. When the block exits
+    cleanly windows.json is written last and the store replaces any old one
+    at `out_dir` whole (`replace_dir_atomic`); on error the old store stays."""
+    with replace_dir_atomic(out_dir) as tmp:
+        with open(tmp / "windows.f32", "wb") as fh:
+            store = _StoreFile(fh)
+            yield store
+        meta = {
+            "format_version": 1,
+            "dtype": "<f4",
+            "window_samples": WINDOW_SAMPLES,
+            "count": len(store.entries),
+            "entries": store.entries,
+        }
+        (tmp / "windows.json").write_text(
+            json.dumps(meta, sort_keys=True, indent=1), encoding="utf-8"
+        )
 
 
 def write_window_store(out_dir, windows: Sequence[LabeledWindow]) -> None:
     """Persist windows as raw little-endian float32 plus a JSON label sidecar.
     The store directory is replaced whole (`replace_dir_atomic`)."""
-    if windows:
-        matrix = np.stack([w.samples for w in windows]).astype("<f4", copy=False)
-    else:
-        matrix = np.zeros((0, WINDOW_SAMPLES), dtype="<f4")
-    meta = {
-        "format_version": 1,
-        "dtype": "<f4",
-        "window_samples": WINDOW_SAMPLES,
-        "count": len(windows),
-        "entries": [{k: getattr(w, k) for k in _STORE_ENTRY_FIELDS} for w in windows],
-    }
-
-    def fill(tmp: Path) -> None:
-        matrix.tofile(tmp / "windows.f32")
-        (tmp / "windows.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=1), encoding="utf-8"
-        )
-
-    replace_dir_atomic(out_dir, fill)
+    with _new_store(out_dir) as store:
+        store.append(windows)
 
 
-def read_window_store(store_dir) -> tuple[np.ndarray, list[LabeledWindow]]:
+def read_window_store(store_dir) -> tuple[np.ndarray, list[WindowMeta]]:
+    """The (count, WINDOW_SAMPLES) sample matrix of a store and the
+    `WindowMeta` of each row.
+
+    The matrix is a read-only `np.memmap` of windows.f32: no sample is read
+    into memory until it is used, and processes forked after the read share
+    the page cache. Every sample is first checked finite through a buffer of
+    about 1 MiB, read from the same open file the map is made of. Stores are
+    replaced by rename, so a map stays valid after its store is replaced;
+    truncating a mapped windows.f32 in place would make its readers fault.
+    """
     store_dir = Path(store_dir)
     try:
         meta = json.loads((store_dir / "windows.json").read_text(encoding="utf-8"))
@@ -589,46 +638,77 @@ def read_window_store(store_dir) -> tuple[np.ndarray, list[LabeledWindow]]:
         labels = [{k: e[k] for k in _STORE_ENTRY_FIELDS} for e in entries]
     except (ValueError, KeyError, TypeError) as err:
         raise FormatError(f"{store_dir}: malformed windows.json ({err!r})") from err
-    if meta.get("format_version") != 1 or meta.get("dtype") != "<f4":
+    if meta.get("format_version") != 1 or meta.get("dtype") != "<f4" or width != WINDOW_SAMPLES:
         raise FormatError(f"unsupported window store at {store_dir}")
     if len(entries) != count:
         raise FormatError(f"{store_dir}: windows.json lists {len(entries)} entries, not {count}")
-    matrix = np.fromfile(store_dir / "windows.f32", dtype="<f4")
-    if matrix.size != count * width:
-        raise FormatError(
-            f"{store_dir}: windows.f32 holds {matrix.size} samples, not {count} x {width}"
-        )
-    matrix = matrix.reshape(count, width)
+    count = len(entries)
     try:
-        windows = [LabeledWindow(samples=matrix[i], **kw) for i, kw in enumerate(labels)]
+        metas = [WindowMeta(**kw) for kw in labels]
     except (CardioclrError, TypeError, ValueError) as err:
         raise FormatError(f"{store_dir}: bad window ({err})") from err
-    return matrix, windows
+    with open(store_dir / "windows.f32", "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != count * WINDOW_SAMPLES * 4:
+            raise FormatError(f"{store_dir}: windows.f32 holds {size} bytes, "
+                              f"not {count} x {WINDOW_SAMPLES} float32 samples")
+        buf = np.empty((min(count, _CHECK_ROWS), WINDOW_SAMPLES), dtype="<f4")
+        for start in range(0, count, _CHECK_ROWS):
+            rows = min(_CHECK_ROWS, count - start)
+            if fh.readinto(buf[:rows]) != buf[:rows].nbytes:
+                raise FormatError(f"{store_dir}: windows.f32 shrank while it was read")
+            bad = ~np.isfinite(buf[:rows]).all(axis=1)
+            if bad.any():
+                m = metas[start + int(np.argmax(bad))]
+                raise FormatError(f"{store_dir}: window {m.record_id}/{m.window_index} "
+                                  f"is non-finite")
+        if count == 0:
+            matrix = np.zeros((0, WINDOW_SAMPLES), dtype="<f4")
+            matrix.flags.writeable = False
+            return matrix, metas
+        try:
+            matrix = np.memmap(fh, dtype="<f4", mode="r", shape=(count, WINDOW_SAMPLES))
+        except (OSError, ValueError) as err:  # the file shrank after the check
+            raise FormatError(f"{store_dir}: cannot map windows.f32 ({err})") from err
+    return matrix, metas
 
 
 def prepare_manifest(manifest_path, out_dir) -> dict[str, int]:
     """Run the homogenization pipeline over a manifest and emit one window
-    store per dataset tag under `out_dir`. Returns window counts per tag."""
+    store per dataset tag under `out_dir`. Returns window counts per tag.
+
+    Each recording's windows are appended to its tag's new store as soon as
+    they are cut, so no more than one recording's windows are held. The new
+    stores replace the old ones only once every recording is done: a
+    recording that fails leaves every store as it was, and no temp
+    directory (nor `out_dir`, if this call made it)."""
     manifest_path = Path(manifest_path)
+    out_dir = Path(out_dir)
     manifest = read_manifest(manifest_path)
     base = manifest_path.parent
-    per_tag: dict[str, list[LabeledWindow]] = {}
-    for entry in manifest.entries:
-        wav_path = Path(entry.path)
-        if not wav_path.is_absolute():
-            wav_path = base / wav_path
-        try:
-            rec = decode_wav(wav_path.read_bytes(), entry.record_id, entry.dataset_tag,
-                             entry.original_label)
-            rec = resample(rec, TARGET_RATE)
-            rec = trim_edges(rec)
-            windows = extract_windows(rec)
-        except CardioclrError as err:
-            raise type(err)(f"{wav_path} ({manifest_path} line {entry.line}): {err}") from err
-        for w in windows:
-            per_tag.setdefault(entry.dataset_tag, []).append(w)
-    counts = {}
-    for tag, windows in sorted(per_tag.items()):
-        write_window_store(Path(out_dir) / tag, windows)
-        counts[tag] = len(windows)
-    return counts
+    made_out_dir = not out_dir.exists()
+    stores: dict[str, _StoreFile] = {}
+    try:
+        with ExitStack() as stack:
+            for entry in manifest.entries:
+                wav_path = Path(entry.path)
+                if not wav_path.is_absolute():
+                    wav_path = base / wav_path
+                try:
+                    rec = decode_wav(wav_path.read_bytes(), entry.record_id, entry.dataset_tag,
+                                     entry.original_label)
+                    rec = resample(rec, TARGET_RATE)
+                    rec = trim_edges(rec)
+                    windows = extract_windows(rec)
+                except CardioclrError as err:
+                    raise type(err)(f"{wav_path} ({manifest_path} line {entry.line}): {err}") from err
+                tag = entry.dataset_tag
+                if windows:
+                    if tag not in stores:
+                        stores[tag] = stack.enter_context(_new_store(out_dir / tag))
+                    stores[tag].append(windows)
+    except BaseException:
+        if made_out_dir:
+            shutil.rmtree(out_dir, ignore_errors=True)
+        raise
+    return {tag: len(store.entries) for tag, store in sorted(stores.items())}

@@ -11,6 +11,8 @@ so "a flipped payload byte must not load" waits for checkpoint and store
 digests.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,53 @@ def test_damaged_file_loads_or_names_itself(desk_files, fmt):
         path.write_bytes(intact)
     assert raw == [], f"{len(raw)} raw exceptions"
     assert unnamed == [], f"{len(unnamed)} errors that do not name {named}"
+
+
+def _read_damaged_stores(conn, store, intact):
+    """In a child: each damaged windows.f32 is read, then every sample of
+    the map it returns; sends (raw exceptions, errors that do not name the
+    store). A read past the end of a cut file would kill the child with
+    SIGBUS instead."""
+    path = store / "windows.f32"
+    raw, unnamed = [], []
+    for label, data in _damaged(intact, 64):
+        path.write_bytes(data)  # no map of this file is alive here
+        try:
+            matrix, _ = sio.read_window_store(store)
+            float(np.sum(matrix, dtype=np.float64))
+            del matrix
+        except CardioclrError as exc:
+            if str(store) not in str(exc):
+                unnamed.append(f"{label}: {type(exc).__name__}: {exc}")
+        except Exception as exc:  # noqa: BLE001 - any other exception is the failure
+            raw.append(f"{label}: {exc!r}")
+    conn.send((raw, unnamed))
+
+
+def test_damaged_samples_read_through_the_map_name_the_store(tmp_path):
+    """A cut or bit-flipped windows.f32 either raises a `FormatError` that
+    names the store or maps a matrix whose every sample reads: never a
+    `ValueError` from the map, nor a SIGBUS from reading past the end of
+    the file. The reads run in a forked child, so a SIGBUS shows as its
+    exit code."""
+    store = tmp_path / "pascal"
+    sio.write_window_store(store, _store_windows(3))
+    intact = (store / "windows.f32").read_bytes()
+    ctx = multiprocessing.get_context("fork")
+    parent_end, child_end = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_read_damaged_stores, args=(child_end, store, intact))
+    child.start()
+    child_end.close()
+    try:
+        result = parent_end.recv() if parent_end.poll(120) else None
+    except EOFError:  # the child died before it sent
+        result = None
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0 and result is not None, f"the child exited with {child.exitcode}"
+    raw, unnamed = result
+    assert raw == [], f"{len(raw)} raw exceptions"
+    assert unnamed == [], f"{len(unnamed)} errors that do not name {store}"

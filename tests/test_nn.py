@@ -439,15 +439,17 @@ class TestConvBlock:
         assert not np.signbit(dx[0, 0, :4]).any()
 
     def test_full_size_step_holds_no_full_resolution_activation(self, monkeypatch):
-        """One forward+backward of the full-size block stack at B=32 on two
-        threads under tracemalloc. The unfused layers peak at 21.4 MiB here:
-        block 0's (32, 8, 10000) conv output and then its gradient are 9.8
-        MiB each. The fused blocks hold one chunk of either per thread, each
+        """One forward+backward of the full-size block stack at B=32 on
+        eight threads under tracemalloc. The unfused layers peak at 21.4 MiB
+        here: block 0's (32, 8, 10000) conv output and then its gradient are
+        9.8 MiB each. The fused blocks hold one chunk of either per run, each
         block's backward folds its input gradient into its cached input and
-        drops its cache once it has read it. The peak, 15.2 MiB, is in the
-        forward, with two runs' chunk and im2col buffers (13.3 MiB on one
-        thread, in the backward)."""
-        monkeypatch.setattr(layers, "THREADS", 2)
+        drops its cache once it has read it, and `RUN_BUDGET` holds the
+        first blocks to two runs whatever the thread count. The peak, 15.3
+        MiB, is in the forward, with two runs' chunk and im2col buffers
+        (15.2 MiB on two threads; 13.3 MiB on one, in the backward; 31.4 MiB
+        on eight threads with a run per thread)."""
+        monkeypatch.setattr(layers, "THREADS", 8)
         graph = ModelGraph(EncoderConfig(), np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((32, 10000)).astype(np.float32)
         tracemalloc.start()
@@ -490,6 +492,7 @@ class TestThreads:
     @pytest.mark.parametrize("cin,cout,k,length,width,batch", threaded_cases())
     def test_same_bytes_at_every_thread_count(self, monkeypatch, cin, cout, k, length, width, batch):
         monkeypatch.setattr(layers, "THREAD_MIN_FLOPS", 0)
+        monkeypatch.setattr(layers, "RUN_BUDGET", 1 << 40)  # a run per thread
         block = make_block(cin, cout, k, width, k * length + 1)
         x, g = block_inputs(cin, cout, length, batch, width, cin * 1000 + k * 10 + length + 1)
         chunks = len(list(block._chunks(batch, length)))
@@ -506,6 +509,7 @@ class TestThreads:
                 assert_same_bytes(got, previous)
 
     def test_runs_are_contiguous_runs_of_whole_chunks(self, monkeypatch):
+        monkeypatch.setattr(layers, "RUN_BUDGET", 1 << 40)  # a run per thread
         block = make_block(1, 8, 64, 4, 0)
         chunks = list(block._chunks(11 * block.chunk_size(10000) - 1, 10000))
         for threads in (1, 2, 3, 20):
@@ -522,6 +526,26 @@ class TestThreads:
             for cin, cout, k, length, width in block_shapes(cfg):
                 block = make_block(cin, cout, k, width, 0)
                 assert len(block._runs(2 * block.chunk_size(length), length)) == runs
+
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    def test_runs_hold_their_buffers_within_the_budget(self, monkeypatch, threads):
+        """However many threads there are, the runs of a full-size block
+        hold at most `RUN_BUDGET` of work buffers (or are one run), the
+        first two blocks keep two runs, and the bytes stay those of one
+        thread."""
+        monkeypatch.setattr(layers, "THREADS", threads)
+        for i, (cin, cout, k, length, width) in enumerate(block_shapes(EncoderConfig())):
+            block = make_block(cin, cout, k, width, 0)
+            batch = 3 * block.chunk_size(length)
+            runs = [block._buffers(batch, length, chunks) for chunks in block._runs(batch, length)]
+            held = sum(buf.nbytes + cols.nbytes for buf, cols, *_ in runs)
+            assert len(runs) == 1 or held <= layers.RUN_BUDGET
+            assert len(runs) == (2 if i < 2 else min(threads, 3))
+        cin, cout, k, length, width = block_shapes(EncoderConfig())[0]
+        x, g = block_inputs(cin, cout, length, 7, width, 5)
+        got = run_layers([make_block(cin, cout, k, width, 3)], x, g)
+        monkeypatch.setattr(layers, "THREADS", 1)
+        assert_same_bytes(got, run_layers([make_block(cin, cout, k, width, 3)], x, g))
 
     def test_empty_batch_gives_empty_outputs(self, monkeypatch):
         monkeypatch.setattr(layers, "THREADS", 2)

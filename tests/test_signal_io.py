@@ -5,6 +5,7 @@ import math
 import os
 import re
 import struct
+import tracemalloc
 import wave
 
 import numpy as np
@@ -461,11 +462,12 @@ class TestWindowStore:
         sio.write_window_store(tmp_path / "s", windows)
         matrix, loaded = sio.read_window_store(tmp_path / "s")
         assert matrix.shape == (3, 10000)
-        for orig, back in zip(windows, loaded):
-            np.testing.assert_array_equal(orig.samples, back.samples)
+        for orig, row, back in zip(windows, matrix, loaded):
+            np.testing.assert_array_equal(orig.samples, row)
             assert orig.record_id == back.record_id
             assert orig.binary_label == back.binary_label
-        assert matrix.flags.writeable
+        assert isinstance(matrix, np.memmap) and not matrix.flags.writeable
+        assert all(type(m) is sio.WindowMeta and not hasattr(m, "samples") for m in loaded)
 
     def test_failed_rewrite_keeps_the_previous_store(self, tmp_path, monkeypatch):
         # same window count, so a half-replaced store would still read back
@@ -539,6 +541,35 @@ class TestWindowStore:
         with pytest.raises(FormatError, match=rf"^{re.escape(str(path.parent))}: .*non-finite"):
             sio.read_window_store(path.parent)
 
+    def test_non_finite_sample_names_the_store_and_the_window(self, tmp_path):
+        # window 28 is past the first buffer the samples are checked through
+        sio.write_window_store(tmp_path / "s", _dummy_windows({"a": 30}))
+        path = tmp_path / "s" / "windows.f32"
+        samples = np.fromfile(path, dtype="<f4")
+        samples[28 * 10000 + 17] = np.inf
+        samples.tofile(path)
+        with pytest.raises(FormatError,
+                           match=rf"^{re.escape(str(path.parent))}: window a/28 is non-finite$"):
+            sio.read_window_store(path.parent)
+
+    def test_empty_store_reads_back_empty(self, tmp_path):
+        sio.write_window_store(tmp_path / "s", [])
+        matrix, loaded = sio.read_window_store(tmp_path / "s")
+        assert matrix.shape == (0, 10000) and matrix.dtype == np.dtype("<f4")
+        assert not matrix.flags.writeable and loaded == []
+
+    def test_map_keeps_its_samples_when_the_store_is_replaced(self, tmp_path):
+        old = _dummy_windows({"a": 3})
+        for w in old:
+            w.samples = np.full(10000, 0.25, dtype=np.float32)
+        sio.write_window_store(tmp_path / "s", old)
+        matrix, _ = sio.read_window_store(tmp_path / "s")
+        sio.write_window_store(tmp_path / "s", _dummy_windows({"b": 4}))
+        assert np.all(matrix == 0.25)
+        new, loaded = sio.read_window_store(tmp_path / "s")
+        assert new.shape == (4, 10000) and not new.any()
+        assert {w.record_id for w in loaded} == {"b"}
+
     def test_negative_window_index_raises_format_error_naming_the_store(self, tmp_path):
         self._edit_entry(tmp_path, "window_index", -1)
         with pytest.raises(FormatError, match=rf"^{re.escape(str(tmp_path / 's'))}: .*window_index"):
@@ -576,6 +607,61 @@ class TestWindowStore:
             sio.prepare_manifest(src / "manifest.tsv", tmp_path / "stores")
         assert type(info.value) is error
         assert not (tmp_path / "stores").exists()
+
+    def test_failed_prepare_keeps_every_store(self, tmp_path):
+        """A bad WAV of one tag leaves the stores of every tag, those of
+        recordings already cut included, as they were, and no temp
+        directory."""
+        src = tmp_path / "raw"
+        made = sio.generate_synthetic_manifest(src, seed=6, n_recordings=4)
+        entries = [sio.ManifestEntry(e.path, e.record_id, tag, label)
+                   for e, (tag, label) in zip(made.entries, [("pascal", "Normal"),
+                                                             ("synthetic", "normal"),
+                                                             ("pascal", "Murmur"),
+                                                             ("synthetic", "abnormal")])]
+        sio.write_manifest(sio.DatasetManifest(entries=entries), src / "manifest.tsv")
+        out = tmp_path / "stores"
+        assert set(sio.prepare_manifest(src / "manifest.tsv", out)) == {"pascal", "synthetic"}
+        before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        bad = src / entries[3].path
+        bad.write_bytes(bad.read_bytes()[:60])
+        with pytest.raises(FormatError, match=rf"{bad.name} .*manifest\.tsv line 5\): "):
+            sio.prepare_manifest(src / "manifest.tsv", out)
+        after = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert after == before
+        assert sorted(p.name for p in out.iterdir()) == ["pascal", "synthetic"]
+
+    def test_prepare_peak_does_not_grow_with_the_manifest(self, tmp_path):
+        """prepare's traced peak on a manifest of the 20 recordings of the
+        benchmark's `pascal` mix (2 kHz, 4 kHz, 8 kHz and 44.1 kHz) and on
+        the same recordings listed 4 times stays within 10%: windows go to
+        the store file as they are cut, and only their labels are held."""
+        src = tmp_path / "raw"
+        src.mkdir()
+        rng = np.random.default_rng(2)
+        entries = []
+        for i, (rate, seconds) in enumerate([(2000, 20.0)] * 2 + [(4000, 20.0)] * 8
+                                            + [(8000, 20.0)] * 8 + [(44100, 12.0)] * 2):
+            name = f"r{i}.wav"
+            noise = 0.3 * rng.standard_normal(int(rate * seconds))
+            (src / name).write_bytes(sio.encode_wav_pcm16(noise, rate))
+            entries.append((name, ["Normal", "Murmur"][i % 2]))
+
+        def peak(copies):
+            manifest = src / f"manifest{copies}.tsv"
+            sio.write_manifest(sio.DatasetManifest(entries=[
+                sio.ManifestEntry(name, f"c{c}_{name}", "pascal", label)
+                for c in range(copies) for name, label in entries]), manifest)
+            tracemalloc.start()
+            try:
+                counts = sio.prepare_manifest(manifest, tmp_path / f"out{copies}")
+                return tracemalloc.get_traced_memory()[1], counts["pascal"]
+            finally:
+                tracemalloc.stop()
+
+        (one, n_one), (four, n_four) = peak(1), peak(4)
+        assert n_four == 4 * n_one
+        assert four <= 1.1 * one, (one / 2**20, four / 2**20)
 
     @pytest.mark.parametrize("line,message", [
         ("a.wav\trec\tsynthetic", "manifest line 2: expected 4 tab-separated fields"),
