@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._atomic import write_atomic
-from .augment import chain_to_string, parse_policy
+from .augment import parse_policy
 from .errors import DataError, ParameterError
 from .protocol import BASELINE_POLICY, IN_DISTRIBUTION, OOD, LedgerRow
 
@@ -80,34 +80,24 @@ class EffectSizeRow:
     reference_d: Optional[float] = None
 
 
-def _deletion_variants(policy_text: str, atom: str) -> list[str]:
-    """Policies reachable by deleting one occurrence of `atom` from a chain.
-
-    The two views are symmetric, so each variant is also tried with its
-    chains swapped: deleting the right atom of `x|y` must find the
-    single-transform experiment, which a ledger writes as `none|x`.
-    """
-    policy = parse_policy(policy_text)
-    variants = []
-    chains = [list(policy.left), list(policy.right)]
-    for side in (0, 1):
-        for i, a in enumerate(chains[side]):
-            if str(a) == atom:
-                reduced = [list(policy.left), list(policy.right)]
-                del reduced[side][i]
-                left_s = chain_to_string(tuple(reduced[0]))
-                right_s = chain_to_string(tuple(reduced[1]))
-                variants.append(f"{left_s}|{right_s}")
-                if left_s != right_s:
-                    variants.append(f"{right_s}|{left_s}")
-    return list(dict.fromkeys(variants))  # unique, in order
-
-
 def _metric(row: LedgerRow, metric: str) -> float:
     value = getattr(row, metric)
     if value is None:
         raise DataError(f"row {row.experiment_id} has no {metric}")
     return value
+
+
+def _deletions(left: tuple, right: tuple, atom: str):
+    """`(left, right)` with one `atom` deleted, left chain first, each also
+    swapped: the views are symmetric, so deleting the right atom of `x|y`
+    must find the single-transform experiment, which is written `none|x`."""
+    for side, chain in enumerate((left, right)):
+        for i, name in enumerate(chain):
+            if name == atom:
+                reduced = chain[:i] + chain[i + 1:]
+                pair = (reduced, right) if side == 0 else (left, reduced)
+                yield pair
+                yield pair[::-1]
 
 
 def match_paired_experiments(
@@ -117,23 +107,22 @@ def match_paired_experiments(
 
     The counterpart of an experiment is the row with the same context
     (ssl_set, downstream, task, eval dataset/kind, seed) whose policy equals
-    the experiment's policy with the atom deleted. Rows without a counterpart
-    are excluded.
+    the experiment's policy with the atom deleted. Policies compare as
+    parsed, so rows pair in whatever spelling the ledger holds, and rows of
+    one context and policy are one experiment: the last of them counts. Rows
+    without a counterpart are excluded.
     """
-    ok_rows = [r for r in rows if r.status == "ok" and r.policy != BASELINE_POLICY]
-    by_key = {}
-    for row in ok_rows:
-        key = (row.ssl_set, row.downstream, row.task, row.eval_dataset,
-               row.eval_kind, row.seed, row.policy)
-        by_key[key] = row
+    index = {}  # (context, left chain, right chain) -> row, of the ok, non-baseline rows
+    for row in rows:
+        if row.status == "ok" and row.policy != BASELINE_POLICY:
+            policy = parse_policy(row.policy)
+            context = (row.ssl_set, row.downstream, row.task, row.eval_dataset,
+                       row.eval_kind, row.seed)
+            index[context, tuple(map(str, policy.left)), tuple(map(str, policy.right))] = row
     with_group, without_group = [], []
-    for row in ok_rows:
-        if atom not in set(str(a) for a in parse_policy(row.policy).atoms()):
-            continue
-        context = (row.ssl_set, row.downstream, row.task, row.eval_dataset,
-                   row.eval_kind, row.seed)
-        for variant in _deletion_variants(row.policy, atom):
-            counterpart = by_key.get(context + (variant,))
+    for (context, left, right), row in index.items():
+        for pair in _deletions(left, right, atom):
+            counterpart = index.get((context, *pair))
             if counterpart is not None:
                 with_group.append(_metric(row, metric))
                 without_group.append(_metric(counterpart, metric))

@@ -29,7 +29,11 @@ _CHAIN_SHAPES = {(0, 1), (1, 1), (1, 2), (2, 2)}  # 0vs1, 1vs1, 1vs2, 2vs2
 
 
 def _fmt(v: float) -> str:
-    return f"{float(v):g}"
+    """`v` in `%g` form where that reads back as `v`, else its full `repr`:
+    the text of a policy is its identity, so it must not round."""
+    v = float(v)
+    s = f"{v:g}"
+    return s if float(s) == v else repr(v)
 
 
 @dataclass(frozen=True)
@@ -116,14 +120,11 @@ class AugmentationPolicy:
             )
 
     def __str__(self) -> str:
-        return f"{chain_to_string(self.left)}|{chain_to_string(self.right)}"
+        left, right = ("+".join(map(str, chain)) or "none" for chain in (self.left, self.right))
+        return f"{left}|{right}"
 
     def atoms(self) -> tuple[Atom, ...]:
         return self.left + self.right
-
-
-def chain_to_string(chain: Sequence[Atom]) -> str:
-    return "none" if not chain else "+".join(str(a) for a in chain)
 
 
 _ATOM_RE = re.compile(r"^([a-z]+)(?:\(([^()]*)\))?$")

@@ -26,7 +26,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 from . import analysis, protocol  # noqa: E402
 from . import signal_io as sio  # noqa: E402
 from ._atomic import write_atomic  # noqa: E402
-from .augment import default_atom_grid, parse_policy  # noqa: E402
+from .augment import parse_policy  # noqa: E402
 from .config import RunConfig, config_hash, parse_config  # noqa: E402
 from .downstream import TaskSpec, evaluate  # noqa: E402
 from .errors import CardioclrError  # noqa: E402
@@ -210,7 +210,7 @@ def cmd_analyze(args) -> int:
     subset = [r for r in rows if r.eval_kind == kind]
     atoms = sorted({str(a) for r in subset
                     if r.status == "ok" and r.policy != protocol.BASELINE_POLICY
-                    for a in parse_policy(r.policy).atoms()} | set(map(str, default_atom_grid())))
+                    for a in parse_policy(r.policy).atoms()})
     effects = analysis.effect_size_report(subset, atoms, metric)
     occurrences = []
     for k in (protocol.IN_DISTRIBUTION, protocol.OOD):

@@ -17,7 +17,7 @@ from dataclasses import fields, make_dataclass
 
 from .contrastive import PretrainConfig
 from .downstream import DownstreamConfig
-from .errors import ConfigError, parse_text_file
+from .errors import ConfigError, parse_text_file, read_sections
 from .nn.model import EncoderConfig
 
 _STAGES = {"pretrain": PretrainConfig, "downstream": DownstreamConfig, "model": EncoderConfig}
@@ -88,31 +88,20 @@ RunConfig = make_dataclass(
 
 def parse_config_text(text: str) -> RunConfig:
     values: dict[str, object] = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section not in SCHEMA:
-                raise ConfigError(f"line {lineno}: unknown section [{section}]")
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected `key = value`, got {raw!r}")
-        if section is None:
-            raise ConfigError(f"line {lineno}: key outside of any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        entry = SCHEMA[section].get(key)
-        if entry is None:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
-        attr, parser = entry
-        try:
-            values[attr] = parser(value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
+    for section, lines in read_sections(text, SCHEMA, "line").items():
+        for lineno, line in lines:
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ConfigError(f"line {lineno}: expected `key = value`, got {line!r}")
+            key, value = key.strip(), value.strip()
+            entry = SCHEMA[section].get(key)
+            if entry is None:
+                raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
+            attr, parser = entry
+            try:
+                values[attr] = parser(value)
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     return RunConfig(**values)
 
 

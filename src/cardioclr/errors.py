@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one way a text input
-file is read so that its errors name it."""
+"""Exception types shared across the package, the one way a text input file
+is read so that its errors name it, and the one reader of `[section]` text."""
 
 from pathlib import Path
 
@@ -57,3 +57,25 @@ def parse_text_file(path, parse, error):
         return parse(text)
     except CardioclrError as err:
         raise type(err)(f"{path}: {err}") from err
+
+
+def read_sections(text: str, names, where: str) -> dict[str, list[tuple[int, str]]]:
+    """`{section: [(line number, line), ...]}` of `text`, without `#` comments
+    and blank lines. A section not in `names`, or a line before the first
+    section, is a `ConfigError` naming the line as `where` does (`line 3`)."""
+    sections: dict[str, list[tuple[int, str]]] = {}
+    lines = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if name not in names:
+                raise ConfigError(f"{where} {lineno}: unknown section [{name}]")
+            lines = sections.setdefault(name, [])
+        elif lines is None:
+            raise ConfigError(f"{where} {lineno}: content outside any [section]")
+        else:
+            lines.append((lineno, line))
+    return sections

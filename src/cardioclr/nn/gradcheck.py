@@ -18,19 +18,19 @@ H = 1e-5
 TOLERANCE = 1e-4
 
 
-def numeric_gradient(fn, arr: np.ndarray, h: float = H) -> np.ndarray:
+def numeric_gradient(fn, arr: np.ndarray) -> np.ndarray:
     """Central differences of a scalar function w.r.t. every array element."""
     grad = np.zeros_like(arr, dtype=np.float64)
     flat = arr.reshape(-1)
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + H
         fplus = fn()
-        flat[i] = orig - h
+        flat[i] = orig - H
         fminus = fn()
         flat[i] = orig
-        gflat[i] = (fplus - fminus) / (2.0 * h)
+        gflat[i] = (fplus - fminus) / (2.0 * H)
     return grad
 
 
@@ -39,9 +39,9 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def _no_kinks(rng, shape, margin=5e-3):
-    """Random values bounded away from zero (ReLU kinks)."""
-    x = rng.uniform(margin, 1.0, size=shape)
+def _no_kinks(rng, shape):
+    """Random values at least 5e-3 away from zero (ReLU kinks)."""
+    x = rng.uniform(5e-3, 1.0, size=shape)
     return x * rng.choice([-1.0, 1.0], size=shape)
 
 
@@ -51,9 +51,9 @@ def _pool_blocks(x, width):
     return x[..., :length].reshape(*x.shape[:-1], length // width, width)
 
 
-def _tie_free(x, width, margin=1e-3):
+def _tie_free(x, width):
     top2 = np.sort(_pool_blocks(x, width), axis=-1)[..., -2:]
-    return width == 1 or np.min(top2[..., 1] - top2[..., 0]) > margin
+    return width == 1 or np.min(top2[..., 1] - top2[..., 0]) > 1e-3
 
 
 def _no_ties(rng, shape, width):

@@ -201,9 +201,9 @@ class ModelGraph:
                         for layer in self.encoder_layers for arr in layer.params().values())
 
 
-def build_ssl_graph(cfg: EncoderConfig, seed: int, dtype=np.float32) -> ModelGraph:
-    """Encoder plus 128-D projection head, seeded init."""
+def build_ssl_graph(cfg: EncoderConfig, seed: int) -> ModelGraph:
+    """Float32 encoder plus 128-D projection head, seeded init."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xE)))
-    graph = ModelGraph(cfg, rng, dtype)
+    graph = ModelGraph(cfg, rng)
     graph.set_projection_head(rng)
     return graph

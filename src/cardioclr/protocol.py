@@ -31,7 +31,7 @@ from .config import (
 from .contrastive import pretrain
 from .downstream import TaskSpec, evaluate, train_baseline, train_head
 from .errors import (CardioclrError, ConfigError, DataError, FormatError, ParameterError,
-                     parse_text_file)
+                     parse_text_file, read_sections)
 from .nn import build_ssl_graph, layers, load_checkpoint, save_checkpoint
 from .nn.optim import best_val_loss
 from .signal_io import (DATASET_TAGS, LABEL_SETS, LABELED_TAGS, UNLABELED_TAGS, read_window_store,
@@ -155,9 +155,11 @@ class ExperimentPlan:
             raise ConfigError(f"baseline_runs must be non-negative, got {self.baseline_runs}")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
-        # SSL sets of the same tags, or policies that parse alike, train one encoder twice
+        # one spelling per policy, so ids, checkpoints, ledger rows and logs agree; SSL
+        # sets of the same tags, or policies that parse alike, train one encoder twice
+        self.policies = [str(parse_policy(p)) for p in self.policies]
         for what, keys in (("SSL set", ["+".join(sorted(s)) for s in self.ssl_sets]),
-                           ("policy", [str(parse_policy(p)) for p in self.policies]),
+                           ("policy", self.policies),
                            ("seed", self.seeds),
                            ("downstream dataset", [t.dataset_tag for t in self.tasks])):
             for i, key in enumerate(keys):
@@ -191,45 +193,39 @@ def _plan_int(lineno: int, what: str, text: str) -> int:
         raise ConfigError(f"plan line {lineno}: {what} {text!r} is not an integer") from None
 
 
-def parse_plan_text(text: str) -> ExperimentPlan:
-    sections: dict[str, list[tuple[int, str]]] = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current not in ("ssl_sets", "policies", "tasks", "seeds", "options"):
-                raise ConfigError(f"plan line {lineno}: unknown section [{current}]")
-            sections.setdefault(current, [])
-            continue
-        if current is None:
-            raise ConfigError(f"plan line {lineno}: content outside any [section]")
-        sections[current].append((lineno, line))
+def _plan_line(lineno: int, parse, *args):
+    """`parse(*args)` of one plan line; its error names the line."""
+    try:
+        return parse(*args)
+    except CardioclrError as exc:
+        raise type(exc)(f"plan line {lineno}: {exc}") from None
 
+
+def parse_plan_text(text: str) -> ExperimentPlan:
+    sections = read_sections(text, ("ssl_sets", "policies", "tasks", "seeds", "options"),
+                             "plan line")
     for required in ("ssl_sets", "policies", "tasks", "seeds"):
         if not sections.get(required):
             raise ConfigError(f"plan is missing a non-empty [{required}] section")
 
     ssl_sets, policies = [], []  # plan lines, with the paper's SSL sets and grids expanded
     for lineno, line in sections["ssl_sets"]:
-        try:
-            ssl_sets += (leave_dataset_out_cycles() if line == "leave-one-out"
-                         else [parse_ssl_set(line)])
-        except ConfigError as exc:
-            raise ConfigError(f"plan line {lineno}: {exc}") from None
+        ssl_sets += (leave_dataset_out_cycles() if line == "leave-one-out"
+                     else [_plan_line(lineno, parse_ssl_set, line)])
     for lineno, line in sections["policies"]:
         word, _, case = line.partition(" ")
+        if word != "grid":
+            _plan_line(lineno, parse_policy, line)  # ExperimentPlan spells it canonically
+            policies.append(line)
+            continue
         try:
-            policies += ([str(p) for p in enumerate_policies(case.strip())]
-                         if word == "grid" else [line])
+            policies += [str(p) for p in enumerate_policies(case.strip())]
         except ParameterError as exc:  # a grid other than 0vs1 or 1vs1
             raise ConfigError(f"plan line {lineno}: {line!r}: {exc}") from None
     tasks = []
-    for _, line in sections["tasks"]:
+    for lineno, line in sections["tasks"]:
         tag, _, task_type = line.partition(":")
-        tasks.append(TaskSpec(tag.strip(), task_type.strip() or "binary"))
+        tasks.append(_plan_line(lineno, TaskSpec, tag.strip(), task_type.strip() or "binary"))
     seeds = [_plan_int(lineno, "seed", line) for lineno, line in sections["seeds"]]
     baseline_runs = 5
     for lineno, line in sections.get("options", []):
@@ -327,9 +323,12 @@ def train_encoder(ssl_set, policy_text, seed, stores, cfg):
     """Pretrain and freeze the encoder of one (SSL set, policy, seed).
 
     Returns the frozen graph, its pretraining history and the metadata its
-    checkpoint carries. The init seed derives from the encoder id, so the
-    sweep and `cardioclr pretrain` make the same encoder.
+    checkpoint carries. The init seed derives from the encoder id, which
+    names the policy's canonical spelling, so the sweep and `cardioclr
+    pretrain` make the same encoder however the policy is written.
     """
+    policy = parse_policy(policy_text)
+    policy_text = str(policy)
     cfg_hash = config_hash(cfg)
     enc_id = _encoder_id(cfg_hash, ssl_set, policy_text, seed)
     parts = []
@@ -340,8 +339,7 @@ def train_encoder(ssl_set, policy_text, seed, stores, cfg):
                      if tag in LABEL_SETS else x)
     windows = np.concatenate(parts, axis=0)
     graph = build_ssl_graph(encoder_config(cfg), seed=derived_seed("init", enc_id))
-    graph, history = pretrain(graph, windows, parse_policy(policy_text),
-                              pretrain_config(cfg, seed=seed))
+    graph, history = pretrain(graph, windows, policy, pretrain_config(cfg, seed=seed))
     extra = {
         "config_hash": cfg_hash,
         "ssl_set": "+".join(ssl_set),

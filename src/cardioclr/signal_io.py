@@ -79,7 +79,8 @@ class RawRecording:
         if int(self.sample_rate) <= 0:
             raise ParameterError(f"sample rate must be positive, got {self.sample_rate}")
         self.sample_rate = int(self.sample_rate)
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
+        # min and max are NaN or infinite if any sample is, and allocate no mask
+        if self.samples.size and not np.isfinite([self.samples.min(), self.samples.max()]).all():
             raise FormatError(f"recording {self.record_id!r} contains non-finite samples")
         if self.dataset_tag not in DATASET_TAGS:
             raise ParameterError(f"unknown dataset tag {self.dataset_tag!r}")
@@ -168,7 +169,7 @@ def decode_wav(
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + chunk_size]
+        body = memoryview(data)[pos + 8 : pos + 8 + chunk_size]  # a view, not a copy
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise FormatError("fmt chunk truncated")
@@ -190,20 +191,18 @@ def decode_wav(
     if sample_rate > 192_000:  # the resampler's filter length and time grow with the rate
         raise UnsupportedFormatError(f"sample rate {sample_rate} Hz is above 192 kHz")
     if audio_format == _WAVE_FORMAT_PCM and bits == 16:
-        raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
-        samples = raw.astype(np.float64)
+        samples = np.frombuffer(payload, dtype="<i2", count=len(payload) // 2).astype(np.float64)
         samples /= 32768.0
     elif audio_format == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
-        raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
-        samples = np.clip(raw.astype(np.float64), -1.0, 1.0)
+        samples = np.frombuffer(payload, dtype="<f4", count=len(payload) // 4).astype(np.float64)
+        # RawRecording rejects what clipping would hide: an inf is not 1.0
+        np.clip(samples, -1.0, 1.0, out=samples, where=np.isfinite(samples))
     else:
         raise UnsupportedFormatError(
             f"unsupported encoding: format={audio_format} bits={bits}"
         )
     if samples.size == 0:
         raise FormatError("empty data chunk")
-    if not np.all(np.isfinite(samples)):
-        raise FormatError("non-finite samples in data chunk")
     return RawRecording(
         samples=samples,
         sample_rate=sample_rate,

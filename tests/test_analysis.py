@@ -152,6 +152,32 @@ class TestMatcher:
         g1, g2 = match_paired_experiments(rows, "inv")
         assert (g1, g2) == ([0.7], [0.65])
 
+    @pytest.mark.parametrize("spelled,canonical,atom", [
+        (("rev|flip(.5)", "none|flip(.5)"), ("rev|flip(0.5)", "none|flip(0.5)"), "rev"),
+        (("rev|flip(0.5)", "|flip(0.5)"), ("rev|flip(0.5)", "none|flip(0.5)"), "rev"),
+        (("noise(-0.1,0.1)|rev", "none|noise(-0.1,0.1)"),
+         ("noise(u,-0.1,0.1)|rev", "none|noise(u,-0.1,0.1)"), "rev"),
+    ], ids=["short_float", "empty_chain", "noise_shorthand"])
+    def test_rows_pair_in_any_spelling(self, spelled, canonical, atom):
+        def rows(policies):
+            return [_row(policy, micro + 0.01 * seed, seed=seed) for seed in (1, 2, 3)
+                    for policy, micro in zip(policies, (0.7, 0.6))]
+
+        assert match_paired_experiments(rows(spelled), atom) == \
+            match_paired_experiments(rows(canonical), atom) == \
+            ([0.71, 0.72, 0.73], [0.61, 0.62, 0.63])
+        assert effect_size_report(rows(spelled), [atom]) == effect_size_report(rows(canonical), [atom])
+
+    def test_rows_of_one_parsed_policy_count_once(self):
+        # an old sweep's rows next to a canonical re-run of the same plan:
+        # each experiment enters the groups once, as its last row
+        rows = []
+        for seed in (1, 2):
+            rows += [_row("rev|flip(.5)", 0.5, seed=seed), _row("|flip(.5)", 0.4, seed=seed),
+                     _row("rev|flip(0.5)", 0.7 + 0.01 * seed, seed=seed),
+                     _row("none|flip(0.5)", 0.6 + 0.01 * seed, seed=seed)]
+        assert match_paired_experiments(rows, "rev") == ([0.71, 0.72], [0.61, 0.62])
+
     def test_effect_size_report_sorted(self):
         rows = []
         for seed in range(4):

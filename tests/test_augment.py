@@ -253,6 +253,10 @@ class TestPolicies:
             "none|rev",
             "lp(500,450)|flip(0.5)",
             "scale(0.5,2)|noise(g,-0.01,0.01)",
+            # a policy's text is its identity, so it keeps every digit:
+            # `%g` alone writes flip(0.9999999) as the invalid flip(1)
+            "none|flip(0.1234567)", "none|flip(0.9999999)", "hp(250,250.0000001)|rev",
+            "scale(0.5,2.0000001)|noise(u,-0.1234567,1e-07)",
         ]
         for text in texts:
             pol = aug.parse_policy(text)

@@ -321,7 +321,8 @@ class TestCliBasics:
         code = cli.main(["sweep", "--plan", str(plan), "--windows", str(tmp_path),
                          "--out", str(tmp_path / "out")])
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: ParameterError: {plan}: flip ")
+        assert capsys.readouterr().err.startswith(
+            f"error: ParameterError: {plan}: plan line 4: flip ")
         assert not (tmp_path / "out").exists()
 
     def test_duplicate_plan_entries_are_a_config_error(self, tmp_path, capsys):
@@ -528,6 +529,38 @@ class TestCliPipeline:
         test_ids = [(metas[i].record_id, metas[i].window_index) for i in test]
         assert scored == [test_ids, test_ids]
 
+    def test_pretrain_policy_keeps_every_digit(self, tmp_path, monkeypatch):
+        raw, stores, run = tmp_path / "raw", tmp_path / "stores", tmp_path / "run"
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            "[pretrain]\nbatch_size = 8\nmax_epochs = 1\npatience = 0\nwarmup_epochs = 0\n"
+            "[model]\nchannels = 2,2,2,2,2\nkernels = 4,4,4,4,4\nprojection_dim = 8\n"
+        )
+        assert cli.main(["--quiet", "synth", "--out", str(raw), "--seed", "4",
+                         "--n-recordings", "6"]) == 0
+        assert cli.main(["--quiet", "prepare", "--manifest", str(raw / "manifest.tsv"),
+                         "--out", str(stores)]) == 0
+        trained, real_pretrain = [], protocol.pretrain
+
+        def pretrain(graph, windows, policy, *args):
+            trained.append(policy)
+            return real_pretrain(graph, windows, policy, *args)
+
+        monkeypatch.setattr(protocol, "pretrain", pretrain)
+        policies = ["none|flip(0.1234567)", "none|flip(0.123457)", "none|flip(0.9999999)"]
+        encoder_ids = set()
+        for i, policy in enumerate(policies):
+            out = run / f"enc{i}.ckpt"
+            assert cli.main(["--quiet", "pretrain", "--config", str(cfg), "--windows", str(stores),
+                             "--datasets", "synthetic", "--policy", policy,
+                             "--out", str(out)]) == 0
+            extra = load_checkpoint(out)[1]["extra"]
+            assert extra["policy"] == str(trained[i]) == policy
+            encoder_ids.add(extra["encoder_id"])
+        assert [a.params for p in trained for a in p.right] == [(0.1234567,), (0.123457,),
+                                                                 (0.9999999,)]
+        assert len(encoder_ids) == 3
+
     def test_history_and_evaluate_json_are_written_atomically(self, tmp_path, capsys, monkeypatch):
         raw, stores, run = tmp_path / "raw", tmp_path / "stores", tmp_path / "run"
         cfg = tmp_path / "tiny.cfg"
@@ -589,10 +622,11 @@ class TestCliPipeline:
         [row] = read_ledger(sweep / "ledger.csv")
         assert row.status == "ok"
 
-        assert cli.main(["--quiet", "pretrain", *common, "--datasets", "synthetic",
-                         "--policy", "none|inv", "--out", str(run / "enc.ckpt")]) == 0
         [sweep_encoder] = (sweep / "encoders").glob("*.ckpt")
-        assert (run / "enc.ckpt").read_bytes() == sweep_encoder.read_bytes()
+        for policy in (" none | inv ", "none|inv"):  # one encoder, however it is spelled
+            assert cli.main(["--quiet", "pretrain", *common, "--datasets", "synthetic",
+                             "--policy", policy, "--out", str(run / "enc.ckpt")]) == 0
+            assert (run / "enc.ckpt").read_bytes() == sweep_encoder.read_bytes()
 
         assert cli.main(["--quiet", "finetune", *common, "--ckpt", str(run / "enc.ckpt"),
                          "--dataset", "synthetic", "--task", "binary",

@@ -358,6 +358,26 @@ class TestRunPlan:
         assert {r.policy for r in serial} == {"none|rev", protocol.BASELINE_POLICY}
         assert _tree_bytes(tmp_path / "serial") == _tree_bytes(tmp_path / "jobs2")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_plan_in_any_spelling_writes_the_bytes_of_its_canonical_twin(self, stores_root,
+                                                                         tmp_path, jobs):
+        head = "[ssl_sets]\nephnogram\n[tasks]\npascal:binary\n[seeds]\n2\n" \
+               "[options]\nbaseline_runs = 0\n[policies]\n"
+        canonical = ["none|rev", "flip(0.5)|noise(u,-0.1,0.1)"]
+        for name, policies in (("canonical", canonical),
+                               ("spelled", [" | rev ", "flip(.50) | noise(-0.1, 0.1)"])):
+            plan = parse_plan_text(head + "\n".join(policies) + "\n")
+            assert plan.policies == canonical
+            run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path / name, jobs=jobs)
+        assert _tree_bytes(tmp_path / "canonical") == _tree_bytes(tmp_path / "spelled")
+
+    def test_plan_policies_keep_every_digit(self):
+        policies = ["none|flip(0.1234567)", "none|flip(0.123457)", "flip(0.9999999)|rev",
+                    "hp(250,250.0000001)|rev"]
+        plan = parse_plan_text("[ssl_sets]\nephnogram\n[tasks]\npascal:binary\n[seeds]\n2\n"
+                               "[policies]\n" + "\n".join(policies) + "\n")
+        assert plan.policies == policies
+
     def test_zero_projection_row_does_not_fail_an_entry(self, stores_root, tmp_path):
         """The `fpcgdb` entry at seed 5 meets a projection row of all zeros
         (`TEST_CFG` is a 2-channel encoder); it trains like any other."""
@@ -647,12 +667,13 @@ class TestRunPlan:
         ("seeds", ["2", "-1"], "seeds must be non-negative, got -1"),
         ("ssl_sets", ["pascal+pascal"],
          "plan line 2: repeated dataset tag 'pascal' in 'pascal+pascal'"),
+        ("tasks", ["pascal:multi"], "plan line 6: unknown task type 'multi'"),
         ("ssl_sets", ["ephnogram+pascal", "pascal+ephnogram"],
          "duplicate SSL set 'ephnogram+pascal'"),
         ("ssl_sets", ["leave-one-out", "physionet2022+physionet2016+pascal+fpcgdb+ephnogram"],
          "duplicate SSL set 'ephnogram+fpcgdb+pascal+physionet2016+physionet2022'"),
     ], ids=["grid_1vs2", "bare_grid", "two_grids", "empty_tag", "unknown_tag",
-            "expanded_ssl_set", "expanded_policy", "negative_seed", "repeated_tag",
+            "expanded_ssl_set", "expanded_policy", "negative_seed", "repeated_tag", "bad_task",
             "reordered_ssl_set", "reordered_expanded_ssl_set"])
     def test_bad_plan_lines_are_config_errors(self, section, lines, message):
         with pytest.raises(ConfigError, match=re.escape(message)):

@@ -33,6 +33,26 @@ def make_pcm16_wav(samples_i16, rate, channels=1):
     return header + payload
 
 
+def make_float32_wav(samples, rate):
+    payload = np.asarray(samples, dtype="<f4").tobytes()
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(payload), b"WAVE",
+        b"fmt ", 16, 3, 1, rate, rate * 4, 4, 32,
+        b"data", len(payload),
+    )
+    return header + payload
+
+
+def _float32_with(value):
+    """A corruption: the PCM16 WAV re-encoded as float32, one sample set to `value`."""
+    def corrupt(data):
+        rec = sio.decode_wav(data)
+        rec.samples[1000] = value
+        return make_float32_wav(rec.samples, rec.sample_rate)
+    return corrupt
+
+
 class TestDecodeWav:
     def test_pcm16_scaling(self):
         data = make_pcm16_wav([0, 16384, -16384], 2000)
@@ -67,16 +87,22 @@ class TestDecodeWav:
             sio.decode_wav(header + payload)
 
     def test_float32_decode(self):
-        samples = np.array([0.25, -0.75, 1.0], dtype="<f4")
-        payload = samples.tobytes()
-        header = struct.pack(
-            "<4sI4s4sIHHIIHH4sI",
-            b"RIFF", 36 + len(payload), b"WAVE",
-            b"fmt ", 16, 3, 1, 4000, 16000, 4, 32,
-            b"data", len(payload),
-        )
-        rec = sio.decode_wav(header + payload)
+        rec = sio.decode_wav(make_float32_wav([0.25, -0.75, 1.0], 4000))
         np.testing.assert_allclose(rec.samples, [0.25, -0.75, 1.0])
+
+    def test_pcm16_decode_peaks_at_its_result(self):
+        """Neither the data chunk nor its even-length prefix is copied, and
+        the finiteness check allocates no mask: decoding a 12 s 44.1 kHz
+        WAV (1.0 MiB) peaks at its 4.0 MiB float64 samples."""
+        data = sio.encode_wav_pcm16(0.3 * np.random.default_rng(3).standard_normal(12 * 44100),
+                                    44100)
+        tracemalloc.start()
+        try:
+            rec = sio.decode_wav(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * rec.samples.nbytes, (peak / 2**20, rec.samples.nbytes / 2**20)
 
     def test_round_trip_within_half_lsb(self):
         rng = np.random.default_rng(7)
@@ -596,7 +622,11 @@ class TestWindowStore:
         # one flipped bit of the rate: 2000 Hz becomes 16.8 MHz, whose
         # resampling filter alone would take some 800 MiB
         (lambda data: data[:27] + b"\x01" + data[28:], UnsupportedFormatError),
-    ], ids=["truncated", "not_riff", "stereo", "rate_above_192_khz"])
+        (_float32_with(np.nan), FormatError),
+        (_float32_with(np.inf), FormatError),  # clipping must not make it 1.0
+        (_float32_with(-np.inf), FormatError),
+    ], ids=["truncated", "not_riff", "stereo", "rate_above_192_khz", "float_nan", "float_inf",
+            "float_minus_inf"])
     def test_prepare_names_the_bad_wav(self, tmp_path, corrupt, error):
         src = tmp_path / "raw"
         manifest = sio.generate_synthetic_manifest(src, seed=6, n_recordings=3)

@@ -104,3 +104,42 @@ def test_every_local_a_function_assigns_is_read():
         unread += [f"{qualified} {name}" for name in sorted(stored - shared - _reads(node))
                    if not name.startswith("_")]  # `_x` names a value left unread on purpose
     assert unread == [], "these locals are assigned and never read"
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in src/ and perfbench/, by the name it calls: a function's
+    name or a method's attribute."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in [*PACKAGE.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, index, name: str) -> bool:
+    """Whether `call` passes the parameter `name`, the `index`th positional
+    one (None if keyword-only). `*args` passes every positional parameter,
+    `**kwargs` every one."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return index is not None and (index < len(call.args)
+                                  or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    calls = _calls()
+    knobs = []
+    for qualified, node, top in _functions():
+        if top:
+            a = node.args
+            positional = [*a.posonlyargs, *a.args]
+            defaulted = [(i, p.arg) for i, p in enumerate(positional)
+                         if i >= len(positional) - len(a.defaults)]
+            defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            knobs += [f"{qualified}({name})" for index, name in defaulted
+                      if not any(_passes(c, index, name) for c in calls.get(node.name, []))]
+    assert knobs == [], "no call passes these; make each a constant"
