@@ -100,25 +100,27 @@ def _deletions(left: tuple, right: tuple, atom: str):
                 yield pair[::-1]
 
 
-def match_paired_experiments(
-    rows: Sequence[LedgerRow], atom: str, metric: str = "micro_f1"
-) -> tuple[list[float], list[float]]:
-    """Matched metric groups (with atom, without atom) over a ledger snapshot.
-
-    The counterpart of an experiment is the row with the same context
-    (ssl_set, downstream, task, eval dataset/kind, seed) whose policy equals
-    the experiment's policy with the atom deleted. Policies compare as
-    parsed, so rows pair in whatever spelling the ledger holds, and rows of
-    one context and policy are one experiment: the last of them counts. Rows
-    without a counterpart are excluded.
-    """
-    index = {}  # (context, left chain, right chain) -> row, of the ok, non-baseline rows
+def pairing_index(rows: Sequence[LedgerRow]) -> dict:
+    """`{(context, left chain, right chain): row}` of the `ok`, non-baseline
+    rows: chains hold atom texts, so rows pair in any spelling, and the last
+    row of a context (ssl_set, downstream, task, eval dataset/kind, seed) and
+    policy counts."""
+    index = {}
     for row in rows:
         if row.status == "ok" and row.policy != BASELINE_POLICY:
             policy = parse_policy(row.policy)
             context = (row.ssl_set, row.downstream, row.task, row.eval_dataset,
                        row.eval_kind, row.seed)
             index[context, tuple(map(str, policy.left)), tuple(map(str, policy.right))] = row
+    return index
+
+
+def match_paired_experiments(
+    index: dict, atom: str, metric: str = "micro_f1"
+) -> tuple[list[float], list[float]]:
+    """Matched metric groups (with atom, without atom) over a `pairing_index`:
+    an experiment's counterpart has its context and its policy with the atom
+    deleted. Rows without a counterpart are excluded."""
     with_group, without_group = [], []
     for (context, left, right), row in index.items():
         for pair in _deletions(left, right, atom):
@@ -139,10 +141,11 @@ def effect_size_report(
 ) -> list[EffectSizeRow]:
     """Cohen's d per atom over matched pairs, sorted by effect size descending.
     Atoms with no matched pairs or degenerate variance are skipped."""
+    index = pairing_index(rows)
     report = []
     for atom in atoms:
         try:
-            g1, g2 = match_paired_experiments(rows, atom, metric)
+            g1, g2 = match_paired_experiments(index, atom, metric)
             d = cohens_d(g1, g2)
         except DataError:
             continue

@@ -28,9 +28,9 @@ from .signal_io import TARGET_RATE
 _CHAIN_SHAPES = {(0, 1), (1, 1), (1, 2), (2, 2)}  # 0vs1, 1vs1, 1vs2, 2vs2
 
 
-def _fmt(v: float) -> str:
+def fmt(v: float) -> str:
     """`v` in `%g` form where that reads back as `v`, else its full `repr`:
-    the text of a policy is its identity, so it must not round."""
+    the text of a policy or a config is its identity, so it must not round."""
     v = float(v)
     s = f"{v:g}"
     return s if float(s) == v else repr(v)
@@ -55,8 +55,8 @@ class Atom:
             return self.kind
         if self.kind == "noise":
             dist, lo, hi = self.params
-            return f"noise({dist},{_fmt(lo)},{_fmt(hi)})"
-        return f"{self.kind}({','.join(_fmt(p) for p in self.params)})"
+            return f"noise({dist},{fmt(lo)},{fmt(hi)})"
+        return f"{self.kind}({','.join(fmt(p) for p in self.params)})"
 
 
 def _check_noise(params):

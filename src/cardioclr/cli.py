@@ -26,7 +26,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 from . import analysis, protocol  # noqa: E402
 from . import signal_io as sio  # noqa: E402
 from ._atomic import write_atomic  # noqa: E402
-from .augment import parse_policy  # noqa: E402
 from .config import RunConfig, config_hash, parse_config  # noqa: E402
 from .downstream import TaskSpec, evaluate  # noqa: E402
 from .errors import CardioclrError  # noqa: E402
@@ -72,10 +71,7 @@ _seed = partial(_int_at_least, 0)  # every --seed
 
 
 def _load_config(args) -> RunConfig:
-    cfg = parse_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    return parse_config(args.config) if args.config else RunConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +108,7 @@ def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
     ssl_set = protocol.parse_ssl_set(args.datasets)
     graph, history, extra = protocol.train_encoder(
-        ssl_set, args.policy, cfg.seed, protocol.WindowStores(args.windows), cfg)
+        ssl_set, args.policy, args.seed, protocol.WindowStores(args.windows), cfg)
     save_checkpoint(args.out, graph, extra=extra)
     if args.history:
         write_atomic(args.history, history_to_csv(history).encode("utf-8"))
@@ -136,11 +132,11 @@ def cmd_finetune(args) -> int:
     x, metas = stores.load(args.dataset)
     graph.freeze_encoder()
     features = graph.embed(x)
-    graph, history = protocol.fit_head(graph, enc_id, task, cfg.seed, features, metas, cfg)
+    graph, history = protocol.fit_head(graph, enc_id, task, args.seed, features, metas, cfg)
     metrics = evaluate(graph, *protocol.split_rows(features, metas, args.dataset, protocol.TEST),
                        task)
     save_checkpoint(args.out, graph, extra=protocol.model_metadata(
-        config_hash(cfg), encoder.get("policy", ""), task, cfg.seed,
+        config_hash(cfg), encoder.get("policy", ""), task, args.seed,
         encoder_checkpoint=str(args.ckpt), encoder_id=enc_id))
     print(json.dumps({
         "checkpoint": str(args.out),
@@ -208,9 +204,7 @@ def cmd_analyze(args) -> int:
     eval_kind, _, metric = args.metric.partition("_")
     kind = protocol.OOD if eval_kind == "ood" else protocol.IN_DISTRIBUTION
     subset = [r for r in rows if r.eval_kind == kind]
-    atoms = sorted({str(a) for r in subset
-                    if r.status == "ok" and r.policy != protocol.BASELINE_POLICY
-                    for a in parse_policy(r.policy).atoms()})
+    atoms = sorted({a for _, left, right in analysis.pairing_index(subset) for a in left + right})
     effects = analysis.effect_size_report(subset, atoms, metric)
     occurrences = []
     for k in (protocol.IN_DISTRIBUTION, protocol.OOD):
@@ -270,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--history")
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--seed", type=_seed, default=0, help="the plan seed to reproduce")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="train a classification head on a frozen encoder")
@@ -280,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--seed", type=_seed, default=0, help="the plan seed to reproduce")
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="evaluate a trained model on a dataset")
@@ -298,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--config")
-    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("analyze", help="effect sizes and occurrence counts from a ledger")

@@ -6,7 +6,7 @@ The `[pretrain]`, `[downstream]` and `[model]` sections are the fields of
 patience 10/20...) and validity checks live in those classes. Unknown keys
 are errors so typos cannot silently fall back to defaults. The resolved
 config serializes canonically, which makes its hash independent of key order
-in the source file.
+in the source file. It holds no seed: that comes from the plan or `--seed`.
 """
 
 from __future__ import annotations
@@ -15,14 +15,15 @@ import hashlib
 import math
 from dataclasses import fields, make_dataclass
 
+from .augment import fmt
 from .contrastive import PretrainConfig
 from .downstream import DownstreamConfig
 from .errors import ConfigError, parse_text_file, read_sections
 from .nn.model import EncoderConfig
 
 _STAGES = {"pretrain": PretrainConfig, "downstream": DownstreamConfig, "model": EncoderConfig}
-# Not settable per stage: each stage's seed derives from `[run] seed`, and
-# the encoder's input shape is fixed by the window format.
+# Not settable in a config: each stage's seed derives from the experiment's
+# seed, and the encoder's input shape is fixed by the window format.
 _NOT_KEYS = {"seed", "input_len", "in_channels"}
 # A key that both training stages have (batch_size, max_epochs, patience)
 # carries the stage's prefix in RunConfig.
@@ -46,7 +47,6 @@ _PARSERS = {int: int, float: _parse_finite_float, tuple: _parse_int_tuple}
 
 def _entries():
     """(section, key, RunConfig attribute, default) of every key, in file order."""
-    yield "run", "seed", "seed", 0
     for section, stage in _STAGES.items():
         for f in fields(stage):
             if f.name not in _NOT_KEYS:
@@ -71,8 +71,6 @@ def _check(cfg) -> None:
             _stage(cfg, section)
         except ConfigError as exc:
             raise ConfigError(f"[{section}] {exc}") from None
-    if cfg.seed < 0:
-        raise ConfigError(f"[run] seed must be non-negative, got {cfg.seed}")
 
 
 RunConfig = make_dataclass(
@@ -113,7 +111,7 @@ def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
-        return format(value, "g")
+        return fmt(value)
     return str(value)
 
 
@@ -136,12 +134,12 @@ def config_hash(config: RunConfig) -> str:
 # -- derived per-stage configs ----------------------------------------------
 
 
-def pretrain_config(cfg: RunConfig, seed: int | None = None) -> PretrainConfig:
-    return _stage(cfg, "pretrain", seed=cfg.seed if seed is None else seed)
+def pretrain_config(cfg: RunConfig, seed: int) -> PretrainConfig:
+    return _stage(cfg, "pretrain", seed=seed)
 
 
-def downstream_config(cfg: RunConfig, seed: int | None = None) -> DownstreamConfig:
-    return _stage(cfg, "downstream", seed=cfg.seed if seed is None else seed)
+def downstream_config(cfg: RunConfig, seed: int) -> DownstreamConfig:
+    return _stage(cfg, "downstream", seed=seed)
 
 
 def encoder_config(cfg: RunConfig) -> EncoderConfig:

@@ -403,7 +403,7 @@ class Dropout(Layer):
     mode; identity in eval mode. The cache is the keep mask, or True after
     an identity pass."""
 
-    def __init__(self, rate=0.5):
+    def __init__(self, rate):
         self.rate = rate
 
     def forward(self, x, training=False, rng=None):

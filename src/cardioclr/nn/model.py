@@ -76,7 +76,7 @@ class ModelGraph:
         self.head_kind = PROJECTION
         self.n_out = self.encoder_cfg.projection_dim
 
-    def set_classifier_head(self, n_out: int, seed: int, dropout: float = 0.5) -> None:
+    def set_classifier_head(self, n_out: int, seed: int, dropout: float) -> None:
         """A fresh classification head, drawn from `seed` alone, replaces any head."""
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xC)))
         feat = self.encoder_cfg.feature_dim()

@@ -32,7 +32,7 @@ class Lars:
     parameters (biases), fall back to the plain momentum-SGD update.
     """
 
-    def __init__(self, params, trust=0.001, momentum=0.9, weight_decay=0.0):
+    def __init__(self, params, trust, momentum, weight_decay):
         self.params = list(params)
         self.trust = trust
         self.momentum = momentum
@@ -59,11 +59,11 @@ class Lars:
 
 
 class Adam:
-    """Bias-corrected Adam (lr=1e-4 by default)."""
+    """Bias-corrected Adam."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr=1e-4):
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
         self.step_count = 0
@@ -90,12 +90,12 @@ class Adam:
 
 @dataclass(frozen=True)
 class LrSchedule:
-    """Linear warmup to the peak rate, then cosine decay to 1% of the peak."""
+    """Linear warmup to the peak rate, then cosine decay to `floor_fraction` of the peak."""
 
     total_epochs: int
-    warmup_epochs: int = 20
-    peak_lr: float = 0.1
-    floor_fraction: float = 0.01
+    warmup_epochs: int
+    peak_lr: float
+    floor_fraction: float
 
     def __post_init__(self):
         if self.total_epochs <= 0:

@@ -89,6 +89,11 @@ class LedgerRow:
         for name, allowed in (("eval_kind", (IN_DISTRIBUTION, OOD)), ("status", STATUSES)):
             if named[name] not in allowed:
                 raise FormatError(f"{name} must be one of {', '.join(allowed)}, got {named[name]!r}")
+        if named["policy"] != BASELINE_POLICY:
+            try:
+                parse_policy(named["policy"])
+            except ParameterError as exc:
+                raise FormatError(f"bad policy {named['policy']!r}: {exc}") from None
         try:
             named["seed"] = int(named["seed"])
         except ValueError:
@@ -323,9 +328,9 @@ def train_encoder(ssl_set, policy_text, seed, stores, cfg):
     """Pretrain and freeze the encoder of one (SSL set, policy, seed).
 
     Returns the frozen graph, its pretraining history and the metadata its
-    checkpoint carries. The init seed derives from the encoder id, which
-    names the policy's canonical spelling, so the sweep and `cardioclr
-    pretrain` make the same encoder however the policy is written.
+    checkpoint carries. The init seed derives from the encoder id (config
+    hash, SSL set, canonical policy, seed), so `cardioclr pretrain --seed s`
+    makes the sweep's encoder of plan seed `s` however the policy is written.
     """
     policy = parse_policy(policy_text)
     policy_text = str(policy)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cardioclr import signal_io as sio
-from cardioclr.analysis import cohens_d, match_paired_experiments, top_k_occurrences
+from cardioclr.analysis import cohens_d, match_paired_experiments, pairing_index, top_k_occurrences
 from cardioclr.augment import (
     design_fir,
     invert,
@@ -211,7 +211,7 @@ def test_c4_statistics_oracle():
         _ledger_row("none|flip(0.5)", 0.52, seed=1),
         _ledger_row("lp(500,450)|inv", 0.75, seed=1),
     ]
-    g1, g2 = match_paired_experiments(rows, "noise(u,-0.01,0.01)")
+    g1, g2 = match_paired_experiments(pairing_index(rows), "noise(u,-0.01,0.01)")
     matcher_ok = sorted(g1) == [0.68, 0.70, 0.72] and sorted(g2) == [0.60, 0.61, 0.63]
 
     topk_rows = []

@@ -7,16 +7,18 @@ import os
 import numpy as np
 import pytest
 
+from cardioclr import analysis
 from cardioclr.analysis import (
     REFERENCE_EFFECT_SIZES,
     cohens_d,
     effect_size_report,
     emit_report,
     match_paired_experiments,
+    pairing_index,
     report_to_json,
     top_k_occurrences,
 )
-from cardioclr.augment import default_atom_grid
+from cardioclr.augment import default_atom_grid, enumerate_policies, parse_policy
 from cardioclr.errors import DataError, ParameterError
 from cardioclr.protocol import LedgerRow
 
@@ -85,21 +87,21 @@ class TestMatcher:
             _row("noise(u,-0.01,0.01)|inv", 0.7),
             _row("none|inv", 0.6),
         ]
-        g1, g2 = match_paired_experiments(rows, "noise(u,-0.01,0.01)")
+        g1, g2 = match_paired_experiments(pairing_index(rows), "noise(u,-0.01,0.01)")
         assert g1 == [0.7]
         assert g2 == [0.6]
 
     def test_absent_atom_raises(self):
         rows = [_row("none|inv", 0.6)]
         with pytest.raises(DataError):
-            match_paired_experiments(rows, "rev")
+            match_paired_experiments(pairing_index(rows), "rev")
 
     def test_2vs2_chain_deletion(self):
         rows = [
             _row("lp(500,450)+noise(u,-0.01,0.01)|inv+scale(1,1.5)", 0.8),
             _row("lp(500,450)|inv+scale(1,1.5)", 0.75),
         ]
-        g1, g2 = match_paired_experiments(rows, "noise(u,-0.01,0.01)")
+        g1, g2 = match_paired_experiments(pairing_index(rows), "noise(u,-0.01,0.01)")
         assert g1 == [0.8]
         assert g2 == [0.75]
 
@@ -119,7 +121,7 @@ class TestMatcher:
             _row("noise(u,-0.1,0.1)|inv", 0.50, seed=1),              # different atom
             _row("rev|inv", 0.99, seed=3, status="failed"),           # ignored
         ]
-        g1, g2 = match_paired_experiments(rows, "rev")
+        g1, g2 = match_paired_experiments(pairing_index(rows), "rev")
         assert sorted(g1) == [0.70, 0.71, 0.72]
         assert sorted(g2) == [0.60, 0.62, 0.66]
 
@@ -129,7 +131,7 @@ class TestMatcher:
             _row("none|scale(1,1.5)", 0.5),  # two deletions away
         ]
         with pytest.raises(DataError):
-            match_paired_experiments(rows, "rev")
+            match_paired_experiments(pairing_index(rows), "rev")
 
     def test_baseline_rows_ignored(self):
         rows = [
@@ -137,7 +139,7 @@ class TestMatcher:
             _row("none|inv", 0.6),
             _row("baseline", 0.9),  # fully-supervised rows carry no policy
         ]
-        g1, g2 = match_paired_experiments(rows, "noise(u,-0.01,0.01)")
+        g1, g2 = match_paired_experiments(pairing_index(rows), "noise(u,-0.01,0.01)")
         assert (g1, g2) == ([0.7], [0.6])
         top = top_k_occurrences(rows[:2] + [_row("baseline", 0.99, seed=5)], k=2, eval_kind="ood")
         assert "baseline" not in top.counts
@@ -149,7 +151,7 @@ class TestMatcher:
             _row("rev|inv", 0.7),
             _row("none|rev", 0.65),
         ]
-        g1, g2 = match_paired_experiments(rows, "inv")
+        g1, g2 = match_paired_experiments(pairing_index(rows), "inv")
         assert (g1, g2) == ([0.7], [0.65])
 
     @pytest.mark.parametrize("spelled,canonical,atom", [
@@ -163,8 +165,8 @@ class TestMatcher:
             return [_row(policy, micro + 0.01 * seed, seed=seed) for seed in (1, 2, 3)
                     for policy, micro in zip(policies, (0.7, 0.6))]
 
-        assert match_paired_experiments(rows(spelled), atom) == \
-            match_paired_experiments(rows(canonical), atom) == \
+        assert match_paired_experiments(pairing_index(rows(spelled)), atom) == \
+            match_paired_experiments(pairing_index(rows(canonical)), atom) == \
             ([0.71, 0.72, 0.73], [0.61, 0.62, 0.63])
         assert effect_size_report(rows(spelled), [atom]) == effect_size_report(rows(canonical), [atom])
 
@@ -176,7 +178,7 @@ class TestMatcher:
             rows += [_row("rev|flip(.5)", 0.5, seed=seed), _row("|flip(.5)", 0.4, seed=seed),
                      _row("rev|flip(0.5)", 0.7 + 0.01 * seed, seed=seed),
                      _row("none|flip(0.5)", 0.6 + 0.01 * seed, seed=seed)]
-        assert match_paired_experiments(rows, "rev") == ([0.71, 0.72], [0.61, 0.62])
+        assert match_paired_experiments(pairing_index(rows), "rev") == ([0.71, 0.72], [0.61, 0.62])
 
     def test_effect_size_report_sorted(self):
         rows = []
@@ -189,6 +191,25 @@ class TestMatcher:
         assert [r.atom for r in report] == ["rev", "scale(1,1.5)"]
         assert report[0].d >= report[-1].d
         assert report[0].reference_d == REFERENCE_EFFECT_SIZES["rev"]
+
+    def test_effect_size_report_parses_each_row_once(self, monkeypatch):
+        # every grid policy at 3 seeds, plus a failed row and a baseline row:
+        # one index serves all 17 atoms
+        rows = [_row(str(p), 0.5 + 0.001 * (i % 97) + 0.01 * seed, seed=seed)
+                for seed in range(3) for i, p in enumerate(enumerate_policies("0vs1")
+                                                           + enumerate_policies("1vs1"))]
+        rows += [_row("rev|inv", 0.0, status="failed"), _row("baseline", 0.5)]
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_policy(text)
+
+        monkeypatch.setattr(analysis, "parse_policy", counting_parse)
+        atoms = [str(a) for a in default_atom_grid()]
+        report = effect_size_report(rows, atoms)
+        assert sorted(r.atom for r in report) == sorted(atoms)
+        assert len(parsed) <= len(rows)
 
 
 def _topk_fixture(k=25):

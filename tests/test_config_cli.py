@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cardioclr import cli
-from cardioclr.analysis import cohens_d, match_paired_experiments
+from cardioclr.analysis import cohens_d, match_paired_experiments, pairing_index
 from cardioclr.augment import default_atom_grid
 from cardioclr.config import (
     SCHEMA,
@@ -42,8 +42,9 @@ def _other_value(key, default) -> str:
 
 def _effects(cfg):
     """Everything a run takes from its config: the stage configs. The
-    downstream split takes nothing from it."""
-    return pretrain_config(cfg), downstream_config(cfg), encoder_config(cfg)
+    downstream split takes nothing from it, and the seed comes from the plan
+    or `--seed`."""
+    return pretrain_config(cfg, seed=0), downstream_config(cfg, seed=0), encoder_config(cfg)
 
 
 class TestSchema:
@@ -60,7 +61,6 @@ class TestSchema:
         # the hashed text behind every experiment id; a change here re-keys
         # every sweep directory
         assert resolved_text(RunConfig()) == (
-            "[run]\nseed = 0\n\n"
             "[pretrain]\ntemperature = 0.1\nbatch_size = 256\nmax_epochs = 200\n"
             "patience = 10\nval_fraction = 0.2\nwarmup_epochs = 20\npeak_lr = 0.1\n"
             "lr_floor_fraction = 0.01\nlars_trust = 0.001\nlars_momentum = 0.9\n"
@@ -136,11 +136,14 @@ class TestConfig:
             parse_config_text("[pretrain]\ntemperature 0.1\n")
 
     def test_resolved_text_is_fixed_point(self):
-        cfg = parse_config_text("[pretrain]\ntemperature = 0.2\n[model]\nchannels = 4,8\nkernels = 8,4\npool_widths = 10,10\n")
+        cfg = parse_config_text("[pretrain]\ntemperature = 0.2\npeak_lr = 0.1234567\n"
+                                "[model]\nchannels = 4,8\nkernels = 8,4\npool_widths = 10,10\n")
         text = resolved_text(cfg)
         again = parse_config_text(text)
         assert resolved_text(again) == text
         assert again == cfg
+        rounded = parse_config_text(text.replace("0.1234567", "0.123457"))
+        assert rounded != cfg and config_hash(rounded) != config_hash(cfg)
 
     def test_hash_stable_under_key_reordering(self):
         a = parse_config_text("[pretrain]\ntemperature = 0.2\nbatch_size = 64\n")
@@ -150,8 +153,8 @@ class TestConfig:
         assert config_hash(a) != config_hash(c)
 
     def test_comments_ignored(self):
-        cfg = parse_config_text("# top\n[run]\nseed = 9  # trailing\n")
-        assert cfg.seed == 9
+        cfg = parse_config_text("# top\n[pretrain]\ntemperature = 0.3  # trailing\n")
+        assert cfg.temperature == 0.3
 
     @pytest.mark.parametrize("text,message", [
         ("[model]\nchannels = 8,0,32,64,128", "[model] channels must be at least 1, got (8, 0, 32, 64, 128)"),
@@ -171,7 +174,7 @@ class TestConfig:
         ("[pretrain]\n\nval_fraction = -inf", "line 3: bad value for val_fraction"),
         ("[downstream]\nadam_lr = NaN", "line 2: bad value for adam_lr"),
         ("[downstream]\ndropout = infinity", "line 2: bad value for dropout"),
-        ("[run]\nseed = -1", "[run] seed must be non-negative, got -1"),
+        ("[run]\nseed = 1", "line 1: unknown section [run]"),
     ])
     def test_out_of_range_values_name_their_place(self, text, message):
         with pytest.raises(ConfigError) as info:
@@ -249,7 +252,6 @@ class TestCliBasics:
          "--windows", "."],
         ["finetune", "--ckpt", "enc.ckpt", "--dataset", "synthetic", "--out", "model.ckpt",
          "--windows", "."],
-        ["sweep", "--plan", "p.plan", "--out", "out", "--windows", "."],
         ["synth", "--out", "raw"],
         ["gradcheck"],
     ], ids=lambda c: c[0])
@@ -273,13 +275,22 @@ class TestCliBasics:
         assert capsys.readouterr().err.startswith(f"error: ConfigError: {message}")
         assert list(tmp_path.iterdir()) == []
 
-    def test_negative_config_seed_names_the_file(self, tmp_path, capsys, monkeypatch):
+    def test_sweep_has_no_seed_flag(self, tmp_path, capsys, monkeypatch):
+        # a sweep's seeds are its plan's [seeds]
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "bad.cfg").write_text("[run]\nseed = -1\n")
-        assert cli.main(["pretrain", "--config", "bad.cfg", "--windows", ".", "--datasets",
+        assert cli.main(["sweep", "--plan", "p.plan", "--out", "out", "--windows", ".",
+                         "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_seed_names_the_file_and_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "old.cfg").write_text("[pretrain]\nbatch_size = 8\n[run]\nseed = 1\n")
+        assert cli.main(["pretrain", "--config", "old.cfg", "--windows", ".", "--datasets",
                          "synthetic", "--policy", "none|rev", "--out", "enc.ckpt"]) == 1
         assert capsys.readouterr().err.startswith(
-            "error: ConfigError: bad.cfg: [run] seed must be non-negative, got -1")
+            "error: ConfigError: old.cfg: line 3: unknown section [run]")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.cfg"]
 
     @pytest.mark.parametrize("command", [
         ["pretrain", "--datasets", "synthetic", "--policy", "none|rev", "--out", "enc.ckpt"],
@@ -605,46 +616,49 @@ class TestCliPipeline:
         raw, stores, sweep, run = (tmp_path / d for d in ("raw", "stores", "sweep", "run"))
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(
-            "[run]\nseed = 4\n"
             "[pretrain]\nbatch_size = 8\nmax_epochs = 2\npatience = 1\nwarmup_epochs = 1\n"
             "[downstream]\nmax_epochs = 2\npatience = 1\nadam_lr = 0.001\n"
             "[model]\nchannels = 2,2,2,2,2\nkernels = 4,4,4,4,4\nprojection_dim = 8\n"
         )
-        plan = tmp_path / "one.plan"
+        plan = tmp_path / "two.plan"
         plan.write_text("[ssl_sets]\nsynthetic\n[policies]\nnone|inv\n[tasks]\nsynthetic:binary\n"
-                        "[seeds]\n4\n[options]\nbaseline_runs = 0\n")
+                        "[seeds]\n3\n4\n[options]\nbaseline_runs = 0\n")
         common = ["--config", str(cfg), "--windows", str(stores)]
         assert cli.main(["--quiet", "synth", "--out", str(raw), "--seed", "4",
                          "--n-recordings", "20"]) == 0
         assert cli.main(["--quiet", "prepare", "--manifest", str(raw / "manifest.tsv"),
                          "--out", str(stores)]) == 0
         assert cli.main(["--quiet", "sweep", *common, "--plan", str(plan), "--out", str(sweep)]) == 0
-        [row] = read_ledger(sweep / "ledger.csv")
-        assert row.status == "ok"
+        rows = {row.seed: row for row in read_ledger(sweep / "ledger.csv")}
+        assert sorted(rows) == [3, 4] and all(r.status == "ok" for r in rows.values())
+        sweep_encoders = {load_checkpoint(p)[1]["extra"]["seed"]: p
+                          for p in (sweep / "encoders").glob("*.ckpt")}
+        assert sorted(sweep_encoders) == [3, 4]
 
-        [sweep_encoder] = (sweep / "encoders").glob("*.ckpt")
-        for policy in (" none | inv ", "none|inv"):  # one encoder, however it is spelled
-            assert cli.main(["--quiet", "pretrain", *common, "--datasets", "synthetic",
-                             "--policy", policy, "--out", str(run / "enc.ckpt")]) == 0
-            assert (run / "enc.ckpt").read_bytes() == sweep_encoder.read_bytes()
+        for seed, row in rows.items():
+            enc, model = run / f"enc{seed}.ckpt", run / f"model{seed}.ckpt"
+            sweep_encoder = sweep_encoders[seed]
+            for policy in (" none | inv ", "none|inv"):  # one encoder, however it is spelled
+                assert cli.main(["--quiet", "pretrain", *common, "--datasets", "synthetic",
+                                 "--policy", policy, "--seed", str(seed), "--out", str(enc)]) == 0
+                assert enc.read_bytes() == sweep_encoder.read_bytes()
 
-        assert cli.main(["--quiet", "finetune", *common, "--ckpt", str(run / "enc.ckpt"),
-                         "--dataset", "synthetic", "--task", "binary",
-                         "--out", str(run / "model.ckpt")]) == 0
-        models = [load_checkpoint(path) for path in (run / "model.ckpt", sweep / row.checkpoint)]
-        (cli_graph, cli_meta), (sweep_graph, sweep_meta) = models
-        assert [a.tobytes() for _, a in cli_graph.named_params()] == \
-            [a.tobytes() for _, a in sweep_graph.named_params()]
-        assert cli_meta["extra"].pop("encoder_checkpoint") == str(run / "enc.ckpt")
-        assert sweep_meta["extra"].pop("encoder_checkpoint") == f"encoders/{sweep_encoder.name}"
-        assert cli_meta == sweep_meta
+            assert cli.main(["--quiet", "finetune", *common, "--ckpt", str(enc),
+                             "--dataset", "synthetic", "--task", "binary", "--seed", str(seed),
+                             "--out", str(model)]) == 0
+            models = [load_checkpoint(path) for path in (model, sweep / row.checkpoint)]
+            (cli_graph, cli_meta), (sweep_graph, sweep_meta) = models
+            assert [a.tobytes() for _, a in cli_graph.named_params()] == \
+                [a.tobytes() for _, a in sweep_graph.named_params()]
+            assert cli_meta["extra"].pop("encoder_checkpoint") == str(enc)
+            assert sweep_meta["extra"].pop("encoder_checkpoint") == f"encoders/{sweep_encoder.name}"
+            assert cli_meta == sweep_meta
 
-        capsys.readouterr()
-        assert cli.main(["--quiet", "evaluate", "--windows", str(stores),
-                         "--model", str(run / "model.ckpt"),
-                         "--dataset", "synthetic", "--split", "test"]) == 0
-        printed = capsys.readouterr().out.splitlines()[-1].rsplit(",", 3)[1:]
-        assert printed == [f"{v:.6f}" for v in (row.accuracy, row.micro_f1, row.macro_f1)]
+            capsys.readouterr()
+            assert cli.main(["--quiet", "evaluate", "--windows", str(stores), "--model", str(model),
+                             "--dataset", "synthetic", "--split", "test"]) == 0
+            printed = capsys.readouterr().out.splitlines()[-1].rsplit(",", 3)[1:]
+            assert printed == [f"{v:.6f}" for v in (row.accuracy, row.micro_f1, row.macro_f1)]
 
     def test_paper_grids_sweep_into_pairs_and_best_policies(self, tmp_path, capsys):
         """`grid 0vs1` + `grid 1vs1` sweep all 153 policies of the paper's
@@ -670,10 +684,11 @@ class TestCliPipeline:
         elapsed = time.monotonic() - start
         rows = read_ledger(sweep / "ledger.csv")
         assert len(rows) == 17 + 136 and all(r.status == "ok" for r in rows)
+        index = pairing_index(rows)
         for atom in map(str, default_atom_grid()):
             # `none|atom` has no counterpart; each of the atom's 16 pairs
             # `atom|b` has `none|b`
-            with_atom, without = match_paired_experiments(rows, atom)
+            with_atom, without = match_paired_experiments(index, atom)
             assert len(with_atom) == len(without) == 16, atom
 
         assert cli.main(["--quiet", "analyze", "--ledger", str(sweep / "ledger.csv"),

@@ -16,16 +16,13 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from cardioclr import protocol
+from cardioclr import cli, protocol
 from cardioclr import signal_io as sio
 from cardioclr.config import parse_config
 from cardioclr.errors import CardioclrError
 from cardioclr.nn import EncoderConfig, build_ssl_graph, load_checkpoint, save_checkpoint
 
-DESK_CONFIG = """[run]
-seed = 7
-
-[pretrain]
+DESK_CONFIG = """[pretrain]
 batch_size = 16        # paper-scale default is 256
 max_epochs = 4
 patience = 2
@@ -220,3 +217,26 @@ def test_damaged_samples_read_through_the_map_name_the_store(tmp_path):
     raw, unnamed = result
     assert raw == [], f"{len(raw)} raw exceptions"
     assert unnamed == [], f"{len(unnamed)} errors that do not name {store}"
+
+
+@pytest.mark.parametrize("policy", ["bogus|rev", "rev", "flip(1)|none", "rev+inv+rev|none"])
+def test_unparsable_ledger_policy_names_the_ledger_and_line(tmp_path, capsys, policy):
+    """`analyze` parses every policy it reads; one that does not parse is a
+    `FormatError` of the ledger reader, not an error that names no file."""
+    rows = _ledger_rows()
+    rows[1].policy = policy
+    ledger = tmp_path / "ledger.csv"
+    protocol.write_ledger(ledger, rows)
+    code = cli.main(["analyze", "--ledger", str(ledger), "--out", str(tmp_path / "report")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: FormatError: {ledger}: line 3: bad policy {policy!r}: ")
+    assert not (tmp_path / "report").exists()
+
+
+def test_ledger_policy_in_any_spelling_loads(tmp_path):
+    rows = _ledger_rows()
+    rows[0].policy, rows[1].policy = "|flip(.5)", " lp(500,450) | flip(0.50) "
+    ledger = tmp_path / "ledger.csv"
+    protocol.write_ledger(ledger, rows)
+    assert [r.policy for r in protocol.read_ledger(ledger)] == [r.policy for r in rows]

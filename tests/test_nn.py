@@ -834,7 +834,7 @@ class TestLars:
 
     def test_non_finite_gradient(self):
         w = np.ones((2, 2))
-        opt = Lars([("w", w)])
+        opt = Lars([("w", w)], trust=0.001, momentum=0.9, weight_decay=0.0)
         with pytest.raises(NumericError):
             opt.step([("w", np.full((2, 2), np.nan))], lr=0.1)
 
@@ -852,7 +852,7 @@ class TestAdam:
 
     def test_zero_gradient_no_change(self):
         w = np.array([1.0, 2.0])
-        opt = Adam([("w", w)])
+        opt = Adam([("w", w)], lr=1e-4)
         for _ in range(5):
             opt.step([("w", np.zeros(2))])
         np.testing.assert_array_equal(w, [1.0, 2.0])
@@ -869,36 +869,42 @@ class TestAdam:
         np.testing.assert_array_equal(run(), run())
 
     def test_shape_mismatch(self):
-        opt = Adam([("w", np.zeros(3))])
+        opt = Adam([("w", np.zeros(3))], lr=1e-4)
         with pytest.raises(ShapeError):
             opt.step([("w", np.zeros(4))])
 
 
+def _default_schedule(total_epochs):
+    """The schedule of `PretrainConfig()`: warmup 20 epochs to 0.1, floor 1%."""
+    cfg = PretrainConfig()
+    return LrSchedule(total_epochs, cfg.warmup_epochs, cfg.peak_lr, cfg.lr_floor_fraction)
+
+
 class TestLrSchedule:
     def test_peak_at_end_of_warmup(self):
-        sched = LrSchedule(total_epochs=200)
+        sched = _default_schedule(200)
         assert abs(sched.lr(19) - 0.1) < 1e-12
 
     def test_linear_midpoint(self):
-        sched = LrSchedule(total_epochs=200)
+        sched = _default_schedule(200)
         assert abs(sched.lr(9) - 0.05) < 1e-12
 
     def test_final_epoch_hits_floor(self):
-        sched = LrSchedule(total_epochs=200)
+        sched = _default_schedule(200)
         assert abs(sched.lr(199) - 0.001) < 1e-9
 
     def test_continuous_at_warmup_boundary(self):
-        sched = LrSchedule(total_epochs=200)
+        sched = _default_schedule(200)
         assert abs(sched.lr(20) - sched.lr(19)) < 1e-9
 
     def test_nonnegative_everywhere(self):
-        sched = LrSchedule(total_epochs=120)
+        sched = _default_schedule(120)
         values = [sched.lr(e) for e in range(120)]
         assert all(v >= 0 for v in values)
         assert max(values) <= 0.1 + 1e-12
 
     def test_short_runs_scale_warmup(self):
-        sched = LrSchedule(total_epochs=10)
+        sched = _default_schedule(10)
         assert abs(sched.lr(9) - 0.1) < 1e-12
 
 
@@ -943,7 +949,7 @@ class TestEarlyStopping:
 class TestCaches:
     def test_restore_drops_every_cache(self):
         graph = build_ssl_graph(DESK_ENCODER, seed=1)
-        graph.set_classifier_head(1, seed=2)
+        graph.set_classifier_head(1, seed=2, dropout=0.5)
         snap = graph.snapshot()
         x = np.random.default_rng(3).standard_normal((4, DESK_ENCODER.input_len))
         graph.forward(x, training=True, rng=np.random.default_rng(4))
@@ -957,7 +963,7 @@ class TestCaches:
         """A cache lives from its forward to its backward: none is left after
         `backward`, so a second backward raises."""
         graph = build_ssl_graph(DESK_ENCODER, seed=1)
-        graph.set_classifier_head(1, seed=2)
+        graph.set_classifier_head(1, seed=2, dropout=0.5)
         x = np.random.default_rng(3).standard_normal((4, DESK_ENCODER.input_len))
         graph.forward(x, training=True, rng=np.random.default_rng(4))
         graph.backward(np.ones((4, 1), dtype=np.float32))
@@ -1012,7 +1018,7 @@ class TestCheckpoint:
                             input_len=16, projection_dim=4)
         graph = build_ssl_graph(cfg, seed=2)
         graph.freeze_encoder()
-        graph.set_classifier_head(3, seed=3)
+        graph.set_classifier_head(3, seed=3, dropout=0.5)
         path = tmp_path / "cls.ckpt"
         save_checkpoint(path, graph)
         loaded, meta = load_checkpoint(path)
