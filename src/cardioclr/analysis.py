@@ -80,13 +80,6 @@ class EffectSizeRow:
     reference_d: Optional[float] = None
 
 
-def _metric(row: LedgerRow, metric: str) -> float:
-    value = getattr(row, metric)
-    if value is None:
-        raise DataError(f"row {row.experiment_id} has no {metric}")
-    return value
-
-
 def _deletions(left: tuple, right: tuple, atom: str):
     """`(left, right)` with one `atom` deleted, left chain first, each also
     swapped: the views are symmetric, so deleting the right atom of `x|y`
@@ -101,17 +94,19 @@ def _deletions(left: tuple, right: tuple, atom: str):
 
 
 def pairing_index(rows: Sequence[LedgerRow]) -> dict:
-    """`{(context, left chain, right chain): row}` of the `ok`, non-baseline
-    rows: chains hold atom texts, so rows pair in any spelling, and the last
-    row of a context (ssl_set, downstream, task, eval dataset/kind, seed) and
-    policy counts."""
-    index = {}
+    """The experiment table every report reads: `{(context, left chain, right
+    chain): row}` of the `ok`, non-baseline rows. Chains hold atom texts, so
+    rows pair in any spelling, and of the rows of one context (ssl_set,
+    downstream, task, eval dataset/kind, seed) and policy, the last counts."""
+    index, chains = {}, {}  # chains: policy text -> (left, right), parsed once
     for row in rows:
         if row.status == "ok" and row.policy != BASELINE_POLICY:
-            policy = parse_policy(row.policy)
+            if row.policy not in chains:
+                policy = parse_policy(row.policy)
+                chains[row.policy] = tuple(map(str, policy.left)), tuple(map(str, policy.right))
             context = (row.ssl_set, row.downstream, row.task, row.eval_dataset,
                        row.eval_kind, row.seed)
-            index[context, tuple(map(str, policy.left)), tuple(map(str, policy.right))] = row
+            index[(context, *chains[row.policy])] = row
     return index
 
 
@@ -126,8 +121,8 @@ def match_paired_experiments(
         for pair in _deletions(left, right, atom):
             counterpart = index.get((context, *pair))
             if counterpart is not None:
-                with_group.append(_metric(row, metric))
-                without_group.append(_metric(counterpart, metric))
+                with_group.append(getattr(row, metric))
+                without_group.append(getattr(counterpart, metric))
                 break
     if not with_group:
         raise DataError(f"no matched pairs for atom {atom!r}")
@@ -162,13 +157,15 @@ def effect_size_report(
 
 
 def _ranked(rows: Sequence[LedgerRow], eval_kind: str, metric: str, group) -> dict:
-    """The `ok`, non-baseline rows of one eval kind by `group(row)`, in key order,
-    each ranked by one rule: higher `metric`, then smaller policy, then eval dataset."""
+    """The `pairing_index` entries `(left, right, row)` of one eval kind by
+    `group(row)`, in key order, each ranked by one rule: higher `metric`,
+    then smaller policy, then eval dataset."""
     groups: dict = {}
-    for row in rows:
-        if row.status == "ok" and row.eval_kind == eval_kind and row.policy != BASELINE_POLICY:
-            groups.setdefault(group(row), []).append(row)
-    return {key: sorted(groups[key], key=lambda r: (-_metric(r, metric), r.policy, r.eval_dataset))
+    for (_, left, right), row in pairing_index(rows).items():
+        if row.eval_kind == eval_kind:
+            groups.setdefault(group(row), []).append((left, right, row))
+    return {key: sorted(groups[key], key=lambda e: (-getattr(e[2], metric), e[2].policy,
+                                                    e[2].eval_dataset))
             for key in sorted(groups)}
 
 
@@ -176,7 +173,7 @@ def select_best(rows: Sequence[LedgerRow], metric: str = "micro_f1") -> list[Led
     """Per (ssl_set, downstream, task), the in-distribution row that ranks
     first: the best policy for that task and SSL set."""
     groups = _ranked(rows, IN_DISTRIBUTION, metric, lambda r: (r.ssl_set, r.downstream, r.task))
-    return [ranked[0] for ranked in groups.values()]
+    return [ranked[0][2] for ranked in groups.values()]
 
 
 @dataclass
@@ -212,9 +209,8 @@ def top_k_occurrences(
         if len(ranked) < k:
             raise DataError(f"task {task_key} has {len(ranked)} rows, need at least k={k}")
         task_counts: dict[str, int] = {}
-        for row in ranked[:k]:
-            for atom in parse_policy(row.policy).atoms():
-                name = str(atom)
+        for left, right, _ in ranked[:k]:
+            for name in left + right:
                 counts[name] = counts.get(name, 0) + 1
                 task_counts[name] = task_counts.get(name, 0) + 1
         per_task[task_key] = task_counts

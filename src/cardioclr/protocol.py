@@ -98,7 +98,12 @@ class LedgerRow:
             named["seed"] = int(named["seed"])
         except ValueError:
             raise FormatError(f"seed must be an integer, got {named['seed']!r}") from None
-        return cls(**{**named, **{name: metric(name) for name in METRICS}})
+        metrics = {name: metric(name) for name in METRICS}
+        if {value is None for value in metrics.values()} != {named["status"] == "failed"}:
+            raise FormatError(f"a row of status {named['status']} holds "
+                              f"{'none' if named['status'] == 'failed' else 'all'} of "
+                              f"{', '.join(METRICS)}, got {[named[name] for name in METRICS]}")
+        return cls(**{**named, **metrics})
 
 
 LEDGER_COLUMNS = [f.name for f in dataclass_fields(LedgerRow)]
@@ -115,11 +120,8 @@ def write_ledger(path, rows: Sequence[LedgerRow]) -> None:
 
 
 def read_ledger(path) -> list[LedgerRow]:
-    """The ledger's rows, none if it does not exist. A malformed ledger
-    raises `FormatError` naming the file and the line."""
-    path = Path(path)
-    if not path.exists():
-        return []
+    """The ledger's rows. A malformed ledger raises `FormatError` naming the
+    file and the line."""
     return parse_text_file(path, _parse_ledger, FormatError)
 
 
@@ -622,7 +624,8 @@ def run_plan(
     jobs: int = 1,
 ) -> list[LedgerRow]:
     """Run every plan entry and baseline replicate not already in the ledger;
-    returns all rows.
+    returns all rows. A ledger row whose id is not its own under `cfg` is a
+    `ConfigError`, raised before any work: one sweep directory, one config.
 
     Every pending SSL entry and baseline replicate is one independent work
     item; with jobs > 1 they run on a pool of forked processes. Rows are taken
@@ -631,14 +634,22 @@ def run_plan(
     """
     out_dir = Path(out_dir)
     ledger_path = out_dir / "ledger.csv"
-    rows = read_ledger(ledger_path)
+    rows = read_ledger(ledger_path) if ledger_path.exists() else []
+    cfg_hash = config_hash(cfg)
+    # every id hashes its own row's columns under the config hash, so a ledger
+    # of another config shows at its first row; the old hash is not stored
+    for line, row in enumerate(rows, 2):
+        if row.experiment_id != experiment_id(cfg_hash, (row.ssl_set,), row.policy,
+                                              row.downstream, row.task, row.seed):
+            raise ConfigError(f"{ledger_path}: line {line}: experiment id {row.experiment_id} "
+                              f"is not its row's id under config hash {cfg_hash}: the ledger "
+                              "holds another config's results; use a fresh --out")
     existing = {row.experiment_id for row in rows}
 
     tasks = tuple(plan.tasks)  # work items: (ssl_set, policy, seed, tasks it trains for)
     items = [(*entry, tasks) for entry in plan.entries()]
     items += [(NO_SSL, BASELINE_POLICY, derived_seed("baseline-rep", plan.seeds[0], str(task), rep),
                (task,)) for task in tasks for rep in range(plan.baseline_runs)]
-    cfg_hash = config_hash(cfg)
     pending = [item for item in items if not set(_experiment_ids(cfg_hash, *item)) <= existing]
 
     # loaded up front, so a missing store or an empty split fails before any

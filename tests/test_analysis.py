@@ -1,5 +1,6 @@
 """Tests for effect sizes, paired-experiment matching and top-k counting."""
 
+import hashlib
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from cardioclr import analysis
+from cardioclr import analysis, cli
 from cardioclr.analysis import (
     REFERENCE_EFFECT_SIZES,
     cohens_d,
@@ -16,11 +17,15 @@ from cardioclr.analysis import (
     match_paired_experiments,
     pairing_index,
     report_to_json,
+    select_best,
     top_k_occurrences,
 )
 from cardioclr.augment import default_atom_grid, enumerate_policies, parse_policy
 from cardioclr.errors import DataError, ParameterError
-from cardioclr.protocol import LedgerRow
+from cardioclr.protocol import METRICS, LedgerRow, experiment_id, read_ledger, write_ledger
+
+# sha256 of `analyze`'s outputs over `_synthetic_ledger()` for every --metric
+ANALYZE_DIGEST = "3ddb421ca0d414e41049d360fc93f9fb7ddeabef351d3ca26afab41448b7dd45"
 
 
 def _row(policy, micro, downstream="physionet2022", eval_dataset="physionet2016",
@@ -265,6 +270,31 @@ class TestTopK:
             top_k_occurrences(_topk_fixture(), k=k, eval_kind="ood")
 
 
+def test_two_rows_of_one_experiment_count_once_as_the_last(tmp_path):
+    """A ledger holding two rows of one experiment (one context and policy,
+    two ids, as a sweep directory re-run under another config would) counts
+    that experiment once, as its last row, in the best policy, the top-k
+    counts and the effect-size pairs."""
+    ind = dict(eval_kind="in_distribution", eval_dataset="physionet2022")
+    rows = [_row("none|rev", 0.9, **ind), _row("none|inv", 0.7, **ind), _row("none|rev", 0.5, **ind)]
+    for seed in (1, 2):
+        rows += [_row("rev|inv", 0.9, seed=seed), _row("none|inv", 0.6 + 0.01 * seed, seed=seed),
+                 _row("rev|inv", 0.7 + 0.01 * seed, seed=seed)]
+    for i, row in enumerate(rows):
+        row.experiment_id = f"{i:016x}"
+    write_ledger(tmp_path / "ledger.csv", rows)
+    rows = read_ledger(tmp_path / "ledger.csv")
+
+    assert select_best(rows) == [rows[1]]
+    top = top_k_occurrences(rows, k=4, eval_kind="ood")
+    assert (top.n_selected, top.counts) == (4, {"rev": 2, "inv": 4})
+    with pytest.raises(DataError, match="has 4 rows, need at least k=5"):
+        top_k_occurrences(rows, k=5, eval_kind="ood")
+    assert match_paired_experiments(pairing_index(rows), "rev") == ([0.71, 0.72], [0.61, 0.62])
+    [effect] = effect_size_report(rows, ["rev"])
+    assert (effect.n1, effect.n2, effect.mean1) == (2, 2, pytest.approx(0.715))
+
+
 class TestEmitReport:
     def test_empty_reports_are_header_only(self, tmp_path):
         paths = emit_report(tmp_path, [], [])
@@ -310,3 +340,51 @@ class TestEmitReport:
     def test_reference_table_covers_the_grid(self):
         grid = {str(a) for a in default_atom_grid()}
         assert grid == set(REFERENCE_EFFECT_SIZES)
+
+
+def _synthetic_ledger(seed=2023):
+    """A seeded sweep ledger: the `grid 0vs1` and `grid 1vs1` policies and
+    the baseline, 2 SSL sets, 3 seeds, the 3 labeled tasks in-distribution
+    and OOD, and about 3% failed experiments. Each atom shifts the metrics
+    by its own amount, so effect sizes and top-k counts are not all ties."""
+    rng = np.random.default_rng(seed)
+    tasks = ["pascal", "physionet2016", "physionet2022"]
+    effect = {str(a): rng.normal(0.0, 0.03) for a in default_atom_grid()}
+    policies = [str(p) for p in enumerate_policies("0vs1") + enumerate_policies("1vs1")]
+    entries = [(ssl_set, policy, s) for ssl_set in (("ephnogram", "fpcgdb"),
+                                                    ("ephnogram", "fpcgdb", "pascal"))
+               for policy in policies for s in (4, 5, 6)]
+    entries += [(("none",), "baseline", s) for s in (4, 5, 6)]
+    rows = []
+    for ssl_set, policy, s in entries:
+        shift = 0.0 if policy == "baseline" else \
+            sum(effect[str(a)] for a in parse_policy(policy).atoms())
+        for downstream in tasks:
+            exp_id = experiment_id("f" * 16, ssl_set, policy, downstream, "binary", s)
+            ok = rng.random() >= 0.03
+            for eval_dataset in [downstream] + [t for t in tasks if t != downstream]:
+                kind = "in_distribution" if eval_dataset == downstream else "ood"
+                values = np.clip(0.6 + shift + rng.normal(0.0, 0.05, 3), 0.0, 1.0)
+                metrics = dict(zip(METRICS, map(float, values) if ok else (None,) * 3))
+                rows.append(LedgerRow(
+                    experiment_id=exp_id, ssl_set="+".join(ssl_set), policy=policy,
+                    downstream=downstream, task="binary", eval_dataset=eval_dataset,
+                    eval_kind=kind, seed=s, checkpoint=f"models/{exp_id}.ckpt" if ok else "",
+                    status="ok" if ok else "failed", **metrics))
+    return rows
+
+
+def test_analyze_writes_pinned_bytes_for_every_metric(tmp_path):
+    """`analyze` of a synthetic 8,289-row grid ledger writes the same bytes
+    for every `--metric`, as the constant records: a change to the ranking,
+    the pairing or the report format shows here."""
+    ledger = tmp_path / "ledger.csv"
+    write_ledger(ledger, _synthetic_ledger())
+    digest = hashlib.sha256()
+    for metric in cli.ANALYZE_METRICS:
+        out = tmp_path / metric
+        assert cli.main(["--quiet", "analyze", "--ledger", str(ledger), "--metric", metric,
+                         "--out", str(out)]) == 0
+        for name in ("effect_sizes.csv", "occurrences.csv", "report.json"):
+            digest.update(f"{metric}/{name}\n".encode() + (out / name).read_bytes())
+    assert digest.hexdigest() == ANALYZE_DIGEST

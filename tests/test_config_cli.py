@@ -355,6 +355,14 @@ class TestCliBasics:
         assert "invalid choice" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_analyze_of_a_missing_ledger_says_it_does_not_exist(self, tmp_path, capsys):
+        ledger = tmp_path / "nope.csv"
+        code = cli.main(["analyze", "--ledger", str(ledger), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: IOError: [Errno 2] No such file or directory: '{ledger}'\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("k", ["0", "-1", "two"])
     def test_analyze_rejects_bad_k(self, tmp_path, capsys, k):
         code = cli.main(["analyze", "--ledger", str(tmp_path / "ledger.csv"),
@@ -611,6 +619,35 @@ class TestCliPipeline:
         assert "replace failed" in capsys.readouterr().err
         assert (run / "eval.json").read_bytes() == b"{}"
         assert sorted(p.name for p in run.iterdir()) == names
+
+    def test_sweep_of_another_config_into_a_used_out_exits_1(self, tmp_path, capsys):
+        """One config per sweep directory: a changed `[pretrain]` value is a
+        `ConfigError` naming the ledger and line, and the directory keeps its
+        bytes and mtimes."""
+        raw, stores, sweep = (tmp_path / d for d in ("raw", "stores", "sweep"))
+        text = ("[pretrain]\nbatch_size = 4\nmax_epochs = 1\npatience = 0\nwarmup_epochs = 0\n"
+                "peak_lr = {}\n[downstream]\nmax_epochs = 1\npatience = 0\n"
+                "[model]\nchannels = 1\nkernels = 4\npool_widths = 100\nprojection_dim = 2\n")
+        cfg, changed = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        cfg.write_text(text.format("0.01"))
+        changed.write_text(text.format("0.02"))
+        plan = tmp_path / "one.plan"
+        plan.write_text("[ssl_sets]\nsynthetic\n[policies]\nnone|inv\n[tasks]\nsynthetic:binary\n"
+                        "[seeds]\n4\n")
+        assert cli.main(["--quiet", "synth", "--out", str(raw), "--seed", "4",
+                         "--n-recordings", "20"]) == 0
+        assert cli.main(["--quiet", "prepare", "--manifest", str(raw / "manifest.tsv"),
+                         "--out", str(stores)]) == 0
+        sweep_args = ["--quiet", "sweep", "--windows", str(stores), "--plan", str(plan),
+                      "--out", str(sweep)]
+        assert cli.main([*sweep_args, "--config", str(cfg)]) == 0
+        tree = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in sweep.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert cli.main([*sweep_args, "--config", str(changed)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: ConfigError: {sweep / 'ledger.csv'}: line 2: experiment id ")
+        assert {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in sweep.rglob("*") if p.is_file()} == tree
 
     def test_cli_path_reproduces_a_sweep_entry(self, tmp_path, capsys):
         raw, stores, sweep, run = (tmp_path / d for d in ("raw", "stores", "sweep", "run"))

@@ -240,3 +240,29 @@ def test_ledger_policy_in_any_spelling_loads(tmp_path):
     ledger = tmp_path / "ledger.csv"
     protocol.write_ledger(ledger, rows)
     assert [r.policy for r in protocol.read_ledger(ledger)] == [r.policy for r in rows]
+
+
+@pytest.mark.parametrize("index,column,value,message", [
+    (0, "micro_f1", None, "status ok holds all of accuracy, micro_f1, macro_f1, "
+                          "got ['0.750000', '', '0.500000']"),
+    (1, "accuracy", None, "status ok holds all of accuracy, micro_f1, macro_f1, "
+                          "got ['', '0.500000', '0.250000']"),
+    (2, "macro_f1", 0.5, "status failed holds none of accuracy, micro_f1, macro_f1, "
+                         "got ['', '', '0.500000']"),
+    (2, "accuracy", 0.0, "status failed holds none of accuracy, micro_f1, macro_f1, "
+                         "got ['0.000000', '', '']"),
+], ids=["ok_without_micro_f1", "ood_ok_without_accuracy", "failed_with_macro_f1",
+        "failed_with_zero_accuracy"])
+def test_ledger_row_metrics_follow_its_status(tmp_path, capsys, index, column, value, message):
+    """An `ok` row holds all three metrics and a `failed` row none; any other
+    row is a `FormatError` of the ledger reader that names the ledger and the
+    line, whichever metric `analyze` reads."""
+    rows = _ledger_rows()
+    setattr(rows[index], column, value)
+    ledger = tmp_path / "ledger.csv"
+    protocol.write_ledger(ledger, rows)
+    code = cli.main(["analyze", "--ledger", str(ledger), "--out", str(tmp_path / "report")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"error: FormatError: {ledger}: line {index + 2}: a row of {message}\n"
+    assert not (tmp_path / "report").exists()

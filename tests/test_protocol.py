@@ -1,5 +1,6 @@
 """Tests for plans, cycles, the experiment runner and the results ledger."""
 
+import dataclasses
 import logging
 import os
 import re
@@ -14,7 +15,7 @@ from cardioclr import protocol
 from cardioclr import signal_io as sio
 from cardioclr.analysis import select_best
 from cardioclr.augment import enumerate_policies
-from cardioclr.config import RunConfig
+from cardioclr.config import RunConfig, config_hash
 from cardioclr.downstream import TaskSpec
 from cardioclr.errors import CardioclrError, ConfigError, DataError, FormatError, NumericError
 from cardioclr.nn import ModelGraph, layers, load_checkpoint
@@ -312,6 +313,12 @@ def _tree_bytes(root):
     return {str(f.relative_to(root)): f.read_bytes() for f in files}
 
 
+def _tree_state(root):
+    """Bytes and mtime of every file under `root`, and every directory."""
+    return {str(p.relative_to(root)): (p.read_bytes(), p.stat().st_mtime_ns) if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
 class TestRunPlan:
     def test_two_policy_plan_yields_18_records(self, stores_root, tmp_path):
         plan = ExperimentPlan(
@@ -342,6 +349,37 @@ class TestRunPlan:
         second = run_plan(plan, WindowStores(stores_root), TEST_CFG, out)
         assert len(first) == len(second)
         assert [r.to_csv_fields() for r in first] == [r.to_csv_fields() for r in second]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_ledger_of_another_config_is_refused_before_any_work(self, stores_root, tmp_path,
+                                                                  jobs):
+        """Every ledger row's id hashes its own columns under the config hash,
+        so a `[pretrain]` change shows at the ledger's first row: a
+        `ConfigError` before any store loads (these stores do not exist),
+        with the tree untouched."""
+        plan = ExperimentPlan(ssl_sets=[("ephnogram",)], policies=["none|rev"],
+                              tasks=THREE_TASKS[:2], seeds=[2], baseline_runs=1)
+        out = tmp_path / "out"
+        run_plan(plan, WindowStores(stores_root), TEST_CFG, out)
+        before = _tree_state(out)
+        other = dataclasses.replace(TEST_CFG, peak_lr=0.02)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{out / 'ledger.csv'}: line 2: experiment id ") + ".* config hash "
+                + config_hash(other)):
+            run_plan(plan, WindowStores(tmp_path / "no-stores"), other, out, jobs=jobs)
+        assert _tree_state(out) == before
+
+    def test_wider_plan_resumes_into_the_directory(self, stores_root, tmp_path):
+        def plan(*policies):
+            return ExperimentPlan(ssl_sets=[("ephnogram",)], policies=list(policies),
+                                  tasks=THREE_TASKS[:2], seeds=[2], baseline_runs=0)
+
+        run_plan(plan("none|rev"), WindowStores(stores_root), TEST_CFG, tmp_path / "resumed")
+        run_plan(plan("none|rev", "none|inv"), WindowStores(stores_root), TEST_CFG,
+                 tmp_path / "resumed")
+        run_plan(plan("none|rev", "none|inv"), WindowStores(stores_root), TEST_CFG,
+                 tmp_path / "fresh")
+        assert _tree_bytes(tmp_path / "resumed") == _tree_bytes(tmp_path / "fresh")
 
     def test_parallel_jobs_match_serial(self, stores_root, tmp_path):
         # 3 SSL entries + 2 baseline replicates on 2 workers
