@@ -53,16 +53,15 @@ class Atom:
     def __str__(self) -> str:
         if not self.params:
             return self.kind
-        if self.kind == "noise":
-            dist, lo, hi = self.params
-            return f"noise({dist},{fmt(lo)},{fmt(hi)})"
-        return f"{self.kind}({','.join(fmt(p) for p in self.params)})"
+        # noise is uniform, and its text names that distribution: noise(u,lo,hi)
+        dist = "u," if self.kind == "noise" else ""
+        return f"{self.kind}({dist}{','.join(fmt(p) for p in self.params)})"
 
 
 def _check_noise(params):
-    if len(params) != 3 or params[0] not in ("u", "g"):
-        raise ParameterError(f"noise expects (dist, lo, hi) with dist u|g, got {params}")
-    _, lo, hi = params
+    if len(params) != 2:
+        raise ParameterError(f"noise expects (lo, hi), got {params}")
+    lo, hi = params
     if not lo <= hi:
         raise ParameterError(f"noise range must have lo <= hi, got ({lo}, {hi})")
 
@@ -137,17 +136,14 @@ def parse_atom(text: str) -> Atom:
     kind, arg_str = m.group(1), m.group(2)
     args: list = []
     if arg_str is not None:
-        for tok in arg_str.split(","):
-            tok = tok.strip()
-            if kind == "noise" and tok in ("u", "g"):
-                args.append(tok)
-            else:
-                try:
-                    args.append(float(tok))
-                except ValueError:
-                    raise ParameterError(f"bad parameter {tok!r} in atom {text!r}") from None
-    if kind == "noise" and args and args[0] not in ("u", "g"):
-        args.insert(0, "u")
+        tokens = [tok.strip() for tok in arg_str.split(",")]
+        if kind == "noise" and tokens[0] == "u":
+            tokens = tokens[1:]  # noise(lo,hi) is shorthand for noise(u,lo,hi)
+        for tok in tokens:
+            try:
+                args.append(float(tok))
+            except ValueError:
+                raise ParameterError(f"bad parameter {tok!r} in atom {text!r}") from None
     return Atom(kind, tuple(args))
 
 
@@ -170,18 +166,12 @@ def parse_policy(text: str) -> AugmentationPolicy:
 # ---------------------------------------------------------------------------
 
 
-def add_noise(x: np.ndarray, lo: float, hi: float, distribution: str, rng) -> np.ndarray:
-    """Additive noise: i.i.d. uniform (`u`) on [lo, hi], or zero-mean
-    Gaussian (`g`) with sigma = hi. A collapsed range (lo == hi == 0) is an
-    exact identity."""
-    if distribution == "u":
-        if lo == hi == 0.0:
-            return x.copy()
-        n = rng.uniform(lo, hi, size=x.shape)
-    else:
-        if hi == 0.0:
-            return x.copy()
-        n = rng.normal(0.0, hi, size=x.shape)
+def add_noise(x: np.ndarray, lo: float, hi: float, rng) -> np.ndarray:
+    """Additive i.i.d. uniform noise on [lo, hi]. A collapsed range
+    (lo == hi == 0) is an exact identity."""
+    if lo == hi == 0.0:
+        return x.copy()
+    n = rng.uniform(lo, hi, size=x.shape)
     return (x + n.astype(x.dtype, copy=False)).astype(x.dtype, copy=False)
 
 
@@ -239,8 +229,7 @@ def random_flip(x: np.ndarray, p: float, rng) -> np.ndarray:
 
 def apply_atom(x: np.ndarray, atom: Atom, rng) -> np.ndarray:
     if atom.kind == "noise":
-        dist, lo, hi = atom.params
-        return add_noise(x, lo, hi, dist, rng)
+        return add_noise(x, *atom.params, rng)
     if atom.kind in ("lp", "hp"):
         return apply_cutoff_filter(x, design_fir(atom.kind, *atom.params))
     if atom.kind == "scale":

@@ -2,11 +2,16 @@
 
 The `[pretrain]`, `[downstream]` and `[model]` sections are the fields of
 `PretrainConfig`, `DownstreamConfig` and `EncoderConfig`: their defaults
-(temperature 0.1, LARS warmup to 0.1, Adam 1e-4, early stopping with
-patience 10/20...) and validity checks live in those classes. Unknown keys
-are errors so typos cannot silently fall back to defaults. The resolved
-config serializes canonically, which makes its hash independent of key order
-in the source file. It holds no seed: that comes from the plan or `--seed`.
+(LARS warmup to 0.1, Adam 1e-4, early stopping with patience 10/20...) and
+validity checks live in those classes. The rest of the SimCLR recipe is
+fixed in code, not configured: NT-Xent temperature 0.1
+(`contrastive.TEMPERATURE`), LARS trust 0.001 and momentum 0.9 without
+weight decay (`Lars`), the cosine floor at 1% of the peak rate
+(`LrSchedule.floor_fraction`) and head dropout 0.5 (`downstream.DROPOUT`).
+Unknown keys, those constants' old keys among them, are errors so typos
+cannot silently fall back to defaults. The resolved config serializes
+canonically, which makes its hash independent of key order in the source
+file. It holds no seed: that comes from the plan or `--seed`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ _PREFIX = {"pretrain": "pretrain_", "downstream": "head_"}
 
 
 def _parse_int_tuple(text: str) -> tuple:
-    return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
+    """`8,16` -> (8, 16); an empty value is the empty tuple, and an empty
+    entry (`8,,16`, `8,16,`) a `ValueError`."""
+    return tuple(int(tok) for tok in text.split(",")) if text else ()
 
 
 def _parse_finite_float(text: str) -> float:

@@ -18,6 +18,9 @@ from .errors import ConfigError, NumericError, ParameterError
 from .nn.model import ModelGraph
 from .nn.optim import EpochStats, Lars, LrSchedule, check_stopping, early_stopping
 
+# the NT-Xent temperature of the SimCLR recipe (Chen et al., arXiv 2002.05709)
+TEMPERATURE = 0.1
+
 
 def _pair_index(two_n: int) -> np.ndarray:
     n = two_n // 2
@@ -74,7 +77,6 @@ def nt_xent_grad(views: np.ndarray, temperature: float):
 
 @dataclass
 class PretrainConfig:
-    temperature: float = 0.1
     batch_size: int = 256
     max_epochs: int = 200
     patience: int = 10
@@ -82,21 +84,14 @@ class PretrainConfig:
     seed: int = 0
     warmup_epochs: int = 20
     peak_lr: float = 0.1
-    lr_floor_fraction: float = 0.01
-    lars_trust: float = 0.001
-    lars_momentum: float = 0.9
-    lars_weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
         if self.batch_size < 2:
             raise ConfigError("batch size must be at least 2")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError("val_fraction must lie in [0, 1)")
         check_stopping(self)
-        for name in ("warmup_epochs", "peak_lr", "lr_floor_fraction", "lars_trust", "lars_momentum",
-                     "lars_weight_decay"):
+        for name in ("warmup_epochs", "peak_lr"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
 
@@ -150,14 +145,8 @@ def pretrain(
         total_epochs=config.max_epochs,
         warmup_epochs=config.warmup_epochs,
         peak_lr=config.peak_lr,
-        floor_fraction=config.lr_floor_fraction,
     )
-    optimizer = Lars(
-        graph.named_params(trainable_only=True),
-        trust=config.lars_trust,
-        momentum=config.lars_momentum,
-        weight_decay=config.lars_weight_decay,
-    )
+    optimizer = Lars(graph.named_params(trainable_only=True))
 
     def validation_loss() -> float:
         losses = []
@@ -167,7 +156,7 @@ def pretrain(
         for batch in batches:
             z = graph.forward(_make_views(x_all[batch], batch, policy, config.seed, "val", 0))
             graph.clear_caches()  # nothing backpropagates through the validation loss
-            losses.append(nt_xent_grad(z, config.temperature)[0])
+            losses.append(nt_xent_grad(z, TEMPERATURE)[0])
         return float(np.mean(losses)) if losses else float("nan")
 
     def run_epoch(epoch: int) -> EpochStats:
@@ -179,7 +168,7 @@ def pretrain(
             # the views die once the forward returns: every block caches its own copy
             z = graph.forward(_make_views(x_all[batch], batch, policy, config.seed, "train", epoch),
                               training=True)
-            loss, _, dz = nt_xent_grad(z, config.temperature)
+            loss, _, dz = nt_xent_grad(z, TEMPERATURE)
             graph.backward(dz.astype(graph.dtype))
             optimizer.step(graph.named_grads(trainable_only=True), lr)
             batch_losses.append(loss)

@@ -23,6 +23,9 @@ from .nn.model import CLASSIFIER, EVAL_CHUNK, ModelGraph
 from .nn.optim import Adam, EpochStats, check_stopping, early_stopping
 from .signal_io import LABEL_SETS, ABNORMAL, NORMAL
 
+# dropout between the head's dense layers, fixed as in SimCLR's recipe
+DROPOUT = 0.5
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -136,7 +139,6 @@ class DownstreamConfig:
     batch_size: int = 32
     max_epochs: int = 100
     patience: int = 20
-    dropout: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -145,8 +147,6 @@ class DownstreamConfig:
         check_stopping(self)
         if self.adam_lr < 0:
             raise ConfigError("adam_lr must be non-negative")
-        if not 0 <= self.dropout < 1:
-            raise ConfigError("dropout must lie in [0, 1)")
 
 
 def _training_loop(graph, predict, backprop, x_tr, y_tr, x_val, y_val, cfg):
@@ -199,7 +199,7 @@ def train_head(
     """
     if not graph.encoder_frozen:
         raise ConfigError("train_head expects a frozen encoder (freeze_encoder first)")
-    graph.set_classifier_head(task.n_out, config.seed, config.dropout)
+    graph.set_classifier_head(task.n_out, config.seed, DROPOUT)
     history = _training_loop(graph, graph.head_forward,
                              lambda dlogits: graph.head_backward(dlogits, compute_input_grad=False),
                              *train, *val, config)
@@ -216,6 +216,6 @@ def train_baseline(
     """Fully supervised baseline with a fresh head: same architecture and regimen, none frozen."""
     if graph.encoder_frozen:
         raise ConfigError("baseline training expects an unfrozen graph")
-    graph.set_classifier_head(task.n_out, config.seed, config.dropout)
+    graph.set_classifier_head(task.n_out, config.seed, DROPOUT)
     history = _training_loop(graph, graph.forward, graph.backward, *train, *val, config)
     return graph, history

@@ -24,37 +24,32 @@ def _check_grads(params, grads):
 
 
 class Lars:
-    """Layer-wise adaptive rate scaling with momentum.
+    """Layer-wise adaptive rate scaling with momentum, without weight decay
+    (You et al., arXiv 1708.03888).
 
-    Per parameter tensor: trust ratio lambda = trust * ||w|| / (||g|| +
-    weight_decay * ||w|| + 1e-9); the momentum buffer accumulates
-    lambda * lr * (g + weight_decay * w). Tensors with zero norm, and 1-D
-    parameters (biases), fall back to the plain momentum-SGD update.
+    Per parameter tensor: trust ratio lambda = trust * ||w|| / (||g|| + 1e-9);
+    the momentum buffer accumulates lambda * lr * g. Tensors with zero norm,
+    and 1-D parameters (biases), fall back to the plain momentum-SGD update.
     """
 
-    def __init__(self, params, trust, momentum, weight_decay):
+    trust, momentum = 0.001, 0.9
+
+    def __init__(self, params):
         self.params = list(params)
-        self.trust = trust
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity = {name: np.zeros_like(arr) for name, arr in self.params}
 
     def step(self, grads, lr: float) -> None:
         _check_grads(self.params, grads)
         for (name, w), (_, g) in zip(self.params, grads):
-            g_eff = g
-            if self.weight_decay and w.ndim > 1:
-                g_eff = g + self.weight_decay * w
             local_lr = lr
             if w.ndim > 1:
                 w_norm = float(np.linalg.norm(w))
                 if w_norm > 0.0:
-                    g_norm = float(np.linalg.norm(g))
-                    ratio = self.trust * w_norm / (g_norm + self.weight_decay * w_norm + 1e-9)
+                    ratio = self.trust * w_norm / (float(np.linalg.norm(g)) + 1e-9)
                     local_lr = ratio * lr
             v = self._velocity[name]
             v *= self.momentum
-            v += (local_lr * g_eff).astype(v.dtype)
+            v += (local_lr * g).astype(v.dtype)
             w -= v
 
 
@@ -92,10 +87,10 @@ class Adam:
 class LrSchedule:
     """Linear warmup to the peak rate, then cosine decay to `floor_fraction` of the peak."""
 
+    floor_fraction = 0.01  # a class constant, not a field
     total_epochs: int
     warmup_epochs: int
     peak_lr: float
-    floor_fraction: float
 
     def __post_init__(self):
         if self.total_epochs <= 0:

@@ -699,7 +699,7 @@ def prepare_manifest(manifest_path, out_dir) -> dict[str, int]:
                     rec = resample(rec, TARGET_RATE)
                     rec = trim_edges(rec)
                     windows = extract_windows(rec)
-                except CardioclrError as err:
+                except (CardioclrError, OSError) as err:
                     raise type(err)(f"{wav_path} ({manifest_path} line {entry.line}): {err}") from err
                 tag = entry.dataset_tag
                 if windows:

@@ -159,7 +159,7 @@ TINY_CFG = EncoderConfig(
 
 def tiny_pretrain_config(**overrides):
     base = dict(
-        temperature=0.1, batch_size=8, max_epochs=6, patience=3,
+        batch_size=8, max_epochs=6, patience=3,
         val_fraction=0.2, seed=0, warmup_epochs=2, peak_lr=0.02,
     )
     base.update(overrides)

@@ -187,11 +187,12 @@ def _separable_windows(n, seed=0):
 
 
 class TestTrainHead:
-    def test_linearly_separable_reaches_99(self):
+    def test_linearly_separable_reaches_99(self, monkeypatch):
+        monkeypatch.setattr("cardioclr.downstream.DROPOUT", 0.0)
         x, y = _separable_windows(64, seed=1)
         graph = build_ssl_graph(CFG, seed=0)
         graph.freeze_encoder()
-        cfg = DownstreamConfig(adam_lr=3e-3, max_epochs=100, patience=99, seed=0, dropout=0.0)
+        cfg = DownstreamConfig(adam_lr=3e-3, max_epochs=100, patience=99, seed=0)
         f = graph.embed(x)
         graph, _ = train_head(graph, TaskSpec("synthetic", "binary"), (f, y), (f[:16], y[:16]), cfg)
         preds = []
@@ -233,12 +234,13 @@ class TestTrainHead:
 
 
 class TestTrainBaseline:
-    def test_every_layer_moves_after_one_step(self):
+    def test_every_layer_moves_after_one_step(self, monkeypatch):
+        monkeypatch.setattr("cardioclr.downstream.DROPOUT", 0.0)
         x, y = _separable_windows(8, seed=4)
         graph = build_ssl_graph(CFG, seed=2)
         graph.set_classifier_head(1, seed=0, dropout=0.0)  # the head train_baseline sets
         before = {name: arr.copy() for name, arr in graph.named_params()}
-        cfg = DownstreamConfig(adam_lr=1e-3, max_epochs=2, patience=1, batch_size=8, seed=0, dropout=0.0)
+        cfg = DownstreamConfig(adam_lr=1e-3, max_epochs=2, patience=1, batch_size=8, seed=0)
         train_baseline(graph, TaskSpec("synthetic", "binary"), (x, y), (x, y), cfg)
         moved = [name for name, arr in graph.named_params() if not np.array_equal(arr, before[name])]
         weight_names = {name for name, _ in graph.named_params() if name.endswith(".w")}

@@ -219,7 +219,8 @@ def test_damaged_samples_read_through_the_map_name_the_store(tmp_path):
     assert unnamed == [], f"{len(unnamed)} errors that do not name {store}"
 
 
-@pytest.mark.parametrize("policy", ["bogus|rev", "rev", "flip(1)|none", "rev+inv+rev|none"])
+@pytest.mark.parametrize("policy", ["bogus|rev", "rev", "flip(1)|none", "rev+inv+rev|none",
+                                    "noise(g,-0.01,0.01)|none"])
 def test_unparsable_ledger_policy_names_the_ledger_and_line(tmp_path, capsys, policy):
     """`analyze` parses every policy it reads; one that does not parse is a
     `FormatError` of the ledger reader, not an error that names no file."""
@@ -266,3 +267,24 @@ def test_ledger_row_metrics_follow_its_status(tmp_path, capsys, index, column, v
     assert capsys.readouterr().err == \
         f"error: FormatError: {ledger}: line {index + 2}: a row of {message}\n"
     assert not (tmp_path / "report").exists()
+
+
+def test_prepare_of_a_wav_it_cannot_open_names_the_manifest_line(tmp_path, capsys):
+    """A WAV that the manifest names but `prepare` cannot open keeps its
+    `OSError` class and names the WAV, the manifest and its line, as a
+    malformed WAV's `CardioclrError` does; no store is left behind."""
+    raw = tmp_path / "raw"
+    sio.generate_synthetic_manifest(raw, seed=1, n_recordings=1,
+                                    profile=sio.SynthProfile(sample_rate=4000, min_seconds=9.5,
+                                                             max_seconds=9.5))
+    manifest = raw / "manifest.tsv"
+    with manifest.open("a") as f:
+        f.write("missing.wav\tm1\tpascal\tMurmur\n")
+    lineno = len(manifest.read_text().splitlines())
+    where = f"{raw / 'missing.wav'} ({manifest} line {lineno}): [Errno 2] No such file"
+    with pytest.raises(FileNotFoundError) as info:
+        sio.prepare_manifest(manifest, tmp_path / "out")
+    assert str(info.value).startswith(where)
+    assert cli.main(["prepare", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: IOError: {where}")
+    assert not (tmp_path / "out").exists()

@@ -801,21 +801,23 @@ class TestLars:
     def test_zero_norm_layer_falls_back_to_momentum_sgd(self):
         w = np.zeros((2, 2))
         g = np.full((2, 2), 0.5)
-        opt = Lars([("w", w)], trust=0.001, momentum=0.0, weight_decay=0.0)
+        opt = Lars([("w", w)])
+        opt.momentum = 0.0
         opt.step([("w", g)], lr=0.1)
         np.testing.assert_allclose(w, -0.1 * g)
 
     def test_hand_evaluated_trust_ratio(self):
         w = np.array([[2.0]])
         g = np.array([[1.0]])
-        opt = Lars([("w", w)], trust=0.001, momentum=0.0, weight_decay=0.0)
+        opt = Lars([("w", w)])
+        opt.momentum = 0.0
         opt.step([("w", g)], lr=1.0)
         assert abs(w[0, 0] - (2.0 - 0.002)) < 1e-9
 
     def test_momentum_recurrence_second_step_1_9x(self):
         w = np.array([[3.0, 4.0]])
         g = np.array([[0.2, -0.1]])
-        opt = Lars([("w", w)], trust=0.001, momentum=0.9, weight_decay=0.0)
+        opt = Lars([("w", w)])
         before = w.copy()
         opt.step([("w", g)], lr=1.0)
         step1 = before - w
@@ -827,14 +829,15 @@ class TestLars:
     def test_biases_use_plain_update(self):
         b = np.array([5.0])
         g = np.array([1.0])
-        opt = Lars([("b", b)], trust=0.001, momentum=0.0, weight_decay=0.1)
+        opt = Lars([("b", b)])
+        opt.momentum = 0.0
         opt.step([("b", g)], lr=0.01)
-        # no trust scaling and no weight decay on 1-D parameters
+        # no trust scaling on 1-D parameters
         assert abs(b[0] - (5.0 - 0.01)) < 1e-12
 
     def test_non_finite_gradient(self):
         w = np.ones((2, 2))
-        opt = Lars([("w", w)], trust=0.001, momentum=0.9, weight_decay=0.0)
+        opt = Lars([("w", w)])
         with pytest.raises(NumericError):
             opt.step([("w", np.full((2, 2), np.nan))], lr=0.1)
 
@@ -877,7 +880,7 @@ class TestAdam:
 def _default_schedule(total_epochs):
     """The schedule of `PretrainConfig()`: warmup 20 epochs to 0.1, floor 1%."""
     cfg = PretrainConfig()
-    return LrSchedule(total_epochs, cfg.warmup_epochs, cfg.peak_lr, cfg.lr_floor_fraction)
+    return LrSchedule(total_epochs, cfg.warmup_epochs, cfg.peak_lr)
 
 
 class TestLrSchedule:

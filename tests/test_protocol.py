@@ -17,7 +17,8 @@ from cardioclr.analysis import select_best
 from cardioclr.augment import enumerate_policies
 from cardioclr.config import RunConfig, config_hash
 from cardioclr.downstream import TaskSpec
-from cardioclr.errors import CardioclrError, ConfigError, DataError, FormatError, NumericError
+from cardioclr.errors import (CardioclrError, ConfigError, DataError, FormatError, NumericError,
+                              ParameterError)
 from cardioclr.nn import ModelGraph, layers, load_checkpoint
 from cardioclr.protocol import (
     ExperimentPlan,
@@ -716,6 +717,13 @@ class TestRunPlan:
     def test_bad_plan_lines_are_config_errors(self, section, lines, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_plan_text(_plan_text(section, lines))
+
+    def test_gaussian_noise_policy_names_its_plan_line(self):
+        # noise is uniform only, so `g` is a bad parameter of the atom
+        text = _plan_text("policies", ["none|rev", "scale(0.5,2)|noise(g,-0.01,0.01)"])
+        with pytest.raises(ParameterError, match=re.escape(
+                "plan line 5: bad parameter 'g' in atom 'noise(g,-0.01,0.01)'")):
+            parse_plan_text(text)
 
     def test_grid_plan_writes_the_ledger_of_its_written_out_plan(self, stores_root, tmp_path):
         head = "[ssl_sets]\nephnogram\n[tasks]\npascal:binary\n[seeds]\n2\n" \
