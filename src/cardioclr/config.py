@@ -7,11 +7,11 @@ validity checks live in those classes. The rest of the SimCLR recipe is
 fixed in code, not configured: NT-Xent temperature 0.1
 (`contrastive.TEMPERATURE`), LARS trust 0.001 and momentum 0.9 without
 weight decay (`Lars`), the cosine floor at 1% of the peak rate
-(`LrSchedule.floor_fraction`) and head dropout 0.5 (`downstream.DROPOUT`).
-Unknown keys, those constants' old keys among them, are errors so typos
-cannot silently fall back to defaults. The resolved config serializes
-canonically, which makes its hash independent of key order in the source
-file. It holds no seed: that comes from the plan or `--seed`.
+(`LrSchedule.floor_fraction`), head dropout 0.5 (`nn.model.DROPOUT`) and
+one input channel. Unknown keys, those constants' old keys among them, are
+errors so typos cannot silently fall back to defaults. The resolved config
+serializes canonically, which makes its hash independent of key order in
+the source file. It holds no seed: that comes from the plan or `--seed`.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .nn.model import EncoderConfig
 
 _STAGES = {"pretrain": PretrainConfig, "downstream": DownstreamConfig, "model": EncoderConfig}
 # Not settable in a config: each stage's seed derives from the experiment's
-# seed, and the encoder's input shape is fixed by the window format.
-_NOT_KEYS = {"seed", "input_len", "in_channels"}
+# seed, and the encoder's input length is fixed by the window format.
+_NOT_KEYS = {"seed", "input_len"}
 # A key that both training stages have (batch_size, max_epochs, patience)
 # carries the stage's prefix in RunConfig.
 _SHARED = {f.name for f in fields(PretrainConfig)} & {f.name for f in fields(DownstreamConfig)}

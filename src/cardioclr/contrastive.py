@@ -155,7 +155,6 @@ def pretrain(
             batches = [val_idx]
         for batch in batches:
             z = graph.forward(_make_views(x_all[batch], batch, policy, config.seed, "val", 0))
-            graph.clear_caches()  # nothing backpropagates through the validation loss
             losses.append(nt_xent_grad(z, TEMPERATURE)[0])
         return float(np.mean(losses)) if losses else float("nan")
 

@@ -23,9 +23,6 @@ from .nn.model import CLASSIFIER, EVAL_CHUNK, ModelGraph
 from .nn.optim import Adam, EpochStats, check_stopping, early_stopping
 from .signal_io import LABEL_SETS, ABNORMAL, NORMAL
 
-# dropout between the head's dense layers, fixed as in SimCLR's recipe
-DROPOUT = 0.5
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -199,7 +196,7 @@ def train_head(
     """
     if not graph.encoder_frozen:
         raise ConfigError("train_head expects a frozen encoder (freeze_encoder first)")
-    graph.set_classifier_head(task.n_out, config.seed, DROPOUT)
+    graph.set_classifier_head(task.n_out, config.seed)
     history = _training_loop(graph, graph.head_forward,
                              lambda dlogits: graph.head_backward(dlogits, compute_input_grad=False),
                              *train, *val, config)
@@ -216,6 +213,6 @@ def train_baseline(
     """Fully supervised baseline with a fresh head: same architecture and regimen, none frozen."""
     if graph.encoder_frozen:
         raise ConfigError("baseline training expects an unfrozen graph")
-    graph.set_classifier_head(task.n_out, config.seed, DROPOUT)
+    graph.set_classifier_head(task.n_out, config.seed)
     history = _training_loop(graph, graph.forward, graph.backward, *train, *val, config)
     return graph, history

@@ -1,6 +1,7 @@
 """Checkpoint container: magic `PCGSSL01`, a u32 length-prefixed UTF-8 JSON
 metadata block, then raw little-endian float32 parameter arrays in the
-graph's declared parameter order."""
+graph's declared parameter order, whose SHA-256 the metadata's `sha256`
+holds. Older files (no `sha256`, and `dropout` and `arch.in_channels` keys) load."""
 
 from __future__ import annotations
 
@@ -23,26 +24,27 @@ def _canonical_json(obj) -> bytes:
 
 
 def save_checkpoint(path, graph: ModelGraph, extra: dict | None = None) -> str:
+    import hashlib  # here, not at module level: `import cardioclr.nn` stays lean
+    payload = b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes()
+                       for _, arr in graph.named_params())
     meta = {
         "arch": asdict(graph.encoder_cfg),
         "head": graph.head_kind,
         "n_out": graph.n_out,
-        "dropout": graph.dropout_rate,
         "encoder_frozen": graph.encoder_frozen,
         "params": [
             {"name": name, "shape": list(arr.shape)} for name, arr in graph.named_params()
         ],
+        "sha256": hashlib.sha256(payload).hexdigest(),
         "extra": extra or {},
     }
     blob = _canonical_json(meta)
-    chunks = [MAGIC, struct.pack("<I", len(blob)), blob]
-    for _, arr in graph.named_params():
-        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    write_atomic(path, b"".join(chunks))
+    write_atomic(path, b"".join([MAGIC, struct.pack("<I", len(blob)), blob, payload]))
     return str(path)
 
 
 def load_checkpoint(path) -> tuple[ModelGraph, dict]:
+    import hashlib
     data = Path(path).read_bytes()
     if data[: len(MAGIC)] != MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic")
@@ -78,6 +80,9 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
         offset += nbytes
     if offset != len(data):
         raise FormatError(f"{path}: trailing bytes in checkpoint")
+    payload = memoryview(data)[start + meta_len :]
+    if "sha256" in meta and hashlib.sha256(payload).hexdigest() != meta["sha256"]:
+        raise FormatError(f"{path}: parameter bytes do not match the checkpoint digest")
     return graph, meta
 
 
@@ -92,5 +97,5 @@ def _graph_from_meta(meta: dict) -> ModelGraph:
     if meta["head"] == PROJECTION:
         graph.set_projection_head(rng)
     elif meta["head"] == CLASSIFIER:
-        graph.set_classifier_head(meta["n_out"], 0, meta["dropout"])
+        graph.set_classifier_head(meta["n_out"], 0)
     return graph

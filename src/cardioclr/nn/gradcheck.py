@@ -72,16 +72,17 @@ def _conv(layer, x):
     return np.einsum("ock,bctk->bot", layer.w, win) + layer.b[:, None]
 
 
-def _check_layer(layer, x, rng, training=False, fwd_rng_seed=None):
+def _check_layer(layer, x, rng, fwd_rng_seed=None):
     """max relative error over input grad and every parameter grad.
 
-    The scalar objective is sum(out * R) for a fixed random R; dropout uses a
-    reseeded rng per forward so the mask is constant across FD evaluations.
+    The scalar objective is sum(out * R) for a fixed random R, from training
+    forwards (an eval forward keeps no cache to backpropagate); dropout uses
+    a reseeded rng per forward so the mask is constant across FD evaluations.
     """
 
     def fwd():
         rng_f = np.random.default_rng(fwd_rng_seed) if fwd_rng_seed is not None else None
-        return layer.forward(x, training=training, rng=rng_f)
+        return layer.forward(x, training=True, rng=rng_f)
 
     probe = rng.uniform(-1.0, 1.0, size=fwd().shape)
 
@@ -137,7 +138,7 @@ def check_maxpool(rng) -> float:
 def check_dropout(rng) -> float:
     layer = Dropout(rate=0.5)
     x = rng.uniform(0.5, 1.5, (int(rng.integers(1, 4)), int(rng.integers(2, 8))))
-    return _check_layer(layer, x, rng, training=True, fwd_rng_seed=int(rng.integers(1 << 30)))
+    return _check_layer(layer, x, rng, fwd_rng_seed=int(rng.integers(1 << 30)))
 
 
 def _check_loss(loss_fn, logits, labels) -> float:
@@ -175,7 +176,7 @@ def check_two_block_model(rng) -> float:
     """Full backprop through a 2-block toy encoder + small dense head."""
     cfg = EncoderConfig(
         channels=(2, 3), kernels=(3, 3), pool_widths=(2, 2),
-        input_len=16, in_channels=1, projection_dim=4,
+        input_len=16, projection_dim=4,
     )
     graph = ModelGraph(cfg, rng, dtype=np.float64)
     # same machinery as the full classifier head, desk-sized for FD speed
@@ -191,9 +192,9 @@ def check_two_block_model(rng) -> float:
     labels = rng.integers(0, 3, 2)
 
     def objective():
-        return cross_entropy_loss(graph.forward(x), labels)[0]
+        return cross_entropy_loss(graph.forward(x, training=True), labels)[0]
 
-    graph.backward(cross_entropy_loss(graph.forward(x), labels)[1])
+    graph.backward(cross_entropy_loss(graph.forward(x, training=True), labels)[1])
     errs = []
     analytic = {name: g.copy() for name, g in graph.named_grads()}
     for name, param in graph.named_params():

@@ -1,10 +1,11 @@
 """Layers with explicit forward/backward passes.
 
 Shapes follow the (batch, channels, length) convention for convolutional
-layers and (batch, features) for dense ones. Every layer keeps what its
-backward pass needs in `_cache`, and backward hands it over: a cache lives
-from one forward to the next backward, and calling backward without a prior
-forward is an error.
+layers and (batch, features) for dense ones. A training forward keeps
+what the backward pass needs in `_cache`, and backward hands it over: a
+cache lives from one training forward to the next backward. An eval forward
+(`training=False`) keeps no cache and drops any earlier one, so a backward
+that does not follow a training forward is an error.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.
 
 
 class Layer:
-    # what forward keeps for backward (None before any forward and after a
-    # backward); `ModelGraph.clear_caches` resets it
+    # what a training forward keeps for backward: None before it, after the
+    # backward that reads it, and after an eval forward
     _cache = None
 
     def params(self) -> dict[str, np.ndarray]:
@@ -105,9 +106,9 @@ def in_threads(work, runs):
 
 
 def max_pool(x, width, out, arg, floor=False):
-    """Non-overlapping max pooling of x (n, C, L) into `out` and its argmax
-    `arg`, both (n, C, L // width); a trailing remainder shorter than the
-    width is dropped.
+    """Non-overlapping max pooling of x (n, C, L) into `out` and, unless
+    `arg` is None (an eval pass), its argmax `arg`, both (n, C, L // width);
+    a trailing remainder shorter than the width is dropped.
 
     A running `np.maximum` over the W strided taps x[:, :, j:usable:W] (NaN
     propagates); `arg` holds the index of the first maximum, updated
@@ -117,16 +118,19 @@ def max_pool(x, width, out, arg, floor=False):
     """
     usable = out.shape[2] * width
     out[...] = x[:, :, 0:usable:width]
-    arg[...] = 0
+    if arg is not None:
+        arg[...] = 0
     for j in range(1, width):
         tap = x[:, :, j:usable:width]
-        gt = tap > out  # strict, so a tie keeps the first maximum
-        arg *= ~gt
-        arg += gt * arg.dtype.type(j)
+        if arg is not None:
+            gt = tap > out  # strict, so a tie keeps the first maximum
+            arg *= ~gt
+            arg += gt * arg.dtype.type(j)
         np.maximum(out, tap, out=out)
     if floor:
-        # every arg < width, so the maximum sets exactly the floored ones
-        np.maximum(arg, (out <= 0) * arg.dtype.type(width), out=arg)
+        if arg is not None:
+            # every arg < width, so the maximum sets exactly the floored ones
+            np.maximum(arg, (out <= 0) * arg.dtype.type(width), out=arg)
         np.maximum(out, 0, out=out)
         out += 0.0  # -0.0 + 0.0 is +0.0; every other value, NaN too, stays
 
@@ -165,7 +169,8 @@ class Conv1d(Layer):
     buffer, which the weight gradient has read), folded by K shifted adds
     into the group's rows of the cached padded input, zeroed first: no
     input-sized gradient buffer is allocated. Only the padded input and the
-    pool's argmax are cached.
+    pool's argmax are cached, by a training forward; an eval forward
+    computes no argmax.
 
     The chunks split into `THREADS` contiguous runs of whole chunks, one
     per thread (`in_threads`), where a sample's conv takes at least
@@ -272,7 +277,7 @@ class Conv1d(Layer):
         xp[:, :, pl : pl + length] = x
         w2 = self.w.reshape(self.out_channels, -1)
         out = np.empty((batch, self.out_channels, length // self.pool), dtype=self.w.dtype)
-        arg = np.empty(out.shape, dtype=np.min_scalar_type(self.pool))
+        arg = np.empty(out.shape, dtype=np.min_scalar_type(self.pool)) if training else None
         win = sliding_window_view(xp, length, axis=2)
 
         def run(chunks, conv, cols_buf):
@@ -281,11 +286,11 @@ class Conv1d(Layer):
                 for group in groups:
                     np.matmul(w2, self._cols(cwin, group, cols_buf), out=y[group])
                 y += self.b[:, None]
-                max_pool(y, self.pool, out[chunk], arg[chunk], floor=True)
+                max_pool(y, self.pool, out[chunk], arg if arg is None else arg[chunk], floor=True)
 
         in_threads(run, [(chunks, *self._buffers(batch, length))
                          for chunks in self._runs(batch, length)])
-        self._cache = (xp, arg)
+        self._cache = (xp, arg) if training else None
         return out
 
     def backward(self, grad_out, compute_input_grad=True):
@@ -337,8 +342,9 @@ class ReLU(Layer):
     check) and gives +0.0 for every x <= 0, -0.0 included."""
 
     def forward(self, x, training=False, rng=None):
-        self._cache = x <= 0
-        return np.where(self._cache, 0, x)
+        floored = x <= 0
+        self._cache = floored if training else None
+        return np.where(floored, 0, x)
 
     def backward(self, grad_out, compute_input_grad=True):
         return np.where(self._cached(), 0, grad_out)
@@ -354,9 +360,9 @@ class MaxPool1d(Layer):
     def forward(self, x, training=False, rng=None):
         b, c, length = x.shape
         out = np.empty((b, c, length // self.width), dtype=x.dtype)
-        arg = np.empty(out.shape, dtype=np.min_scalar_type(self.width))
+        arg = np.empty(out.shape, dtype=np.min_scalar_type(self.width)) if training else None
         max_pool(x, self.width, out, arg)
-        self._cache = (x.shape, arg)
+        self._cache = (x.shape, arg) if training else None
         return out
 
     def backward(self, grad_out, compute_input_grad=True):
@@ -385,7 +391,7 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"dense expects (B, {self.in_dim}), got {x.shape}")
         x = np.ascontiguousarray(x, dtype=self.w.dtype)
-        self._cache = x
+        self._cache = x if training else None
         return x @ self.w + self.b
 
     def backward(self, grad_out, compute_input_grad=True):
@@ -401,14 +407,14 @@ class Dense(Layer):
 class Dropout(Layer):
     """Inverted dropout: kept activations scale by 1/(1-rate) in training
     mode; identity in eval mode. The cache is the keep mask, or True after
-    an identity pass."""
+    a training pass at rate 0."""
 
     def __init__(self, rate):
         self.rate = rate
 
     def forward(self, x, training=False, rng=None):
         if not training or self.rate == 0.0:
-            self._cache = True
+            self._cache = True if training else None
             return x
         if rng is None:
             raise StateError("dropout in training mode needs an rng")

@@ -15,9 +15,11 @@ PROJECTION = "projection"
 CLASSIFIER = "classifier"
 
 # Windows per encoder pass in `embed`, and feature rows per head pass when
-# heads are scored: every layer's forward keeps its backward cache, so one
-# pass over a whole store would hold a cache the size of its activations.
+# heads are scored: one pass over a whole store would allocate each layer's
+# activations for the whole store.
 EVAL_CHUNK = 256
+
+DROPOUT = 0.5  # between the classification head's dense layers, as in SimCLR
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,6 @@ class EncoderConfig:
     kernels: tuple = (64, 32, 16, 8, 8)
     pool_widths: tuple = (4, 4, 4, 4, 4)
     input_len: int = 10000
-    in_channels: int = 1
     projection_dim: int = 128
 
     def __post_init__(self):
@@ -58,13 +59,12 @@ class ModelGraph:
     def __init__(self, encoder_cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32):
         self.encoder_cfg = encoder_cfg
         self.dtype = dtype
-        in_channels = (encoder_cfg.in_channels,) + encoder_cfg.channels[:-1]
+        in_channels = (1,) + encoder_cfg.channels[:-1]
         self.encoder_layers = [Conv1d(*shape, rng, dtype) for shape in zip(
             in_channels, encoder_cfg.channels, encoder_cfg.kernels, encoder_cfg.pool_widths)]
         self.head_layers: list = []
         self.head_kind: str | None = None
         self.n_out: int | None = None
-        self.dropout_rate: float = 0.5
         self.encoder_frozen = False
 
     # -- construction -------------------------------------------------------
@@ -76,22 +76,21 @@ class ModelGraph:
         self.head_kind = PROJECTION
         self.n_out = self.encoder_cfg.projection_dim
 
-    def set_classifier_head(self, n_out: int, seed: int, dropout: float) -> None:
+    def set_classifier_head(self, n_out: int, seed: int) -> None:
         """A fresh classification head, drawn from `seed` alone, replaces any head."""
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xC)))
         feat = self.encoder_cfg.feature_dim()
         self.head_layers = [
             Dense(feat, 128, rng, self.dtype),
             ReLU(),
-            Dropout(dropout),
+            Dropout(DROPOUT),
             Dense(128, 64, rng, self.dtype),
             ReLU(),
-            Dropout(dropout),
+            Dropout(DROPOUT),
             Dense(64, n_out, rng, self.dtype),
         ]
         self.head_kind = CLASSIFIER
         self.n_out = n_out
-        self.dropout_rate = dropout
 
     def freeze_encoder(self) -> None:
         """From now on the encoder only runs forward: `backward` raises, the head
@@ -106,10 +105,8 @@ class ModelGraph:
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim == 2:
             x = x[:, None, :]
-        if x.ndim != 3 or x.shape[1] != cfg.in_channels or x.shape[2] != cfg.input_len:
-            raise ShapeError(
-                f"expected (B, {cfg.in_channels}, {cfg.input_len}) input, got {x.shape}"
-            )
+        if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != cfg.input_len:
+            raise ShapeError(f"expected (B, 1, {cfg.input_len}) input, got {x.shape}")
         return x
 
     def _encode(self, x, training=False, rng=None) -> np.ndarray:
@@ -155,14 +152,7 @@ class ModelGraph:
         out = np.empty((x.shape[0], self.encoder_cfg.feature_dim()), dtype=self.dtype)
         for start in range(0, x.shape[0], EVAL_CHUNK):
             out[start : start + EVAL_CHUNK] = self._encode(x[start : start + EVAL_CHUNK])
-            self.clear_caches()  # nothing backpropagates through `embed`
         return out
-
-    def clear_caches(self) -> None:
-        """Drop every layer's backward cache; `backward` then needs a new
-        `forward`."""
-        for layer in self.encoder_layers + self.head_layers:
-            layer._cache = None
 
     # -- parameter access ---------------------------------------------------
 
@@ -194,7 +184,6 @@ class ModelGraph:
             raise StateError("snapshot does not match the current graph")
         for (_, arr), saved in zip(params, snap):
             arr[...] = saved
-        self.clear_caches()  # activations of other weights
 
     def encoder_bytes(self) -> bytes:
         return b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes()

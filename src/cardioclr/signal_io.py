@@ -700,7 +700,8 @@ def prepare_manifest(manifest_path, out_dir) -> dict[str, int]:
                     rec = trim_edges(rec)
                     windows = extract_windows(rec)
                 except (CardioclrError, OSError) as err:
-                    raise type(err)(f"{wav_path} ({manifest_path} line {entry.line}): {err}") from err
+                    reason = getattr(err, "strerror", None) or err
+                    raise type(err)(f"{wav_path} ({manifest_path} line {entry.line}): {reason}") from err
                 tag = entry.dataset_tag
                 if windows:
                     if tag not in stores:

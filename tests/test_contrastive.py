@@ -295,8 +295,8 @@ class TestFreeze:
     def test_classifier_inits_differ_across_seeds(self):
         graph = build_ssl_graph(TINY_CFG, seed=1)
         graph.freeze_encoder()
-        graph.set_classifier_head(1, seed=10, dropout=0.5)
+        graph.set_classifier_head(1, seed=10)
         w10 = [arr.copy() for _, arr in graph.named_params(trainable_only=True)]
-        graph.set_classifier_head(1, seed=11, dropout=0.5)
+        graph.set_classifier_head(1, seed=11)
         w11 = [arr for _, arr in graph.named_params(trainable_only=True)]
         assert any(not np.array_equal(a, b) for a, b in zip(w10, w11))

@@ -117,7 +117,7 @@ class TestEvaluate:
     def _trained_graph(self, n_out=1):
         graph = build_ssl_graph(CFG, seed=0)
         graph.freeze_encoder()
-        graph.set_classifier_head(n_out, seed=1, dropout=0.0)
+        graph.set_classifier_head(n_out, seed=1)
         return graph
 
     def test_empty_windows_rejected(self):
@@ -188,7 +188,7 @@ def _separable_windows(n, seed=0):
 
 class TestTrainHead:
     def test_linearly_separable_reaches_99(self, monkeypatch):
-        monkeypatch.setattr("cardioclr.downstream.DROPOUT", 0.0)
+        monkeypatch.setattr("cardioclr.nn.model.DROPOUT", 0.0)
         x, y = _separable_windows(64, seed=1)
         graph = build_ssl_graph(CFG, seed=0)
         graph.freeze_encoder()
@@ -235,10 +235,10 @@ class TestTrainHead:
 
 class TestTrainBaseline:
     def test_every_layer_moves_after_one_step(self, monkeypatch):
-        monkeypatch.setattr("cardioclr.downstream.DROPOUT", 0.0)
+        monkeypatch.setattr("cardioclr.nn.model.DROPOUT", 0.0)
         x, y = _separable_windows(8, seed=4)
         graph = build_ssl_graph(CFG, seed=2)
-        graph.set_classifier_head(1, seed=0, dropout=0.0)  # the head train_baseline sets
+        graph.set_classifier_head(1, seed=0)  # the head train_baseline sets
         before = {name: arr.copy() for name, arr in graph.named_params()}
         cfg = DownstreamConfig(adam_lr=1e-3, max_epochs=2, patience=1, batch_size=8, seed=0)
         train_baseline(graph, TaskSpec("synthetic", "binary"), (x, y), (x, y), cfg)

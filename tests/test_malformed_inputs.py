@@ -5,10 +5,10 @@ truncated at a stride of offsets and with single bytes flipped. Every case
 must load or raise a `CardioclrError` whose message names the file (a
 window store's errors name its directory); a raw exception fails the test.
 
-A flipped payload byte (a checkpoint's parameters, a store's samples, a
-WAV's PCM data) still loads: no format records a digest of its payload yet,
-so "a flipped payload byte must not load" waits for checkpoint and store
-digests.
+A checkpoint records the SHA-256 of its parameter bytes, so a flipped
+payload byte there must not load. A flipped payload byte of a store's
+samples or a WAV's PCM data still loads: neither format records a digest
+of its payload yet.
 """
 
 import multiprocessing
@@ -19,7 +19,7 @@ import pytest
 from cardioclr import cli, protocol
 from cardioclr import signal_io as sio
 from cardioclr.config import parse_config
-from cardioclr.errors import CardioclrError
+from cardioclr.errors import CardioclrError, FormatError
 from cardioclr.nn import EncoderConfig, build_ssl_graph, load_checkpoint, save_checkpoint
 
 DESK_CONFIG = """[pretrain]
@@ -128,7 +128,7 @@ def desk_files(tmp_path_factory):
     graph = build_ssl_graph(EncoderConfig(channels=(2,), kernels=(4,), pool_widths=(100,),
                                           projection_dim=4), seed=0)
     graph.freeze_encoder()
-    graph.set_classifier_head(1, 0, 0.5)
+    graph.set_classifier_head(1, 0)
     save_checkpoint(checkpoint, graph, extra={"policy": "none|rev", "task": "pascal:binary",
                                               "seed": 7})
     ledger = root / "ledger.csv"
@@ -167,6 +167,23 @@ def test_damaged_file_loads_or_names_itself(desk_files, fmt):
         path.write_bytes(intact)
     assert raw == [], f"{len(raw)} raw exceptions"
     assert unnamed == [], f"{len(unnamed)} errors that do not name {named}"
+
+
+def test_a_flipped_checkpoint_payload_byte_does_not_load(desk_files):
+    """Each flipped parameter byte, the first and the last among them, is a
+    `FormatError` naming the checkpoint: its digest no longer matches."""
+    path, load, _ = desk_files["checkpoint"]
+    intact = path.read_bytes()
+    payload = 4 * sum(arr.size for _, arr in load()[0].named_params())
+    start = len(intact) - payload
+    try:
+        for i in [*range(start, len(intact) - 1, max(1, payload // 64)), len(intact) - 1]:
+            path.write_bytes(intact[:i] + bytes([intact[i] ^ 0x01]) + intact[i + 1:])
+            with pytest.raises(FormatError, match="do not match the checkpoint digest") as info:
+                load()
+            assert str(path) in str(info.value)
+    finally:
+        path.write_bytes(intact)
 
 
 def _read_damaged_stores(conn, store, intact):
@@ -281,10 +298,13 @@ def test_prepare_of_a_wav_it_cannot_open_names_the_manifest_line(tmp_path, capsy
     with manifest.open("a") as f:
         f.write("missing.wav\tm1\tpascal\tMurmur\n")
     lineno = len(manifest.read_text().splitlines())
-    where = f"{raw / 'missing.wav'} ({manifest} line {lineno}): [Errno 2] No such file"
+    where = f"{raw / 'missing.wav'} ({manifest} line {lineno}): No such file or directory"
     with pytest.raises(FileNotFoundError) as info:
         sio.prepare_manifest(manifest, tmp_path / "out")
-    assert str(info.value).startswith(where)
+    assert str(info.value) == where
     assert cli.main(["prepare", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: IOError: {where}")
+    err = capsys.readouterr().err
+    assert err == f"error: IOError: {where}\n"
+    # the WAV is named once: the OSError's own text would name it again
+    assert err.count(str(raw / "missing.wav")) == 1
     assert not (tmp_path / "out").exists()

@@ -18,6 +18,7 @@ from cardioclr.errors import FormatError, NumericError, ShapeError, StateError
 from cardioclr.nn import (
     Adam,
     Conv1d,
+    Dense,
     Dropout,
     EncoderConfig,
     Lars,
@@ -182,7 +183,7 @@ def run_layers(layers, x, g, compute_input_grad=True):
     gw and gb are the first layer's."""
     out = x
     for layer in layers:
-        out = layer.forward(out)
+        out = layer.forward(out, training=True)
     grad = g
     for i in range(len(layers) - 1, -1, -1):
         grad = layers[i].backward(grad, compute_input_grad=compute_input_grad or i > 0)
@@ -199,7 +200,7 @@ def assert_same_bytes(got, want):
 
 def block_shapes(cfg):
     """(Cin, Cout, K, L, W) of every block of an encoder config."""
-    shapes, cin, length = [], cfg.in_channels, cfg.input_len
+    shapes, cin, length = [], 1, cfg.input_len
     for cout, k, pool in zip(cfg.channels, cfg.kernels, cfg.pool_widths):
         shapes.append((cin, cout, k, length, pool))
         cin, length = cout, length // pool
@@ -283,7 +284,7 @@ class TestConv1dKernels:
         x, g = block_inputs(cin, cout, length, batch, width, k * length)
         layer.b[...] = np.random.default_rng(cout).uniform(-0.5, 0.5, cout)
         out_ref, gw_ref, gb_ref, dx_ref = reference_block(x, layer.w, layer.b, width, g)
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         dx = layer.backward(g)
         assert out.shape == out_ref.shape and dx.shape == x.shape
         assert rel_err(out, out_ref) <= 1e-5
@@ -316,7 +317,7 @@ class TestConv1dKernels:
         layer = make_block(3, 4, 6, 3, 5)
         x, g = block_inputs(3, 4, 20, partial_batch(3, 6, 20), 3, 5)
         _, gw_ref, gb_ref, _ = reference_block(x, layer.w, layer.b, 3, g)
-        layer.forward(x)
+        layer.forward(x, training=True)
         assert layer.backward(g, compute_input_grad=False) is None
         assert rel_err(layer.gw, gw_ref) <= 1e-5
         assert rel_err(layer.gb, gb_ref) <= 1e-5
@@ -338,11 +339,12 @@ class TestMaxPool1d:
         # values on a coarse grid, so most blocks hold tied maxima
         x = np.round(2 * rng.standard_normal((2, channels, length))).astype(np.float32)
         layer = MaxPool1d(width)
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         g = rng.standard_normal(out.shape).astype(np.float32)
         out_ref, dx_ref = reference_maxpool(x, width, g)
         np.testing.assert_array_equal(out, out_ref)
         np.testing.assert_array_equal(layer.backward(g), dx_ref)
+        assert layer.forward(x).tobytes() == out.tobytes()  # an eval forward, no argmax
 
     @pytest.mark.parametrize("tap", [1, 2, 3])
     def test_nan_in_a_later_tap_comes_out_as_nan(self, tap):
@@ -356,7 +358,7 @@ class TestMaxPool1d:
     def test_signed_zero_tie_sends_the_gradient_to_the_first_maximum(self, first, second):
         layer = MaxPool1d(4)
         x = np.array([[[-1.0, first, second, -2.0]]], dtype=np.float32)
-        assert layer.forward(x)[0, 0, 0] == 0.0
+        assert layer.forward(x, training=True)[0, 0, 0] == 0.0
         np.testing.assert_array_equal(
             layer.backward(np.array([[[5.0]]], dtype=np.float32)), [[[0.0, 5.0, 0.0, 0.0]]]
         )
@@ -427,12 +429,13 @@ class TestConvBlock:
         out = got[0]
         assert np.isnan(out).any() and (out == 0).any()
         assert not np.signbit(out[out == 0]).any()
+        assert block.forward(x).tobytes() == out.tobytes()  # an eval forward, no argmax
 
     def test_unpooled_gradient_of_a_floored_window_is_positive_zero(self):
         block = Conv1d(1, 1, 1, 4, np.random.default_rng(0))
         block.w[...] = 1.0
         x = np.array([[[-1.0, -3.0, -2.0, -4.0, 1.0, 2.0, -1.0, 0.0]]], dtype=np.float32)
-        out = block.forward(x)
+        out = block.forward(x, training=True)
         np.testing.assert_array_equal(out, [[[0.0, 2.0]]])
         dx = block.backward(np.array([[[-5.0, -7.0]]], dtype=np.float32))
         np.testing.assert_array_equal(dx, [[[0, 0, 0, 0, 0, -7.0, 0, 0]]])
@@ -591,6 +594,52 @@ class TestThreads:
                 child.join()
 
 
+class TestEvalForward:
+    """An eval forward (`training=False`) keeps no backward cache and drops
+    any earlier one, and gives the bytes of a training forward."""
+
+    @pytest.mark.parametrize("kind", ["conv", "relu", "maxpool", "dense", "dropout", "dropout0"])
+    def test_keeps_no_cache_and_a_backward_after_it_raises(self, kind):
+        rng = np.random.default_rng(0)
+        layer, shape = {
+            "conv": (Conv1d(2, 3, 3, 2, rng), (2, 2, 8)),
+            "relu": (ReLU(), (2, 5)),
+            "maxpool": (MaxPool1d(2), (2, 3, 8)),
+            "dense": (Dense(4, 3, rng), (2, 4)),
+            "dropout": (Dropout(0.5), (2, 4)),
+            "dropout0": (Dropout(0.0), (2, 4)),
+        }[kind]
+        x = rng.standard_normal(shape).astype(np.float32)
+        g = np.ones_like(layer.forward(x))
+        assert layer._cache is None
+        with pytest.raises(StateError):
+            layer.backward(g)
+        layer.forward(x, training=True, rng=np.random.default_rng(1))
+        assert layer._cache is not None
+        layer.forward(x)  # drops the training forward's cache
+        assert layer._cache is None
+        with pytest.raises(StateError):
+            layer.backward(g)
+
+    @pytest.mark.parametrize("cin,cout,k,length,width,batch", [*kernel_cases(), *chunk_cases()])
+    def test_block_output_has_the_training_bytes(self, cin, cout, k, length, width, batch):
+        block = make_block(cin, cout, k, width, k + length)
+        block.b[...] = np.random.default_rng(cout).uniform(-0.5, 0.5, cout)
+        x, _ = block_inputs(cin, cout, length, batch, width, cin + length)
+        want = block.forward(x, training=True)
+        assert block.forward(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cfg", [EncoderConfig(), DESK_ENCODER], ids=["full", "desk"])
+    def test_embed_has_the_training_bytes(self, cfg):
+        graph = build_ssl_graph(cfg, seed=2)
+        x = np.random.default_rng(3).standard_normal((3, cfg.input_len)).astype(np.float32)
+        out = x[:, None, :]
+        for layer in graph.encoder_layers:
+            out = layer.forward(out, training=True)
+        assert graph.embed(x).tobytes() == out.reshape(len(x), -1).tobytes()
+        assert all(layer._cache is None for layer in graph.encoder_layers + graph.head_layers)
+
+
 class TestEmbed:
     def test_chunks_across_a_boundary_give_per_window_bytes(self, monkeypatch):
         """EVAL_CHUNK + 44 windows: the encoder runs on EVAL_CHUNK windows,
@@ -679,7 +728,7 @@ class TestOtherLayers:
     def test_maxpool_ties_send_the_gradient_to_the_first_maximum(self):
         layer = MaxPool1d(4)
         x = np.array([[[1.0, 2.0, 2.0, 0.0, 4.0, 4.0, 4.0, 4.0, -1.0, -3.0, -1.0, -2.0]]])
-        np.testing.assert_array_equal(layer.forward(x), [[[2.0, 4.0, -1.0]]])
+        np.testing.assert_array_equal(layer.forward(x, training=True), [[[2.0, 4.0, -1.0]]])
         dx = layer.backward(np.array([[[1.0, 2.0, 3.0]]]))
         np.testing.assert_array_equal(
             dx, [[[0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0]]]
@@ -700,7 +749,7 @@ class TestOtherLayers:
 
     def test_relu_passes_nan(self):
         layer = ReLU()
-        out = layer.forward(np.array([np.nan, -1.0, 2.0], dtype=np.float32))
+        out = layer.forward(np.array([np.nan, -1.0, 2.0], dtype=np.float32), training=True)
         assert np.isnan(out[0])
         np.testing.assert_array_equal(out[1:], [0.0, 2.0])
         np.testing.assert_array_equal(layer.backward(np.ones(3, dtype=np.float32))[1:], [0.0, 1.0])
@@ -773,7 +822,7 @@ class TestGradientSuite:
                             input_len=16, projection_dim=4)
         graph = build_ssl_graph(cfg, seed=0)
         graph.freeze_encoder()
-        graph.set_classifier_head(2, seed=1, dropout=0.0)
+        graph.set_classifier_head(2, seed=1)
         for kind in ("params", "grads"):
             head = [id(arr) for layer in graph.head_layers
                     for arr in getattr(layer, kind)().values()]
@@ -791,7 +840,7 @@ class TestGradientSuite:
                             input_len=8, projection_dim=3)
         graph = build_ssl_graph(cfg, seed=0)
         x = np.random.default_rng(0).uniform(-1, 1, (2, 1, 8)).astype(np.float32)
-        out = graph.forward(x)
+        out = graph.forward(x, training=True)
         graph.backward(np.zeros_like(out))
         for name, g in graph.named_grads():
             assert np.all(g == 0.0), name
@@ -950,13 +999,18 @@ class TestEarlyStopping:
 
 
 class TestCaches:
-    def test_restore_drops_every_cache(self):
+    def test_a_training_step_then_validation_and_restore_leave_no_cache(self):
+        """Early stopping's sequence: a training forward and backward, an
+        eval forward for the validation loss, then the best weights come
+        back. No layer holds a cache, and a backward raises."""
         graph = build_ssl_graph(DESK_ENCODER, seed=1)
-        graph.set_classifier_head(1, seed=2, dropout=0.5)
+        graph.set_classifier_head(1, seed=2)
         snap = graph.snapshot()
         x = np.random.default_rng(3).standard_normal((4, DESK_ENCODER.input_len))
         graph.forward(x, training=True, rng=np.random.default_rng(4))
         assert all(layer._cache is not None for layer in graph.encoder_layers + graph.head_layers)
+        graph.backward(np.ones((4, 1), dtype=np.float32))
+        graph.forward(x)
         graph.restore(snap)
         assert all(layer._cache is None for layer in graph.encoder_layers + graph.head_layers)
         with pytest.raises(StateError):
@@ -966,7 +1020,7 @@ class TestCaches:
         """A cache lives from its forward to its backward: none is left after
         `backward`, so a second backward raises."""
         graph = build_ssl_graph(DESK_ENCODER, seed=1)
-        graph.set_classifier_head(1, seed=2, dropout=0.5)
+        graph.set_classifier_head(1, seed=2)
         x = np.random.default_rng(3).standard_normal((4, DESK_ENCODER.input_len))
         graph.forward(x, training=True, rng=np.random.default_rng(4))
         graph.backward(np.ones((4, 1), dtype=np.float32))
@@ -1021,7 +1075,7 @@ class TestCheckpoint:
                             input_len=16, projection_dim=4)
         graph = build_ssl_graph(cfg, seed=2)
         graph.freeze_encoder()
-        graph.set_classifier_head(3, seed=3, dropout=0.5)
+        graph.set_classifier_head(3, seed=3)
         path = tmp_path / "cls.ckpt"
         save_checkpoint(path, graph)
         loaded, meta = load_checkpoint(path)
@@ -1043,6 +1097,44 @@ class TestCheckpoint:
         )
         for (_, a), (_, b) in zip(g1.named_params(), g1b.named_params()):
             np.testing.assert_array_equal(a, b)
+
+    def test_metadata_holds_the_payload_digest_and_no_fixed_value(self, tmp_path):
+        graph = build_ssl_graph(EncoderConfig(channels=(2,), kernels=(3,), pool_widths=(2,),
+                                              input_len=8, projection_dim=3), seed=1)
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, graph)
+        data = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", data, 8)
+        meta = json.loads(data[12 : 12 + meta_len])
+        assert "dropout" not in meta and "in_channels" not in meta["arch"]
+        assert meta["sha256"] == hashlib.sha256(data[12 + meta_len :]).hexdigest()
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["ssl", "classifier"])
+    def test_a_checkpoint_with_the_old_header_loads(self, tmp_path, frozen):
+        """The header written before the payload digest: `dropout` and
+        `arch.in_channels`, no `sha256`. The same parameters load, and the
+        graph gives the same forward."""
+        cfg = EncoderConfig(channels=(2, 2), kernels=(3, 3), pool_widths=(2, 2),
+                            input_len=16, projection_dim=4)
+        graph = build_ssl_graph(cfg, seed=2)
+        if frozen:
+            graph.freeze_encoder()
+            graph.set_classifier_head(3, seed=3)
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, graph, extra={"epoch": 2})
+        data = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", data, 8)
+        meta = json.loads(data[12 : 12 + meta_len])
+        del meta["sha256"]
+        meta["dropout"], meta["arch"]["in_channels"] = 0.5, 1
+        blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + meta_len :])
+        loaded, loaded_meta = load_checkpoint(path)
+        assert loaded_meta["extra"] == {"epoch": 2}
+        assert [(n, a.tobytes()) for n, a in loaded.named_params()] \
+            == [(n, a.tobytes()) for n, a in graph.named_params()]
+        x = np.random.default_rng(4).uniform(-1, 1, (2, 1, 16)).astype(np.float32)
+        assert loaded.forward(x).tobytes() == graph.forward(x).tobytes()
 
     def test_parameter_names_keep_conv_layer_indices(self):
         cfg = EncoderConfig(channels=(2, 3), kernels=(3, 3), pool_widths=(2, 2),

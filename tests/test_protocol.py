@@ -426,9 +426,11 @@ class TestRunPlan:
         assert len(list((tmp_path / "encoders").glob("*.ckpt"))) == 2
         assert [r.experiment_id for r in rows if r.status == "failed"] == []
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_corrupt_encoder_is_moved_aside_and_retrained(self, stores_root, tmp_path, caplog,
-                                                           jobs):
+    @staticmethod
+    def resume_with_a_damaged_encoder(stores_root, tmp_path, caplog, jobs, damage):
+        """A sweep resumed after `damage` changed the bytes of one of its
+        encoder checkpoints moves that file aside, trains the encoder again
+        and ends with the bytes of an uninterrupted run."""
         plan = ExperimentPlan(
             ssl_sets=[("ephnogram",), ("fpcgdb",)],
             policies=["none|rev"],
@@ -437,12 +439,11 @@ class TestRunPlan:
             baseline_runs=1,
         )
         run_plan(plan, WindowStores(stores_root), TEST_CFG, tmp_path / "whole")
-        out = tmp_path / "cut"
+        out = tmp_path / "damaged"
         shutil.copytree(tmp_path / "whole", out)
-        # a crash before the data reached the disk leaves a truncated file;
-        # an entry may fail at its init and write none, so cut one that exists
+        # an entry may fail at its init and write none, so damage one that exists
         enc = sorted((out / "encoders").glob("*.ckpt"))[-1]
-        enc.write_bytes(enc.read_bytes()[:-7])
+        enc.write_bytes(damage(enc.read_bytes()))
         (out / "ledger.csv").unlink()
         with caplog.at_level(logging.WARNING, logger="cardioclr.protocol"):
             run_plan(plan, WindowStores(stores_root), TEST_CFG, out, jobs=jobs)
@@ -452,6 +453,21 @@ class TestRunPlan:
             == _tree_bytes(tmp_path / "whole")
         if jobs == 1:  # a forked worker's warning does not reach caplog
             assert f"{enc} is corrupt" in caplog.text and aside.name in caplog.text
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_corrupt_encoder_is_moved_aside_and_retrained(self, stores_root, tmp_path, caplog,
+                                                           jobs):
+        # a crash before the data reached the disk leaves a truncated file
+        self.resume_with_a_damaged_encoder(stores_root, tmp_path, caplog, jobs,
+                                           lambda data: data[:-7])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_encoder_with_a_flipped_parameter_byte_is_retrained(self, stores_root, tmp_path,
+                                                                caplog, jobs):
+        """The file is whole, so only the payload digest tells it is damaged."""
+        self.resume_with_a_damaged_encoder(
+            stores_root, tmp_path, caplog, jobs,
+            lambda data: data[:-5] + bytes([data[-5] ^ 0x01]) + data[-4:])
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_entry_keeps_earlier_rows_and_rerun_completes(
