@@ -93,6 +93,7 @@ RunConfig = make_dataclass(
 
 def parse_config_text(text: str) -> RunConfig:
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}  # RunConfig attribute -> line that set it
     for section, lines in read_sections(text, SCHEMA, "line").items():
         for lineno, line in lines:
             key, eq, value = line.partition("=")
@@ -103,6 +104,10 @@ def parse_config_text(text: str) -> RunConfig:
             if entry is None:
                 raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
             attr, parser = entry
+            if attr in set_on:
+                raise ConfigError(f"line {lineno}: key {key!r} already set in [{section}] "
+                                  f"on line {set_on[attr]}")
+            set_on[attr] = lineno
             try:
                 values[attr] = parser(value)
             except ValueError as exc:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .._atomic import write_atomic
 from ..errors import ConfigError, FormatError
-from .model import CLASSIFIER, PROJECTION, EncoderConfig, ModelGraph
+from .model import CLASSIFIER, PROJECTION, EncoderConfig, ModelGraph, param_count
 
 MAGIC = b"PCGSSL01"
 
@@ -56,7 +56,7 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
         raise FormatError(f"{path}: checkpoint truncated in the metadata")
     try:
         meta = json.loads(data[start : start + meta_len].decode("utf-8"))
-        graph = _graph_from_meta(meta)
+        graph = _graph_from_meta(meta, len(data) - start - meta_len)
         declared = [(spec["name"], list(spec["shape"])) for spec in meta["params"]]
     except KeyError as exc:
         raise FormatError(f"{path}: checkpoint metadata lacks key {exc}") from exc
@@ -64,38 +64,47 @@ def load_checkpoint(path) -> tuple[ModelGraph, dict]:
         raise FormatError(f"{path}: bad checkpoint metadata") from exc
     except ConfigError as exc:
         raise FormatError(f"{path}: bad checkpoint architecture: {exc}") from exc
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
+    # the payload holds exactly the graph's parameters (`_graph_from_meta`)
     offset = start + meta_len
     params = graph.named_params()
-    if len(declared) != len(params):
-        raise FormatError(f"{path}: parameter list mismatch")
-    for (name, arr), spec in zip(params, declared):
-        if spec != (name, list(arr.shape)):
-            raise FormatError(f"{path}: parameter {name} does not match metadata")
-        nbytes = arr.size * 4
-        if offset + nbytes > len(data):
-            raise FormatError(f"{path}: checkpoint truncated in parameter {name}")
+    if declared != [(name, list(arr.shape)) for name, arr in params]:
+        raise FormatError(f"{path}: the parameter list does not match the architecture")
+    for _, arr in params:
         flat = np.frombuffer(data, dtype="<f4", count=arr.size, offset=offset)
         arr[...] = flat.reshape(arr.shape)
-        offset += nbytes
-    if offset != len(data):
-        raise FormatError(f"{path}: trailing bytes in checkpoint")
+        offset += arr.size * 4
     payload = memoryview(data)[start + meta_len :]
     if "sha256" in meta and hashlib.sha256(payload).hexdigest() != meta["sha256"]:
         raise FormatError(f"{path}: parameter bytes do not match the checkpoint digest")
     return graph, meta
 
 
-def _graph_from_meta(meta: dict) -> ModelGraph:
-    """The graph a checkpoint's metadata declares, with placeholder values."""
+def _graph_from_meta(meta: dict, payload_bytes: int) -> ModelGraph:
+    """The graph a checkpoint's metadata declares, with placeholder values.
+    Metadata whose parameters would not fill the `payload_bytes` exactly is
+    a `FormatError`, raised before any array is allocated."""
     arch = {f.name: meta["arch"][f.name] for f in fields(EncoderConfig)}
+    cfg = EncoderConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in arch.items()})
+    head, n_out, frozen = meta["head"], meta["n_out"], meta["encoder_frozen"]
+    if not isinstance(frozen, bool):
+        raise FormatError(f"checkpoint encoder_frozen must be true or false, got {frozen!r}")
+    if head not in (None, PROJECTION, CLASSIFIER):
+        raise FormatError(f"unknown checkpoint head {head!r}")
+    if head is not None and (type(n_out) is not int or n_out < 1):
+        raise FormatError(f"checkpoint n_out must be a positive integer, got {n_out!r}")
+    implied = 4 * param_count(cfg, head, n_out)
+    if implied != payload_bytes:
+        raise FormatError(f"the metadata declares {implied} parameter bytes, the payload "
+                          f"holds {payload_bytes}")
     rng = np.random.default_rng(0)
-    graph = ModelGraph(EncoderConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                        for k, v in arch.items()}), rng)
-    if meta["encoder_frozen"]:
+    graph = ModelGraph(cfg, rng)
+    if frozen:
         graph.freeze_encoder()
-    if meta["head"] == PROJECTION:
+    if head == PROJECTION:
         graph.set_projection_head(rng)
-    elif meta["head"] == CLASSIFIER:
-        graph.set_classifier_head(meta["n_out"], 0)
+    elif head == CLASSIFIER:
+        graph.set_classifier_head(n_out, 0)
     return graph

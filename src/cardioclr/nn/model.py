@@ -20,6 +20,7 @@ CLASSIFIER = "classifier"
 EVAL_CHUNK = 256
 
 DROPOUT = 0.5  # between the classification head's dense layers, as in SimCLR
+CLASSIFIER_WIDTHS = (128, 64)  # the classification head's hidden layers
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,15 @@ class ModelGraph:
         """A fresh classification head, drawn from `seed` alone, replaces any head."""
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xC)))
         feat = self.encoder_cfg.feature_dim()
+        h1, h2 = CLASSIFIER_WIDTHS
         self.head_layers = [
-            Dense(feat, 128, rng, self.dtype),
+            Dense(feat, h1, rng, self.dtype),
             ReLU(),
             Dropout(DROPOUT),
-            Dense(128, 64, rng, self.dtype),
+            Dense(h1, h2, rng, self.dtype),
             ReLU(),
             Dropout(DROPOUT),
-            Dense(64, n_out, rng, self.dtype),
+            Dense(h2, n_out, rng, self.dtype),
         ]
         self.head_kind = CLASSIFIER
         self.n_out = n_out
@@ -188,6 +190,19 @@ class ModelGraph:
     def encoder_bytes(self) -> bytes:
         return b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes()
                         for layer in self.encoder_layers for arr in layer.params().values())
+
+
+def param_count(cfg: EncoderConfig, head: str | None, n_out: int | None) -> int:
+    """Parameters of the graph of encoder `cfg` with a `head` (None,
+    PROJECTION or CLASSIFIER) of `n_out` outputs, counted without building it."""
+    # the first block takes one channel; zip stops at the last block
+    count = sum(cout * (cin * k + 1) for cin, cout, k in zip((1, *cfg.channels), cfg.channels,
+                                                            cfg.kernels))
+    widths = {PROJECTION: (cfg.projection_dim,),
+              CLASSIFIER: (*CLASSIFIER_WIDTHS, n_out)}.get(head, ())
+    for fan_in, width in zip((cfg.feature_dim(), *widths), widths):
+        count += (fan_in + 1) * width
+    return count
 
 
 def build_ssl_graph(cfg: EncoderConfig, seed: int) -> ModelGraph:

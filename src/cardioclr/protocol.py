@@ -564,8 +564,27 @@ _worker_args: tuple = ()
 
 def _init_worker(threads, *args) -> None:
     global _worker_args
+    _keep_freed_memory()
     layers.THREADS = threads
     _worker_args = args
+
+
+def _keep_freed_memory() -> None:
+    """Make glibc keep the memory this process frees: the mmap threshold at
+    its 64-bit maximum, 32 MiB, and no heap trimming. Otherwise each encoder
+    block call's multi-MB work buffers go back to the kernel when freed and
+    fault back in, zero-filled, at the next call. For sweep workers only,
+    which `run_plan` makes and ends; a no-op where libc has no `mallopt`."""
+    try:
+        import ctypes  # here: `import cardioclr.protocol` stays lean
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError):  # a worker that raises here dies
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # each returns 0 on failure, which leaves that threshold as it was
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, -1)  # M_TRIM_THRESHOLD: never trim
 
 
 def _run_in_worker(item) -> list[LedgerRow]:

@@ -190,6 +190,11 @@ class TestConfig:
         ("[model]\n\nkernels = 16,8,8,4,4,", "line 3: bad value for kernels: '16,8,8,4,4,'"),
         ("[model]\npool_widths = ,4,4,4,4,4", "line 2: bad value for pool_widths"),
         ("[run]\nseed = 1", "line 1: unknown section [run]"),
+        # the last value would win, and the hash name a config nobody wrote
+        ("[pretrain]\nbatch_size = 16\nbatch_size = 32",
+         "line 3: key 'batch_size' already set in [pretrain] on line 2"),
+        ("[pretrain]\nbatch_size = 16\n[downstream]\nbatch_size = 16\n[pretrain]\n"
+         "batch_size = 16", "line 6: key 'batch_size' already set in [pretrain] on line 2"),
     ])
     def test_out_of_range_values_name_their_place(self, text, message):
         with pytest.raises(ConfigError) as info:

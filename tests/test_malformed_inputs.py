@@ -11,7 +11,9 @@ samples or a WAV's PCM data still loads: neither format records a digest
 of its payload yet.
 """
 
+import json
 import multiprocessing
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from cardioclr import signal_io as sio
 from cardioclr.config import parse_config
 from cardioclr.errors import CardioclrError, FormatError
 from cardioclr.nn import EncoderConfig, build_ssl_graph, load_checkpoint, save_checkpoint
+from cardioclr.nn.checkpoint import MAGIC
 
 DESK_CONFIG = """[pretrain]
 batch_size = 16        # paper-scale default is 256
@@ -184,6 +187,61 @@ def test_a_flipped_checkpoint_payload_byte_does_not_load(desk_files):
             assert str(path) in str(info.value)
     finally:
         path.write_bytes(intact)
+
+
+def edit_checkpoint_metadata(data: bytes, edit) -> bytes:
+    """The checkpoint `data` with `edit(meta)` applied to its metadata and
+    the payload (and so its digest) kept."""
+    start = len(MAGIC) + 4
+    (meta_len,) = struct.unpack_from("<I", data, len(MAGIC))
+    meta = json.loads(data[start:start + meta_len])
+    edit(meta)
+    blob = json.dumps(meta).encode()
+    return MAGIC + struct.pack("<I", len(blob)) + blob + data[start + meta_len:]
+
+
+def _set(*keys_and_value):
+    *keys, key, value = keys_and_value
+
+    def edit(meta):
+        for k in keys:
+            meta = meta[k]
+        meta[key] = value
+    return edit
+
+
+# sizes far past RAM: a loader that allocates before it checks them fails
+# fast with a raw `MemoryError` instead of swapping
+@pytest.mark.parametrize("edit,message", [
+    (_set("n_out", -1), "checkpoint n_out must be a positive integer, got -1"),
+    (_set("n_out", 0), "checkpoint n_out must be a positive integer, got 0"),
+    (_set("n_out", "1"), "checkpoint n_out must be a positive integer, got '1'"),
+    (_set("n_out", True), "checkpoint n_out must be a positive integer, got True"),
+    (_set("n_out", 10**12), "the metadata declares 260000000135976 parameter bytes, the "
+                            "payload holds 136236"),
+    (_set("arch", "channels", [10**12]), "the metadata declares 51220000000033796 parameter"),
+    (lambda meta: meta["arch"].update(channels=[2, 10**12], kernels=[4, 4],
+                                      pool_widths=[100, 1]),
+     "the metadata declares 51236000000033836 parameter bytes"),
+    (_set("arch", "input_len", 10**15), "the metadata declares 10240000000033836 parameter"),
+    (_set("encoder_frozen", "no"), "checkpoint encoder_frozen must be true or false, got 'no'"),
+    (_set("encoder_frozen", 0), "checkpoint encoder_frozen must be true or false, got 0"),
+    (_set("head", "softmax"), "unknown checkpoint head 'softmax'"),
+], ids=["n_out_negative", "n_out_zero", "n_out_text", "n_out_bool", "n_out_huge",
+        "channels_huge", "second_block_huge", "input_len_huge", "frozen_text", "frozen_int",
+        "head_unknown"])
+def test_malformed_checkpoint_metadata_is_a_format_error(desk_files, edit, message):
+    """Metadata edited with the payload kept is a `FormatError` naming the
+    checkpoint, raised before the loader allocates the graph it declares."""
+    path, load, _ = desk_files["checkpoint"]
+    intact = path.read_bytes()
+    try:
+        path.write_bytes(edit_checkpoint_metadata(intact, edit))
+        with pytest.raises(FormatError) as info:
+            load()
+    finally:
+        path.write_bytes(intact)
+    assert str(info.value).startswith(f"{path}: {message}")
 
 
 def _read_damaged_stores(conn, store, intact):

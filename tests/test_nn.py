@@ -32,7 +32,7 @@ from cardioclr.nn import (
 )
 from cardioclr.nn.gradcheck import run_gradient_suite
 from cardioclr.nn.layers import IM2COL_BUDGET, Layer
-from cardioclr.nn.model import EVAL_CHUNK, ModelGraph
+from cardioclr.nn.model import CLASSIFIER, EVAL_CHUNK, PROJECTION, ModelGraph, param_count
 from cardioclr.nn.optim import EpochStats, early_stopping
 from cardioclr.nn.losses import (
     binary_cross_entropy_loss,
@@ -1141,6 +1141,24 @@ class TestCheckpoint:
                             input_len=16, projection_dim=4)
         names = [name for name, _ in build_ssl_graph(cfg, seed=0).named_params()]
         assert names == ["enc0.w", "enc0.b", "enc3.w", "enc3.b", "head0.w", "head0.b"]
+
+    @pytest.mark.parametrize("head", [None, PROJECTION, CLASSIFIER])
+    @pytest.mark.parametrize("cfg", [EncoderConfig(), DESK_ENCODER,
+                                     EncoderConfig(channels=(2, 3), kernels=(3, 3),
+                                                   pool_widths=(2, 2), input_len=16,
+                                                   projection_dim=4)],
+                             ids=["full_size", "desk", "tiny"])
+    def test_param_count_is_the_size_of_the_graph_it_declares(self, cfg, head):
+        """The loader checks a checkpoint's size by `param_count` before it
+        builds the graph, so the two must agree on every head."""
+        graph = build_ssl_graph(cfg, seed=0)
+        graph.freeze_encoder()
+        if head == PROJECTION:
+            graph.set_projection_head(np.random.default_rng(0))
+        elif head == CLASSIFIER:
+            graph.set_classifier_head(3, seed=0)
+        assert param_count(cfg, graph.head_kind, graph.n_out) \
+            == sum(arr.size for _, arr in graph.named_params())
 
 
 class TestCheckpointCorruption:

@@ -1,12 +1,16 @@
 """Tests for plans, cycles, the experiment runner and the results ledger."""
 
+import ctypes
 import dataclasses
 import logging
 import os
 import re
 import shutil
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from cardioclr.protocol import (
     write_ledger,
 )
 from cardioclr.signal_io import LabeledWindow, write_window_store
+from test_malformed_inputs import edit_checkpoint_metadata
 
 TEST_CFG = RunConfig(
     pretrain_batch_size=8,
@@ -55,6 +60,29 @@ _TAG_LABELS = {
     "physionet2016": ("normal", "abnormal"),
     "physionet2022": ("absent", "present"),
 }
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+# minor page faults of three rounds of allocating, zero-filling and freeing an
+# 8 MiB block, after the sweep worker's allocator policy
+FAULT_ROUNDS = """
+import resource
+from cardioclr import protocol
+protocol._keep_freed_memory()
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    block = bytearray(8 << 20)
+    del block
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
 
 
 def is_no_ds(row):
@@ -470,6 +498,17 @@ class TestRunPlan:
             lambda data: data[:-5] + bytes([data[-5] ^ 0x01]) + data[-4:])
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    def test_encoder_with_malformed_metadata_is_retrained(self, stores_root, tmp_path, caplog,
+                                                          jobs):
+        """Payload and digest are whole, but the metadata declares a second
+        block of 10**12 channels: a `FormatError` before any array is
+        allocated, not a `MemoryError` that stops the sweep."""
+        self.resume_with_a_damaged_encoder(
+            stores_root, tmp_path, caplog, jobs,
+            lambda data: edit_checkpoint_metadata(
+                data, lambda meta: meta["arch"].update(channels=[2, 10**12])))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_entry_keeps_earlier_rows_and_rerun_completes(
             self, stores_root, tmp_path, monkeypatch, jobs):
         plan = ExperimentPlan(
@@ -608,6 +647,20 @@ class TestRunPlan:
         assert [(item, n) for item, n, _ in rows] == [(i, threads) for i in range(items)]
         assert os.getpid() not in {pid for *_, pid in rows}
         assert layers.THREADS == parent_threads
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+    def test_worker_allocator_policy_reuses_freed_pages(self):
+        """After the sweep worker's allocator policy, a freed 8 MiB block
+        stays in the heap: allocating it again faults almost no page in.
+        Without it glibc maps each such block afresh, and every round faults
+        every page. A fresh interpreter gives the heap a known start."""
+        src = Path(protocol.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", FAULT_ROUNDS], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        first, second, third = map(int, done.stdout.split())
+        assert first >= 2000  # 2,048 pages of 4 KiB, or the test shows nothing
+        assert second < first / 100 and third < first / 100, (first, second, third)
 
     def test_killed_worker_is_an_error_naming_the_unfinished_items(self, stores_root, tmp_path,
                                                                    monkeypatch):
